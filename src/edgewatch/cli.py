@@ -7,15 +7,17 @@ import configparser
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import FlowLogFormatError, read_flow_log, window_flows, DAY_SECONDS
+from .ingest import window_flows, DAY_SECONDS
 from .pipeline import (
     PipelineConfig,
     drilldown,
+    read_flow_logs,
     run_timeline,
     write_couplings_csv,
     write_drilldown_csv,
@@ -31,97 +33,75 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Either 'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("grid step must be positive")
-        values = []
-        k = 0
-        while start + k * step <= stop + 1e-12:
-            values.append(round(start + k * step, 12))
-            k += 1
-        return tuple(values)
-    return _parse_float_list(text)
+    try:
+        if ":" not in text:
+            return _parse_float_list(text)
+        parts = [float(p) for p in text.split(":")]
+    except ValueError:
+        raise ConfigError(f"grid values must be numbers, got {text!r}") from None
+    if len(parts) != 3:
+        raise ConfigError(f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = parts
+    if step <= 0:
+        raise ConfigError("grid step must be positive")
+    values = []
+    k = 0
+    while start + k * step <= stop + 1e-12:
+        values.append(round(start + k * step, 12))
+        k += 1
+    return tuple(values)
+
+
+# Flags named differently from their PipelineConfig field; every other flag
+# is the field name with dashes. The inputs field is set by --input only.
+_FLAG_NAMES = {"utc_offset_hours": "utc-offset", "output_dir": "out-dir"}
+_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
+_FIELD_PARSERS = {
+    f.name: _PARSE_BY_TYPE[get_type_hints(PipelineConfig)[f.name]]
+    for f in fields(PipelineConfig)
+    if f.name != "inputs"
+}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-days", type=float, default=None, help="snapshot width (default 7)")
-    parser.add_argument("--step-days", type=float, default=None, help="sliding step (default 1)")
-    parser.add_argument("--min-flow", type=int, default=None, help="per-cache flow floor (default 50)")
-    parser.add_argument(
-        "--percentiles", type=str, default=None, help="comma list, default 20,35,50,65,80"
-    )
-    parser.add_argument("--epsilon", type=float, default=None, help="DBSCAN radius (default 0.04)")
-    parser.add_argument("--min-pts", type=int, default=None, help="DBSCAN density floor (default 5)")
-    parser.add_argument("--event-threshold", type=float, default=None, help="CD flag level (default 10)")
-    parser.add_argument("--major-threshold", type=float, default=None, help="CD major level (default 50)")
-    parser.add_argument("--utc-offset", type=float, default=None, help="midnight alignment offset, hours")
-    parser.add_argument("--top-stars", type=int, default=None, help="contributors kept per entry")
-    parser.add_argument("--out-dir", type=str, default=None, help="output directory (default out)")
+    for f in fields(PipelineConfig):
+        if f.name in _FIELD_PARSERS:
+            default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+            parser.add_argument(
+                "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
+                dest=f.name,
+                help=f"default {default}; INI key {f.name}",
+            )
     parser.add_argument(
         "--config", type=str, default=None, help="INI file with a [pipeline] section; overrides flags"
     )
 
 
-_FLAG_TO_FIELD = {
-    "window_days": "window_days",
-    "step_days": "step_days",
-    "min_flow": "min_flow",
-    "percentiles": "percentiles",
-    "epsilon": "epsilon",
-    "min_pts": "min_pts",
-    "event_threshold": "event_threshold",
-    "major_threshold": "major_threshold",
-    "utc_offset": "utc_offset_hours",
-    "top_stars": "top_stars",
-    "out_dir": "output_dir",
-}
-
-
-def _load_pipeline_ini(path: str) -> dict:
+def _load_pipeline_ini(path: str) -> dict[str, str]:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise ConfigError(f"cannot read pipeline config: {path}")
     if "pipeline" not in parser:
         raise ConfigError(f"{path} has no [pipeline] section")
-    section = parser["pipeline"]
-    valid = {f.name for f in fields(PipelineConfig)}
-    out = {}
-    try:
-        for key in section:
-            if key not in valid:
-                raise ConfigError(f"unknown pipeline option: {key}")
-            if key in ("min_flow", "min_pts", "top_stars"):
-                out[key] = section.getint(key)
-            elif key == "percentiles":
-                out[key] = _parse_float_list(section.get(key))
-            elif key in ("output_dir",):
-                out[key] = section.get(key)
-            elif key == "inputs":
-                out[key] = tuple(p for p in section.get(key).split(",") if p)
-            else:
-                out[key] = section.getfloat(key)
-    except ValueError as exc:
-        raise ConfigError(f"bad pipeline config value: {exc}") from None
-    return out
+    for key in parser["pipeline"]:
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"unknown pipeline option: {key}")
+    return dict(parser["pipeline"])
 
 
 def build_pipeline_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> PipelineConfig:
     """Defaults, then command-line flags, then config-file values (which win)."""
+    texts = {name: getattr(args, name) for name in _FIELD_PARSERS}
+    if args.config:
+        texts.update(_load_pipeline_ini(args.config))
     config = PipelineConfig(inputs=inputs)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is None:
+    for name, text in texts.items():
+        if text is None:
             continue
-        if flag == "percentiles":
-            value = _parse_float_list(value)
-        setattr(config, field_name, value)
-    if getattr(args, "config", None):
-        for key, value in _load_pipeline_ini(args.config).items():
-            setattr(config, key, value)
+        try:
+            setattr(config, name, _FIELD_PARSERS[name](text))
+        except ValueError:
+            raise ConfigError(f"bad value for {name}: {text!r}") from None
     return config.validate()
 
 
@@ -135,16 +115,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_inputs(paths: list[str]):
-    records = []
-    for path in paths:
-        records.extend(read_flow_log(path))
-    return records
-
-
 def _cmd_timeline(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args, tuple(args.input))
-    records = _read_inputs(args.input)
+    records = read_flow_logs(args.input)
     result = run_timeline(config, records)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +151,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def _cmd_drilldown(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args, tuple(args.input))
-    records = _read_inputs(args.input)
+    records = read_flow_logs(args.input)
     result = run_timeline(config, records)
     if not 0 <= args.entry < len(result.entries):
         raise InputError(f"entry {args.entry} out of range (0..{len(result.entries) - 1})")
@@ -201,7 +174,7 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args, tuple(args.input))
-    records = _read_inputs(args.input)
+    records = read_flow_logs(args.input)
     snapshots = window_flows(
         records,
         config.window_days * DAY_SECONDS,
@@ -228,11 +201,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    stars_list = [int(x) for x in args.stars.split(",") if x.strip()]
     e_grid = _parse_grid(args.e_grid)
-    extra_list = [int(x) for x in args.extra_stars.split(",") if x.strip()]
+    try:
+        stars_list = [int(x) for x in args.stars.split(",") if x.strip()]
+        extra_list = [int(x) for x in args.extra_stars.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--stars and --extra-stars take integer lists: {exc}") from None
     if not stars_list or not e_grid or not extra_list:
         raise ConfigError("calibrate needs non-empty --stars, --e-grid and --extra-stars")
+    if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
+        raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
+    if min(e_grid) < 0 or min(extra_list) < 0:
+        raise ConfigError("calibrate needs --e-grid and --extra-stars >= 0")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8", newline="") as fp:
@@ -249,7 +229,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    records = _read_inputs(args.input)
+    records = read_flow_logs(args.input)
     if not records:
         raise InputError("input contains no records")
     matrix = rank_matrix(records, args.period_days, args.utc_offset or 0.0)
@@ -325,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, FlowLogFormatError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

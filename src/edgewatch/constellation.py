@@ -21,6 +21,7 @@ import numpy as np
 
 from .dbscan import Clustering
 from .features import CacheFeatures, NormalizationBounds
+from .ingest import text_output
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class Star:
 @dataclass(frozen=True)
 class Constellation:
     stars: tuple[Star, ...]
-    snapshot_index: int | None = None
     bounds: NormalizationBounds | None = None
 
     @property
@@ -66,7 +66,6 @@ def build_constellation(
     clustering: Clustering,
     raw_features: Mapping[str, CacheFeatures],
     bounds: NormalizationBounds,
-    snapshot_index: int | None = None,
 ) -> Constellation:
     """One star per cluster at the mean of its members' renormalized percentiles.
 
@@ -88,7 +87,7 @@ def build_constellation(
             ]
         )
         stars.append(Star(position=position, members=tuple(cluster.members), cluster_id=cid))
-    return Constellation(stars=tuple(stars), snapshot_index=snapshot_index, bounds=bounds)
+    return Constellation(stars=tuple(stars), bounds=bounds)
 
 
 def astral_distance(star: Star, constellation: Constellation) -> tuple[float, int | None]:
@@ -185,12 +184,9 @@ def write_cd_report_rows(
 def write_cd_report_csv(
     target: IO[str] | str | Path, report: CDReport, snapshot_n: int, snapshot_n1: int
 ) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_cd_report_csv(fp, report, snapshot_n, snapshot_n1)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(
-        ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
-    )
-    write_cd_report_rows(writer, report, snapshot_n, snapshot_n1)
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(
+            ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
+        )
+        write_cd_report_rows(writer, report, snapshot_n, snapshot_n1)

@@ -10,6 +10,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .features import FeatureVector
+from .ingest import text_output
 
 DEFAULT_EPSILON = 0.04
 DEFAULT_MIN_PTS = 5
@@ -53,7 +54,6 @@ class Clustering:
     clusters: tuple[Cluster, ...]
     noise: tuple[str, ...]
     params: ClusterParams
-    snapshot_index: int | None = None
 
     def labels(self) -> dict[str, int]:
         """cache_id -> cluster index, with -1 for noise."""
@@ -158,13 +158,10 @@ def dbscan(points: Sequence[FeatureVector], params: ClusterParams) -> Clustering
 
 def write_clustering_csv(target: IO[str] | str | Path, clustering: Clustering) -> None:
     """CSV dump: cache_id,cluster_id,role with cluster_id=-1 for noise."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_clustering_csv(fp, clustering)
-        return
     labels = clustering.labels()
     roles = clustering.roles()
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["cache_id", "cluster_id", "role"])
-    for cache_id in sorted(labels):
-        writer.writerow([cache_id, labels[cache_id], roles[cache_id]])
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["cache_id", "cluster_id", "role"])
+        for cache_id in sorted(labels):
+            writer.writerow([cache_id, labels[cache_id], roles[cache_id]])

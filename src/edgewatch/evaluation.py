@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .features import (
     extract_cache_features_mean_std,
     normalize_snapshot,
 )
-from .ingest import Snapshot
+from .ingest import Snapshot, text_output
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,9 @@ class GroundTruth:
             raise InputError(f"{path}: {exc}") from None
 
     def save(self, target: IO[str] | str | Path) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fp:
-                self.save(fp)
-            return
-        for cache_id in sorted(self.labels):
-            target.write(f"{cache_id}\t{self.labels[cache_id]}\n")
+        with text_output(target) as fp:
+            for cache_id in sorted(self.labels):
+                fp.write(f"{cache_id}\t{self.labels[cache_id]}\n")
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,18 @@ class QualityIndices:
     n_labels: int
 
 
+def majority_label(labels: Iterable[str | None]) -> str | None:
+    """The most frequent label, ties to the lexicographically smallest.
+
+    None entries cast no vote; with no votes at all the result is None.
+    """
+    votes = Counter(label for label in labels if label is not None)
+    if not votes:
+        return None
+    top = max(votes.values())
+    return min(label for label, count in votes.items() if count == top)
+
+
 def majority_vote_labels(
     clustering: Clustering, ground_truth: GroundTruth
 ) -> tuple[dict[str, str], int, int]:
@@ -96,9 +105,7 @@ def majority_vote_labels(
         missing = [c for c in cluster.members if c not in ground_truth.labels]
         if missing:
             raise ValueError(f"clustered caches without a GT label: {missing[:5]}")
-        counts = Counter(ground_truth.labels[c] for c in cluster.members)
-        top = max(counts.values())
-        winner = min(lab for lab, cnt in counts.items() if cnt == top)
+        winner = majority_label(ground_truth.labels[c] for c in cluster.members)
         for c in cluster.members:
             assigned[c] = winner
             if ground_truth.labels[c] == winner:
@@ -176,14 +183,11 @@ def epsilon_sweep(
 
 
 def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_sweep_csv(fp, rows)
-        return
-    target.write("epsilon,tpr,fragmentation,pureness,noise_count\n")
-    for r in rows:
-        frag = "" if r.fragmentation is None else repr(r.fragmentation)
-        target.write(f"{r.epsilon!r},{r.tpr!r},{frag},{r.pureness!r},{r.noise_count}\n")
+    with text_output(target) as fp:
+        fp.write("epsilon,tpr,fragmentation,pureness,noise_count\n")
+        for r in rows:
+            frag = "" if r.fragmentation is None else repr(r.fragmentation)
+            fp.write(f"{r.epsilon!r},{r.tpr!r},{frag},{r.pureness!r},{r.noise_count}\n")
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:

@@ -6,11 +6,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ingest import Snapshot
+from .ingest import Snapshot, text_output
 
 METRICS = ("rtt", "ttl")
 DEFAULT_PERCENTILES = (20.0, 35.0, 50.0, 65.0, 80.0)
@@ -66,38 +66,33 @@ class FeatureVector:
         return int(self.values.size)
 
 
-def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:
-    """Linear-interpolation percentile on (N-1)-scaled ranks.
+def percentile_vector(samples: Sequence[float] | np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """Linear-interpolation percentiles on (N-1)-scaled ranks, one sort for all ranks.
 
-    With sorted samples s_0..s_{N-1} and rank h = (N-1) * q / 100, returns
-    s_{floor(h)} + (h - floor(h)) * (s_{floor(h)+1} - s_{floor(h)}), the
-    fractional term vanishing at h = N-1.
+    With sorted samples s_0..s_{N-1} and rank h = (N-1) * q / 100, each value
+    is s_{floor(h)} + (h - floor(h)) * (s_{floor(h)+1} - s_{floor(h)}), the
+    fractional term vanishing at h = N-1. This is the library's only
+    percentile arithmetic; np.percentile differs from it in the last ulp.
+    An empty sample set gives NaN at every rank.
     """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("percentile of an empty sample set")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile rank out of [0, 100]: {q}")
-    s = np.sort(arr)
-    h = (s.size - 1) * q / 100.0
-    lo = math.floor(h)
-    if lo >= s.size - 1:
-        return float(s[-1])
-    frac = h - lo
-    return float(s[lo] + frac * (s[lo + 1] - s[lo]))
-
-
-def _percentile_vector(samples: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    if not all(0.0 <= q <= 100.0 for q in qs):
+        raise ValueError(f"percentile rank out of [0, 100]: {qs}")
     s = np.sort(np.asarray(samples, dtype=float))
-    out = np.empty(len(qs))
+    out = np.full(len(qs), math.nan)
+    if s.size == 0:
+        return out
     for i, q in enumerate(qs):
         h = (s.size - 1) * q / 100.0
         lo = math.floor(h)
-        if lo >= s.size - 1:
-            out[i] = s[-1]
-        else:
-            out[i] = s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+        out[i] = s[-1] if lo >= s.size - 1 else s[lo] + (h - lo) * (s[lo + 1] - s[lo])
     return out
+
+
+def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:
+    """One percentile of ``samples``; see percentile_vector for the definition."""
+    if np.size(samples) == 0:
+        raise ValueError("percentile of an empty sample set")
+    return float(percentile_vector(samples, (q,))[0])
 
 
 def _validate_percentiles(percentiles: Sequence[float]) -> tuple[float, ...]:
@@ -123,24 +118,7 @@ def extract_cache_features(
     by cache_id so downstream clustering is deterministic.
     """
     ps = _validate_percentiles(percentiles)
-    out: list[CacheFeatures] = []
-    for cache_id in snapshot.cache_ids():
-        flows = snapshot.records[cache_id]
-        if len(flows) < min_flow:
-            continue
-        rtt = np.fromiter((r.min_rtt for r in flows), dtype=float, count=len(flows))
-        ttl = np.fromiter((r.ttl for r in flows), dtype=float, count=len(flows))
-        out.append(
-            CacheFeatures(
-                cache_id=cache_id,
-                flow_count=len(flows),
-                raw_percentiles={
-                    "rtt": _percentile_vector(rtt, ps),
-                    "ttl": _percentile_vector(ttl, ps),
-                },
-            )
-        )
-    return out
+    return _summarize_caches(snapshot, min_flow, lambda values: percentile_vector(values, ps))
 
 
 def extract_cache_features_mean_std(
@@ -152,6 +130,15 @@ def extract_cache_features_mean_std(
     Same CacheFeatures shape with a 2-vector (mean, std) per metric, so the
     normalization and clustering stages apply unchanged.
     """
+    return _summarize_caches(
+        snapshot, min_flow, lambda values: np.array([values.mean(), values.std()])
+    )
+
+
+def _summarize_caches(
+    snapshot: Snapshot, min_flow: int, summarize: Callable[[np.ndarray], np.ndarray]
+) -> list[CacheFeatures]:
+    """Apply ``summarize`` to the RTT and TTL samples of each cache with >= min_flow flows."""
     out: list[CacheFeatures] = []
     for cache_id in snapshot.cache_ids():
         flows = snapshot.records[cache_id]
@@ -163,10 +150,7 @@ def extract_cache_features_mean_std(
             CacheFeatures(
                 cache_id=cache_id,
                 flow_count=len(flows),
-                raw_percentiles={
-                    "rtt": np.array([rtt.mean(), rtt.std()]),
-                    "ttl": np.array([ttl.mean(), ttl.std()]),
-                },
+                raw_percentiles={"rtt": summarize(rtt), "ttl": summarize(ttl)},
             )
         )
     return out
@@ -213,15 +197,14 @@ def write_feature_dump(
     bounds: NormalizationBounds,
 ) -> None:
     """Optional CSV dump: cache_id,metric,percentile,raw_value,normalized_value."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_feature_dump(fp, features, percentiles, bounds)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(["cache_id", "metric", "percentile", "raw_value", "normalized_value"])
-    for f in features:
-        for metric in f.metrics():
-            raw = f.raw_percentiles[metric]
-            norm = bounds.normalize(metric, raw)
-            for q, rv, nv in zip(percentiles, raw, norm):
-                writer.writerow([f.cache_id, metric, repr(float(q)), repr(float(rv)), repr(float(nv))])
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["cache_id", "metric", "percentile", "raw_value", "normalized_value"])
+        for f in features:
+            for metric in f.metrics():
+                raw = f.raw_percentiles[metric]
+                norm = bounds.normalize(metric, raw)
+                for q, rv, nv in zip(percentiles, raw, norm):
+                    writer.writerow(
+                        [f.cache_id, metric, repr(float(q)), repr(float(rv)), repr(float(nv))]
+                    )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -178,15 +179,26 @@ def format_flow_record(record: FlowRecord) -> str:
     )
 
 
-def write_flow_log(target: IO[str] | str | Path, records: Iterable[FlowRecord]) -> None:
-    """Write records in the TSV format; floats use repr so parsing round-trips."""
+@contextmanager
+def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
+    """Yield ``target`` if it is a stream, else the path opened for UTF-8 writing.
+
+    Every writer takes a path or a stream through this, and writes LF line
+    endings on every platform.
+    """
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_flow_log(fp, records)
-        return
-    target.write(FLOW_LOG_HEADER + "\n")
-    for record in records:
-        target.write(format_flow_record(record) + "\n")
+            yield fp
+    else:
+        yield target
+
+
+def write_flow_log(target: IO[str] | str | Path, records: Iterable[FlowRecord]) -> None:
+    """Write records in the TSV format; floats use repr so parsing round-trips."""
+    with text_output(target) as fp:
+        fp.write(FLOW_LOG_HEADER + "\n")
+        for record in records:
+            fp.write(format_flow_record(record) + "\n")
 
 
 @dataclass(frozen=True)

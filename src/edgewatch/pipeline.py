@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
-
-import numpy as np
+from typing import IO, Iterable, Sequence
 
 from .constellation import (
     CDReport,
@@ -21,6 +17,7 @@ from .constellation import (
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError
+from .evaluation import majority_label
 from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
@@ -29,14 +26,17 @@ from .features import (
     _validate_percentiles,
     extract_cache_features,
     normalize_snapshot,
-    percentile,
+    percentile_vector,
 )
 from .ingest import (
     DAY_SECONDS,
+    FlowLineError,
+    FlowLogFormatError,
     FlowRecord,
     Snapshot,
     parse_cache_hostname,
     read_flow_log,
+    text_output,
     window_flows,
 )
 
@@ -138,32 +138,6 @@ def flag_for(cd: float | None, config: PipelineConfig) -> str:
     return FLAG_NONE
 
 
-def _majority_iata(snapshot: Snapshot) -> dict[str, str | None]:
-    out: dict[str, str | None] = {}
-    for cache_id, flows in snapshot.records.items():
-        votes = Counter()
-        for r in flows:
-            name = parse_cache_hostname(r.hostname)
-            if name.iata:
-                votes[name.iata] += 1
-        if votes:
-            top = max(votes.values())
-            out[cache_id] = min(lab for lab, cnt in votes.items() if cnt == top)
-        else:
-            out[cache_id] = None
-    return out
-
-
-def _star_label(members: Sequence[str], iata_by_cache: dict[str, str | None]) -> str | None:
-    votes = Counter(
-        iata_by_cache.get(c) for c in members if iata_by_cache.get(c) is not None
-    )
-    if not votes:
-        return None
-    top = max(votes.values())
-    return min(lab for lab, cnt in votes.items() if cnt == top)
-
-
 def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotState:
     features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
     dropped = len(snapshot.records) - len(features)
@@ -173,14 +147,16 @@ def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotStat
         vectors, bounds = [], None
         log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
     clustering = dbscan(vectors, ClusterParams(config.epsilon, config.min_pts))
-    clustering = replace(clustering, snapshot_index=snapshot.index)
     return SnapshotState(
         snapshot=snapshot,
         features=tuple(features),
         features_by_id={f.cache_id: f for f in features},
         bounds=bounds,
         clustering=clustering,
-        iata_by_cache=_majority_iata(snapshot),
+        iata_by_cache={
+            cache_id: majority_label(parse_cache_hostname(r.hostname).iata for r in flows)
+            for cache_id, flows in snapshot.records.items()
+        },
         dropped_below_min_flow=dropped,
     )
 
@@ -194,20 +170,23 @@ def _pair_constellations(
         bounds = joint_bounds(state_a.bounds, state_b.bounds)
     else:
         bounds = state_a.bounds or state_b.bounds
-    empty = NormalizationBounds({})
-    const_a = build_constellation(
-        state_a.clustering,
-        state_a.features_by_id,
-        bounds if bounds is not None else empty,
-        snapshot_index=state_a.snapshot.index,
+    if bounds is None:
+        bounds = NormalizationBounds({})
+    return (
+        build_constellation(state_a.clustering, state_a.features_by_id, bounds),
+        build_constellation(state_b.clustering, state_b.features_by_id, bounds),
     )
-    const_b = build_constellation(
-        state_b.clustering,
-        state_b.features_by_id,
-        bounds if bounds is not None else empty,
-        snapshot_index=state_b.snapshot.index,
-    )
-    return const_a, const_b
+
+
+def read_flow_logs(paths: Iterable[str | Path]) -> list[FlowRecord]:
+    """All records of the given flow logs, in order; an unreadable log raises InputError."""
+    records: list[FlowRecord] = []
+    for path in paths:
+        try:
+            records.extend(read_flow_log(path))
+        except (FlowLogFormatError, FlowLineError, UnicodeDecodeError, IsADirectoryError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+    return records
 
 
 def run_timeline(
@@ -223,9 +202,7 @@ def run_timeline(
     if records is None:
         if not config.inputs:
             raise ConfigError("no input flow logs configured")
-        records = []
-        for path in config.inputs:
-            records.extend(read_flow_log(path))
+        records = read_flow_logs(config.inputs)
     snapshots = window_flows(
         records,
         config.window_days * DAY_SECONDS,
@@ -267,7 +244,7 @@ def run_timeline(
                 StarContribution(
                     side=side,
                     star_id=coupling.star_index,
-                    label=_star_label(members, source_state.iata_by_cache),
+                    label=majority_label(source_state.iata_by_cache.get(c) for c in members),
                     distance=coupling.distance,
                     members=members,
                 )
@@ -309,13 +286,6 @@ class DrilldownReport:
     rtt_percentile_ranks: tuple[float, ...] = DEFAULT_PERCENTILES
 
 
-def _group_quantiles(values: list[float], qs: Sequence[float]) -> tuple[float, ...]:
-    if not values:
-        return tuple(math.nan for _ in qs)
-    arr = np.asarray(values)
-    return tuple(percentile(arr, q) for q in qs)
-
-
 def drilldown(
     entry: TimelineEntry,
     records: Sequence[FlowRecord],
@@ -345,11 +315,11 @@ def drilldown(
             flows = [
                 r for r in records if r.server_ip in members and lo <= r.start_time < hi
             ]
-            phase_thr[phase] = _group_quantiles(
-                [r.avg_throughput for r in flows], THROUGHPUT_DECILES
+            phase_thr[phase] = tuple(
+                percentile_vector([r.avg_throughput for r in flows], THROUGHPUT_DECILES).tolist()
             )
-            phase_rtt[phase] = _group_quantiles(
-                [r.min_rtt for r in flows], config.percentiles
+            phase_rtt[phase] = tuple(
+                percentile_vector([r.min_rtt for r in flows], config.percentiles).tolist()
             )
         stars.append(
             StarDrilldown(
@@ -373,79 +343,70 @@ def drilldown(
 
 def write_timeline_csv(target: IO[str] | str | Path, entries: Sequence[TimelineEntry]) -> None:
     """timeline.csv: one row per snapshot with CD, noise count, flag, top stars."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_timeline_csv(fp, entries)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(
-        ["snapshot", "window_start", "window_end", "cd", "noise_count", "flag", "top_stars"]
-    )
-    for e in entries:
-        tops = ";".join(
-            f"{c.side}{c.star_id}:{c.label or '-'}:{c.distance:.6f}" for c in e.contributors
-        )
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(
-            [
-                e.index,
-                repr(e.window_start),
-                repr(e.window_end),
-                "" if e.cd_to_previous is None else repr(e.cd_to_previous),
-                e.noise_count,
-                e.flagged,
-                tops,
-            ]
+            ["snapshot", "window_start", "window_end", "cd", "noise_count", "flag", "top_stars"]
         )
+        for e in entries:
+            tops = ";".join(
+                f"{c.side}{c.star_id}:{c.label or '-'}:{c.distance:.6f}" for c in e.contributors
+            )
+            writer.writerow(
+                [
+                    e.index,
+                    repr(e.window_start),
+                    repr(e.window_end),
+                    "" if e.cd_to_previous is None else repr(e.cd_to_previous),
+                    e.noise_count,
+                    e.flagged,
+                    tops,
+                ]
+            )
 
 
 def write_couplings_csv(target: IO[str] | str | Path, result: TimelineResult) -> None:
     """couplings.csv: every astral coupling of every consecutive pair."""
     from .constellation import write_cd_report_rows
 
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_couplings_csv(fp, result)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(
-        ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
-    )
-    for entry, report in zip(result.entries, result.reports):
-        if report is None:
-            continue
-        write_cd_report_rows(writer, report, entry.index - 1, entry.index)
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(
+            ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
+        )
+        for entry, report in zip(result.entries, result.reports):
+            if report is None:
+                continue
+            write_cd_report_rows(writer, report, entry.index - 1, entry.index)
 
 
 def write_drilldown_csv(target: IO[str] | str | Path, report: DrilldownReport) -> None:
     """Long-format CSV: entry,side,star_id,label,astral_distance,members,phase,kind,q,value."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_drilldown_csv(fp, report)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(
-        ["entry", "side", "star_id", "label", "astral_distance", "members", "phase", "kind", "q", "value"]
-    )
-    for star in report.stars:
-        blocks = (
-            ("before", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_before),
-            ("after", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_after),
-            ("before", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_before),
-            ("after", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_after),
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(
+            ["entry", "side", "star_id", "label", "astral_distance", "members", "phase", "kind", "q", "value"]
         )
-        for phase, kind, qs, values in blocks:
-            for q, value in zip(qs, values):
-                writer.writerow(
-                    [
-                        report.entry_index,
-                        star.side,
-                        star.star_id,
-                        star.label or "-",
-                        repr(star.distance),
-                        star.member_count,
-                        phase,
-                        kind,
-                        repr(float(q)),
-                        repr(float(value)),
-                    ]
-                )
+        for star in report.stars:
+            blocks = (
+                ("before", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_before),
+                ("after", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_after),
+                ("before", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_before),
+                ("after", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_after),
+            )
+            for phase, kind, qs, values in blocks:
+                for q, value in zip(qs, values):
+                    writer.writerow(
+                        [
+                            report.entry_index,
+                            star.side,
+                            star.star_id,
+                            star.label or "-",
+                            repr(star.distance),
+                            star.member_count,
+                            phase,
+                            kind,
+                            repr(float(q)),
+                            repr(float(value)),
+                        ]
+                    )

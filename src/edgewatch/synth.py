@@ -26,7 +26,7 @@ import numpy as np
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, FlowRecord, midnight_floor
+from .ingest import DAY_SECONDS, FlowRecord, midnight_floor, text_output
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -307,14 +307,11 @@ def rank_matrix(
 
 
 def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fp:
-            write_rank_csv(fp, matrix)
-        return
     n_days = matrix.ranks.shape[1]
-    target.write("cache_id," + ",".join(f"day_{d}" for d in range(n_days)) + "\n")
-    for i, cache_id in enumerate(matrix.cache_ids):
-        target.write(cache_id + "," + ",".join(str(v) for v in matrix.ranks[i]) + "\n")
+    with text_output(target) as fp:
+        fp.write("cache_id," + ",".join(f"day_{d}" for d in range(n_days)) + "\n")
+        for i, cache_id in enumerate(matrix.cache_ids):
+            fp.write(cache_id + "," + ",".join(str(v) for v in matrix.ranks[i]) + "\n")
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:

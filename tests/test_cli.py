@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import pytest
 
-from edgewatch.cli import _parse_grid, build_parser, main
+from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
+from edgewatch.ingest import FLOW_LOG_HEADER
+from edgewatch.pipeline import PipelineConfig
 
 SYNTH_INI = """
 [trace]
@@ -50,6 +54,10 @@ class TestParseGrid:
             _parse_grid("0:1")
         with pytest.raises(ConfigError):
             _parse_grid("0:1:-0.5")
+        with pytest.raises(ConfigError):
+            _parse_grid("0:x:0.5")
+        with pytest.raises(ConfigError):
+            _parse_grid("0.1,abc")
 
 
 class TestSynthCommand:
@@ -87,17 +95,32 @@ class TestTimelineCommand:
         assert main(["timeline", "--input", str(tmp_path / "nope.tsv")]) == 1
         assert "input error" in capsys.readouterr().err
 
-    def test_bad_flag_value_exit_2(self, trace_files, tmp_path):
+    def test_bad_flag_value_exit_2(self, trace_files, tmp_path, capsys):
         _, _, trace, _ = trace_files
-        code = main([
-            "timeline", "--input", str(trace), "--window-days", "0",
-            "--out-dir", str(tmp_path / "o"),
-        ])
-        assert code == 2
+        for flag in (["--window-days", "0"], ["--percentiles", "20,abc"], ["--min-flow", "1.5"]):
+            code = main(["timeline", "--input", str(trace), *flag, "--out-dir", str(tmp_path / "o")])
+            assert code == 2, flag
+            assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["malformed", "not_utf8", "directory"])
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        line = "0.5\tu\tc1\th.example\tfast\t10\t0\t0\t1.0\n"
+        if name == "malformed":
+            path.write_text(FLOW_LOG_HEADER + "\n" + line)
+        elif name == "not_utf8":
+            path.write_bytes((FLOW_LOG_HEADER + "\n").encode() + b"\xff" + line.encode())
+        else:
+            path.mkdir()
+        assert main(["timeline", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        if name == "malformed":
+            assert f"{path}: line 2: bad numeric field" in err
 
     def test_short_trace_exit_1(self, tmp_path, capsys):
-        from edgewatch.ingest import FLOW_LOG_HEADER
-
         path = tmp_path / "tiny.tsv"
         line = "0.5\tu\tc1\th.example\t1.0\t10\t0\t0\t1.0"
         path.write_text(FLOW_LOG_HEADER + "\n" + line + "\n")
@@ -120,14 +143,52 @@ class TestTimelineCommand:
     def test_unknown_config_key_exit_2(self, trace_files, tmp_path, capsys):
         _, _, trace, _ = trace_files
         ini = tmp_path / "pipe.ini"
-        ini.write_text("[pipeline]\nfrobnicate = 3\n")
-        assert main(["timeline", "--input", str(trace), "--config", str(ini)]) == 2
-        assert "config error" in capsys.readouterr().err
+        # Also bad values, and names that are flags but not PipelineConfig fields.
+        for line in ("frobnicate = 3", "min_flow = abc", "inputs = x.tsv", "out_dir = o", "utc_offset = 1"):
+            ini.write_text(f"[pipeline]\n{line}\n")
+            assert main(["timeline", "--input", str(trace), "--config", str(ini)]) == 2, line
+            assert "config error" in capsys.readouterr().err
 
     def test_argparse_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["timeline"])  # missing --input
         assert exc.value.code == 2
+
+
+# One valid setting per PipelineConfig field other than inputs (set by --input),
+# as flag/INI text and the value it must parse to.
+FIELD_SAMPLES = {
+    "window_days": ("2.5", 2.5),
+    "step_days": ("0.5", 0.5),
+    "min_flow": ("7", 7),
+    "percentiles": ("10,50,90", (10.0, 50.0, 90.0)),
+    "epsilon": ("0.05", 0.05),
+    "min_pts": ("4", 4),
+    "event_threshold": ("12", 12.0),
+    "major_threshold": ("60", 60.0),
+    "utc_offset_hours": ("-5", -5.0),
+    "top_stars": ("2", 2),
+    "output_dir": ("elsewhere", "elsewhere"),
+}
+FLAGS = {"utc_offset_hours": "--utc-offset", "output_dir": "--out-dir"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig) if f.name != "inputs"])
+def test_every_config_field_settable_from_flag_and_ini(tmp_path, name):
+    text, expected = FIELD_SAMPLES[name]
+    flag = FLAGS.get(name, "--" + name.replace("_", "-"))
+    argv = ["timeline", "--input", "t.tsv", flag, text]
+    from_flag = build_pipeline_config(build_parser().parse_args(argv), ("t.tsv",))
+    assert getattr(from_flag, name) == expected
+    assert type(getattr(from_flag, name)) is type(expected)
+    # The INI value wins over a flag that sets the field to its default.
+    ini = tmp_path / "pipe.ini"
+    ini.write_text(f"[pipeline]\n{name} = {text}\n")
+    default = str(getattr(PipelineConfig(), name)).strip("()").replace(" ", "")
+    argv = ["timeline", "--input", "t.tsv", flag, default, "--config", str(ini)]
+    from_ini = build_pipeline_config(build_parser().parse_args(argv), ("t.tsv",))
+    assert getattr(from_ini, name) == expected
+    assert type(getattr(from_ini, name)) is type(expected)
 
 
 class TestDrilldownCommand:
@@ -189,6 +250,17 @@ class TestCalibrateCommand:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first == ["3", "0.0", "0", "5", "0.0"]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"], ["--dim", "0"]],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, flag):
+        code = main(["calibrate", "--trials", "2", *flag, "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
 
 
 class TestRankCommand:
