@@ -177,18 +177,12 @@ FLAGS = {"utc_offset_hours": "--utc-offset", "output_dir": "--out-dir"}
 def test_every_config_field_settable_from_flag_and_ini(tmp_path, name):
     text, expected = FIELD_SAMPLES[name]
     flag = FLAGS.get(name, "--" + name.replace("_", "-"))
-    argv = ["timeline", "--input", "t.tsv", flag, text]
-    from_flag = build_pipeline_config(build_parser().parse_args(argv), ("t.tsv",))
-    assert getattr(from_flag, name) == expected
-    assert type(getattr(from_flag, name)) is type(expected)
-    # The INI value wins over a flag that sets the field to its default.
     ini = tmp_path / "pipe.ini"
     ini.write_text(f"[pipeline]\n{name} = {text}\n")
-    default = str(getattr(PipelineConfig(), name)).strip("()").replace(" ", "")
-    argv = ["timeline", "--input", "t.tsv", flag, default, "--config", str(ini)]
-    from_ini = build_pipeline_config(build_parser().parse_args(argv), ("t.tsv",))
-    assert getattr(from_ini, name) == expected
-    assert type(getattr(from_ini, name)) is type(expected)
+    for setting in ([flag, text], ["--config", str(ini)]):
+        args = build_parser().parse_args(["timeline", "--input", "t.tsv", *setting])
+        value = getattr(build_pipeline_config(args, ("t.tsv",)), name)
+        assert value == expected and type(value) is type(expected), setting
 
 
 class TestDrilldownCommand:
