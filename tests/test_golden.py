@@ -12,7 +12,9 @@ import pytest
 from edgewatch.cli import main
 from edgewatch.features import extract_cache_features_mean_std
 from edgewatch.pipeline import (
+    PipelineConfig,
     drilldown,
+    run_timeline,
     write_couplings_csv,
     write_drilldown_csv,
     write_timeline_csv,
@@ -57,6 +59,14 @@ EVENT_TIMELINE_DIGESTS = {
     "drilldown_0010.csv": "250064e282f7c1ac4779922b2ab5dcbae63230e2ddc7bdc6e3319670aee9d844",
     "drilldown_0018.csv": "4dd6107c5f635a34ec0a91a98536329dd4b4020fd49ed72fbbdcd0e91e4586d3",
     "mean_std_0010.bin": "72b56d08403e09e25cc98bbbf02262661abebfd4bed26cf754ff1bf995088e99",
+}
+
+# The same trace with the CLI's default 7-day windows; entry 10 is its only
+# flagged entry.
+WEEKLY_EVENT_TIMELINE_DIGESTS = {
+    "timeline.csv": "8dc084c965730aca19f0873c13fca4deaaf16319ccb7d0be19c2be3a47457e05",
+    "couplings.csv": "c4c65f077ab1b8dbae6ab9e7e041a219e76d53d50d59603df247fc67e3a0d087",
+    "drilldown_0010.csv": "014b4a24d71307cace827e55e9fd89c2e9dafb5a42897ab8229b113333967c10",
 }
 
 CLI_DIGESTS = {
@@ -142,3 +152,15 @@ def test_event_timeline_outputs_match_golden(event_timeline, tmp_path):
     result, records, config, _ = event_timeline
     write_event_outputs(tmp_path, result, records, config)
     assert digests(tmp_path, EVENT_TIMELINE_DIGESTS) == EVENT_TIMELINE_DIGESTS
+
+
+def test_weekly_event_timeline_outputs_match_golden(event_trace, tmp_path):
+    records, _ = event_trace
+    config = PipelineConfig()
+    result = run_timeline(config, records)
+    write_timeline_csv(tmp_path / "timeline.csv", result.entries)
+    write_couplings_csv(tmp_path / "couplings.csv", result)
+    write_drilldown_csv(
+        tmp_path / "drilldown_0010.csv", drilldown(result.entries[10], records, config)
+    )
+    assert digests(tmp_path, WEEKLY_EVENT_TIMELINE_DIGESTS) == WEEKLY_EVENT_TIMELINE_DIGESTS

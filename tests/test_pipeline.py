@@ -140,6 +140,31 @@ class TestRunTimeline:
         result, _, _, _ = event_timeline
         assert all(e.noise_count == 0 for e in result.entries)
 
+    def test_star_label_is_vote_over_member_cache_votes(self):
+        # Each cache's label is the majority of its flows' hostname codes; the
+        # star's is the majority of its members' labels, ties to the smallest.
+        def flows(day, cache, rtt, codes):
+            return [
+                FlowRecord(day * DAY_SECONDS + i, "u", cache, f"r1---{code.lower()}1.example.net",
+                           rtt, 50, 0, 0, 1.0)
+                for i, code in enumerate(codes)
+            ]
+
+        moving = (
+            flows(0, "c1", 10.0, ["FRA"] * 5)
+            + flows(0, "c2", 10.0, ["AMS", "FRA", "AMS", "FRA", "AMS"])
+            + [FlowRecord(100.0 + i, "u", "c3", "opaque.example.net", 10.0, 50, 0, 0, 1.0)
+               for i in range(5)]
+        )
+        steady = [r for day in (0, 1) for c in ("d1", "d2", "d3") for r in flows(day, c, 90.0, ["LON"] * 5)]
+        config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
+        entry = run_timeline(config, moving + steady).entries[1]
+        labels = {c.members: c.label for c in entry.contributors}
+        # Votes FRA, AMS and none (opaque name): a tie, to AMS. A flat vote
+        # over the star's flows would say FRA (7 to 3).
+        assert labels[("c1", "c2", "c3")] == "AMS"
+        assert labels[("d1", "d2", "d3")] == "LON"
+
     def test_snapshot_compared_with_itself_is_zero(self, event_timeline):
         from edgewatch.pipeline import _pair_constellations, analyze_snapshot
 
