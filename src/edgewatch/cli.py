@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +14,7 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import window_flows, DAY_SECONDS
+from .ingest import DAY_SECONDS, text_output, window_flows, write_flow_log
 from .pipeline import (
     PipelineConfig,
     drilldown,
@@ -24,7 +25,6 @@ from .pipeline import (
     write_timeline_csv,
 )
 from .synth import generate_trace, load_synth_config, rank_matrix, write_rank_csv
-from .ingest import write_flow_log
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -32,46 +32,45 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Either 'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'."""
+    """'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'; finite, non-empty."""
+    is_range = ":" in text
     try:
-        if ":" not in text:
-            return _parse_float_list(text)
-        parts = [float(p) for p in text.split(":")]
+        values = [float(p) for p in text.split(":")] if is_range else _parse_float_list(text)
     except ValueError:
         raise ConfigError(f"grid values must be numbers, got {text!r}") from None
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = parts
-    if step <= 0:
-        raise ConfigError("grid step must be positive")
-    values = []
-    k = 0
-    while start + k * step <= stop + 1e-12:
-        values.append(round(start + k * step, 12))
-        k += 1
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"grid values must be finite, got {text!r}")
+    if is_range:
+        if len(values) != 3:
+            raise ConfigError(f"grid must be start:stop:step, got {text!r}")
+        start, stop, step = values
+        if step <= 0:
+            raise ConfigError("grid step must be positive")
+        values = []
+        while start + len(values) * step <= stop + 1e-12:
+            values.append(round(start + len(values) * step, 12))
+    if not values:
+        raise ConfigError(f"grid is empty: {text!r}")
     return tuple(values)
 
 
 # Flags named differently from their PipelineConfig field; every other flag
-# is the field name with dashes. The inputs field is set by --input only.
+# is the field name with dashes.
 _FLAG_NAMES = {"utc_offset_hours": "utc-offset", "output_dir": "out-dir"}
 _PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
 _FIELD_PARSERS = {
-    f.name: _PARSE_BY_TYPE[get_type_hints(PipelineConfig)[f.name]]
-    for f in fields(PipelineConfig)
-    if f.name != "inputs"
+    f.name: _PARSE_BY_TYPE[get_type_hints(PipelineConfig)[f.name]] for f in fields(PipelineConfig)
 }
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     for f in fields(PipelineConfig):
-        if f.name in _FIELD_PARSERS:
-            default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
-            parser.add_argument(
-                "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
-                dest=f.name,
-                help=f"default {default}; INI key {f.name}",
-            )
+        default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+        parser.add_argument(
+            "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
+            dest=f.name,
+            help=f"default {default}; INI key {f.name}",
+        )
     parser.add_argument(
         "--config", type=str, default=None, help="INI file with a [pipeline] section; overrides flags"
     )
@@ -89,12 +88,12 @@ def _load_pipeline_ini(path: str) -> dict[str, str]:
     return dict(parser["pipeline"])
 
 
-def build_pipeline_config(args: argparse.Namespace, inputs: tuple[str, ...]) -> PipelineConfig:
+def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then command-line flags, then config-file values (which win)."""
     texts = {name: getattr(args, name) for name in _FIELD_PARSERS}
     if args.config:
         texts.update(_load_pipeline_ini(args.config))
-    config = PipelineConfig(inputs=inputs)
+    config = PipelineConfig()
     for name, text in texts.items():
         if text is None:
             continue
@@ -116,7 +115,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    config = build_pipeline_config(args, tuple(args.input))
+    config = build_pipeline_config(args)
     records = read_flow_logs(args.input)
     result = run_timeline(config, records)
     out_dir = Path(config.output_dir)
@@ -150,7 +149,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_drilldown(args: argparse.Namespace) -> int:
-    config = build_pipeline_config(args, tuple(args.input))
+    config = build_pipeline_config(args)
     records = read_flow_logs(args.input)
     result = run_timeline(config, records)
     if not 0 <= args.entry < len(result.entries):
@@ -173,7 +172,10 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = build_pipeline_config(args, tuple(args.input))
+    config = build_pipeline_config(args)
+    eps_grid = _parse_grid(args.eps_grid)
+    if eps_grid[0] <= 0 or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise ConfigError(f"--eps-grid must be positive and ascending, got {args.eps_grid!r}")
     records = read_flow_logs(args.input)
     snapshots = window_flows(
         records,
@@ -189,7 +191,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = epsilon_sweep(
         snapshots[args.snapshot],
         ground_truth,
-        _parse_grid(args.eps_grid),
+        eps_grid,
         feature_mode=args.feature_mode,
         min_flow=config.min_flow,
         percentiles=config.percentiles,
@@ -207,15 +209,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         extra_list = [int(x) for x in args.extra_stars.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"--stars and --extra-stars take integer lists: {exc}") from None
-    if not stars_list or not e_grid or not extra_list:
-        raise ConfigError("calibrate needs non-empty --stars, --e-grid and --extra-stars")
+    if not stars_list or not extra_list:
+        raise ConfigError("calibrate needs non-empty --stars and --extra-stars")
     if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
     if min(e_grid) < 0 or min(extra_list) < 0:
         raise ConfigError("calibrate needs --e-grid and --extra-stars >= 0")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fp:
+    with text_output(out) as fp:
         fp.write("stars,e,extra_stars,trials,mean_cd\n")
         for n in stars_list:
             for extra in extra_list:
@@ -229,10 +231,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.utc_offset):
+        raise ConfigError(f"--utc-offset must be finite, got {args.utc_offset}")
     records = read_flow_logs(args.input)
     if not records:
         raise InputError("input contains no records")
-    matrix = rank_matrix(records, args.period_days, args.utc_offset or 0.0)
+    matrix = rank_matrix(records, args.utc_offset)
     write_rank_csv(args.out, matrix)
     print(f"wrote {len(matrix.cache_ids)}x{matrix.ranks.shape[1]} rank matrix to {args.out}")
     return 0
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--input", action="append", required=True)
     p_sw.add_argument("--ground-truth", required=True, help="GT TSV (cache_id\\tlabel)")
     p_sw.add_argument("--snapshot", type=int, default=0, help="snapshot index to sweep")
-    p_sw.add_argument("--eps-grid", default="0.0:0.2:0.005", help="start:stop:step or comma list")
+    p_sw.add_argument("--eps-grid", default="0.005:0.2:0.005", help="start:stop:step or comma list")
     p_sw.add_argument(
         "--feature-mode", choices=("percentiles", "mean_std"), default="percentiles"
     )
@@ -289,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="per-day flow-count rank matrix")
     p_rank.add_argument("--input", action="append", required=True)
-    p_rank.add_argument("--period-days", type=int, default=None)
-    p_rank.add_argument("--utc-offset", type=float, default=None)
+    p_rank.add_argument("--utc-offset", type=float, default=0.0)
     p_rank.add_argument("--out", required=True)
     p_rank.set_defaults(func=_cmd_rank)
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -53,7 +54,6 @@ THROUGHPUT_DECILES = tuple(float(q) for q in range(10, 100, 10))
 class PipelineConfig:
     """Knobs of the full pipeline; defaults follow the method's tuning."""
 
-    inputs: tuple[str, ...] = ()
     window_days: float = 7.0
     step_days: float = 1.0
     min_flow: int = DEFAULT_MIN_FLOW
@@ -67,6 +67,10 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def validate(self) -> "PipelineConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.window_days <= 0 or self.step_days <= 0:
             raise ConfigError("window_days and step_days must be positive")
         if self.min_flow < 1:
@@ -114,11 +118,8 @@ class SnapshotState:
 
     snapshot: Snapshot
     features: tuple[CacheFeatures, ...]
-    features_by_id: dict[str, CacheFeatures]
     bounds: NormalizationBounds | None
     clustering: Clustering
-    iata_by_cache: dict[str, str | None]
-    dropped_below_min_flow: int
 
 
 @dataclass(frozen=True)
@@ -140,25 +141,13 @@ def flag_for(cd: float | None, config: PipelineConfig) -> str:
 
 def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotState:
     features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
-    dropped = len(snapshot.records) - len(features)
     if features:
         vectors, bounds = normalize_snapshot(features)
     else:
         vectors, bounds = [], None
         log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
     clustering = dbscan(vectors, ClusterParams(config.epsilon, config.min_pts))
-    return SnapshotState(
-        snapshot=snapshot,
-        features=tuple(features),
-        features_by_id={f.cache_id: f for f in features},
-        bounds=bounds,
-        clustering=clustering,
-        iata_by_cache={
-            cache_id: majority_label(parse_cache_hostname(r.hostname).iata for r in flows)
-            for cache_id, flows in snapshot.records.items()
-        },
-        dropped_below_min_flow=dropped,
-    )
+    return SnapshotState(snapshot, tuple(features), bounds, clustering)
 
 
 def _pair_constellations(
@@ -169,12 +158,18 @@ def _pair_constellations(
     if state_a.bounds is not None and state_b.bounds is not None:
         bounds = joint_bounds(state_a.bounds, state_b.bounds)
     else:
-        bounds = state_a.bounds or state_b.bounds
-    if bounds is None:
-        bounds = NormalizationBounds({})
-    return (
-        build_constellation(state_a.clustering, state_a.features_by_id, bounds),
-        build_constellation(state_b.clustering, state_b.features_by_id, bounds),
+        bounds = state_a.bounds or state_b.bounds or NormalizationBounds({})
+    return tuple(
+        build_constellation(s.clustering, {f.cache_id: f for f in s.features}, bounds)
+        for s in (state_a, state_b)
+    )
+
+
+def _star_label(snapshot: Snapshot, members: Iterable[str]) -> str | None:
+    """Vote over the members' labels, each the vote over its flows' hostname codes."""
+    return majority_label(
+        majority_label(parse_cache_hostname(r.hostname).iata for r in snapshot.records[c])
+        for c in members
     )
 
 
@@ -189,9 +184,7 @@ def read_flow_logs(paths: Iterable[str | Path]) -> list[FlowRecord]:
     return records
 
 
-def run_timeline(
-    config: PipelineConfig, records: Sequence[FlowRecord] | None = None
-) -> TimelineResult:
+def run_timeline(config: PipelineConfig, records: Sequence[FlowRecord]) -> TimelineResult:
     """Slide the window over the trace and compare each consecutive pair.
 
     Entry 0 has no previous snapshot, so its CD is undefined. A snapshot with
@@ -199,10 +192,6 @@ def run_timeline(
     every partner star couple at the sentinel distance.
     """
     config.validate()
-    if records is None:
-        if not config.inputs:
-            raise ConfigError("no input flow logs configured")
-        records = read_flow_logs(config.inputs)
     snapshots = window_flows(
         records,
         config.window_days * DAY_SECONDS,
@@ -219,44 +208,32 @@ def run_timeline(
     entries: list[TimelineEntry] = []
     reports: list[CDReport | None] = []
     for i, state in enumerate(states):
-        if i == 0:
-            entries.append(
-                TimelineEntry(
-                    index=0,
-                    window_start=state.snapshot.window_start,
-                    window_end=state.snapshot.window_end,
-                    cd_to_previous=None,
-                    noise_count=len(state.clustering.noise),
-                    flagged=FLAG_NONE,
-                    contributors=(),
+        report, contributors = None, []
+        if i > 0:
+            prev = states[i - 1]
+            const_a, const_b = _pair_constellations(prev, state)
+            report = constellation_distance(const_a, const_b)
+            for side, coupling in report.contributors()[: config.top_stars]:
+                source, const = (prev, const_a) if side == "a" else (state, const_b)
+                members = const.stars[coupling.star_index].members
+                contributors.append(
+                    StarContribution(
+                        side=side,
+                        star_id=coupling.star_index,
+                        label=_star_label(source.snapshot, members),
+                        distance=coupling.distance,
+                        members=members,
+                    )
                 )
-            )
-            reports.append(None)
-            continue
-        prev = states[i - 1]
-        const_a, const_b = _pair_constellations(prev, state)
-        report = constellation_distance(const_a, const_b)
-        contributors = []
-        for side, coupling in report.contributors()[: config.top_stars]:
-            source_state, source_const = (prev, const_a) if side == "a" else (state, const_b)
-            members = source_const.stars[coupling.star_index].members
-            contributors.append(
-                StarContribution(
-                    side=side,
-                    star_id=coupling.star_index,
-                    label=majority_label(source_state.iata_by_cache.get(c) for c in members),
-                    distance=coupling.distance,
-                    members=members,
-                )
-            )
+        cd = None if report is None else report.cd_value
         entries.append(
             TimelineEntry(
                 index=i,
                 window_start=state.snapshot.window_start,
                 window_end=state.snapshot.window_end,
-                cd_to_previous=report.cd_value,
+                cd_to_previous=cd,
                 noise_count=len(state.clustering.noise),
-                flagged=flag_for(report.cd_value, config),
+                flagged=flag_for(cd, config),
                 contributors=tuple(contributors),
             )
         )
@@ -297,17 +274,13 @@ def drilldown(
     entry's own window. Unflagged entries yield an empty report. Groups with
     no flows in a phase (a dead node after its death) report NaN quantiles.
     """
-    if entry.flagged == FLAG_NONE:
-        return DrilldownReport(
-            entry_index=entry.index, stars=(), rtt_percentile_ranks=tuple(config.percentiles)
-        )
     step = config.step_days * DAY_SECONDS
     windows = {
         "before": (entry.window_start - step, entry.window_end - step),
         "after": (entry.window_start, entry.window_end),
     }
     stars = []
-    for contrib in entry.contributors:
+    for contrib in entry.contributors if entry.flagged != FLAG_NONE else ():
         members = set(contrib.members)
         phase_thr: dict[str, tuple[float, ...]] = {}
         phase_rtt: dict[str, tuple[float, ...]] = {}

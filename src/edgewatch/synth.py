@@ -26,7 +26,7 @@ import numpy as np
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, FlowRecord, midnight_floor, text_output
+from .ingest import DAY_SECONDS, FlowRecord, text_output, window_flows
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -270,40 +270,22 @@ class RankMatrix:
     ranks: np.ndarray  # shape (n_caches, n_days)
 
 
-def rank_matrix(
-    records: Iterable[FlowRecord],
-    period_days: int | None = None,
-    utc_offset_hours: float = 0.0,
-) -> RankMatrix:
-    """Rank caches by daily flow count; ties break by cache_id ascending.
+def rank_matrix(records: Iterable[FlowRecord], utc_offset_hours: float = 0.0) -> RankMatrix:
+    """Rank caches by flow count in each 1-day timeline window.
 
-    Caches observed anywhere in the period are ranked every day; zero-count
-    caches sort after every cache with flows.
+    Ties break by cache_id ascending. Caches observed in any window are ranked
+    in every window; zero-count caches sort after every cache with flows.
     """
-    records = list(records)
-    if not records:
+    days = window_flows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=utc_offset_hours)
+    if not days:
         raise ValueError("rank_matrix needs at least one record")
-    t0 = midnight_floor(min(r.start_time for r in records), utc_offset_hours)
-    last = max(r.start_time for r in records)
-    n_days = period_days if period_days is not None else int((last - t0) // DAY_SECONDS) + 1
-    counts: dict[str, np.ndarray] = {}
-    for r in records:
-        day = int((r.start_time - t0) // DAY_SECONDS)
-        if not 0 <= day < n_days:
-            continue
-        counts.setdefault(r.server_ip, np.zeros(n_days, dtype=np.int64))[day] += 1
-    cache_ids = tuple(sorted(counts))
-    row_of = {c: i for i, c in enumerate(cache_ids)}
-    ranks = np.zeros((len(cache_ids), n_days), dtype=np.int64)
-    for day in range(n_days):
-        order = sorted(cache_ids, key=lambda c: (-counts[c][day], c))
-        for rank, cache_id in enumerate(order, start=1):
-            ranks[row_of[cache_id], day] = rank
-    return RankMatrix(
-        cache_ids=cache_ids,
-        day_starts=tuple(t0 + d * DAY_SECONDS for d in range(n_days)),
-        ranks=ranks,
-    )
+    cache_ids = tuple(sorted({c for day in days for c in day.records}))
+    counts = np.array([[len(day.records.get(c, ())) for day in days] for c in cache_ids])
+    ranks = np.zeros(counts.shape, dtype=np.int64)
+    for d in range(len(days)):
+        # A stable sort keeps equal counts in cache_id order.
+        ranks[np.argsort(-counts[:, d], kind="stable"), d] = np.arange(1, len(cache_ids) + 1)
+    return RankMatrix(cache_ids, tuple(day.window_start for day in days), ranks)
 
 
 def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:

@@ -58,6 +58,9 @@ class TestParseGrid:
             _parse_grid("0:x:0.5")
         with pytest.raises(ConfigError):
             _parse_grid("0.1,abc")
+        for text in ("0:inf:1", "nan:1:1", "0.1,nan", "inf", "", "1:0:0.5"):
+            with pytest.raises(ConfigError):
+                _parse_grid(text)
 
 
 class TestSynthCommand:
@@ -96,11 +99,30 @@ class TestTimelineCommand:
         assert "input error" in capsys.readouterr().err
 
     def test_bad_flag_value_exit_2(self, trace_files, tmp_path, capsys):
-        _, _, trace, _ = trace_files
-        for flag in (["--window-days", "0"], ["--percentiles", "20,abc"], ["--min-flow", "1.5"]):
-            code = main(["timeline", "--input", str(trace), *flag, "--out-dir", str(tmp_path / "o")])
-            assert code == 2, flag
-            assert "config error" in capsys.readouterr().err
+        _, _, trace, gt = trace_files
+        timeline = ["timeline", "--input", str(trace), "--out-dir", str(tmp_path / "o")]
+        sweep = ["sweep", "--input", str(trace), "--ground-truth", str(gt), "--out", str(tmp_path / "s.csv")]
+        rank = ["rank", "--input", str(trace), "--out", str(tmp_path / "r.csv")]
+        for argv in (
+            [*timeline, "--window-days", "0"],
+            [*timeline, "--percentiles", "20,abc"],
+            [*timeline, "--min-flow", "1.5"],
+            [*timeline, "--utc-offset", "nan"],
+            [*timeline, "--window-days", "nan"],
+            [*timeline, "--epsilon", "nan"],
+            [*timeline, "--event-threshold", "nan"],
+            [*timeline, "--step-days", "inf"],
+            [*sweep, "--eps-grid", ""],
+            [*sweep, "--eps-grid", "nan:1:1"],
+            [*sweep, "--eps-grid", "0.3,0.1"],
+            [*sweep, "--eps-grid", "0.1,nan"],
+            [*sweep, "--eps-grid", "0:inf:1"],
+            [*sweep, "--eps-grid", "0:0.1:0.05"],
+            [*rank, "--utc-offset", "nan"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, argv
 
     @pytest.mark.parametrize("name", ["malformed", "not_utf8", "directory"])
     def test_unreadable_input_exit_1(self, tmp_path, capsys, name):
@@ -155,8 +177,8 @@ class TestTimelineCommand:
         assert exc.value.code == 2
 
 
-# One valid setting per PipelineConfig field other than inputs (set by --input),
-# as flag/INI text and the value it must parse to.
+# One valid setting per PipelineConfig field, as flag/INI text and the value it
+# must parse to.
 FIELD_SAMPLES = {
     "window_days": ("2.5", 2.5),
     "step_days": ("0.5", 0.5),
@@ -173,7 +195,7 @@ FIELD_SAMPLES = {
 FLAGS = {"utc_offset_hours": "--utc-offset", "output_dir": "--out-dir"}
 
 
-@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig) if f.name != "inputs"])
+@pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
 def test_every_config_field_settable_from_flag_and_ini(tmp_path, name):
     text, expected = FIELD_SAMPLES[name]
     flag = FLAGS.get(name, "--" + name.replace("_", "-"))
@@ -181,7 +203,7 @@ def test_every_config_field_settable_from_flag_and_ini(tmp_path, name):
     ini.write_text(f"[pipeline]\n{name} = {text}\n")
     for setting in ([flag, text], ["--config", str(ini)]):
         args = build_parser().parse_args(["timeline", "--input", "t.tsv", *setting])
-        value = getattr(build_pipeline_config(args, ("t.tsv",)), name)
+        value = getattr(build_pipeline_config(args), name)
         assert value == expected and type(value) is type(expected), setting
 
 
@@ -230,6 +252,16 @@ class TestSweepCommand:
         assert lines[0] == "epsilon,tpr,fragmentation,pureness,noise_count"
         assert len(lines) == 4
 
+    def test_default_grid_runs(self, trace_files, tmp_path):
+        _, _, trace, gt = trace_files
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--input", str(trace), "--ground-truth", str(gt),
+            "--window-days", "1", "--step-days", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("0.005,")
+
 
 class TestCalibrateCommand:
     def test_writes_grid(self, tmp_path):
@@ -247,7 +279,10 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize(
         "flag",
-        [["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"], ["--dim", "0"]],
+        [
+            ["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"],
+            ["--dim", "0"], ["--e-grid", "nan"], ["--e-grid", "0:inf:1"],
+        ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
         code = main(["calibrate", "--trials", "2", *flag, "--out", str(tmp_path / "c.csv")])

@@ -49,6 +49,12 @@ class TestPipelineConfig:
             {"top_stars": 0},
             {"percentiles": (50.0, 20.0)},
             {"percentiles": ()},
+            {"window_days": math.nan},
+            {"step_days": math.inf},
+            {"epsilon": math.nan},
+            {"event_threshold": math.nan},
+            {"major_threshold": math.inf},
+            {"utc_offset_hours": math.nan},
         ],
     )
     def test_invalid_configs(self, kwargs):
@@ -71,10 +77,6 @@ class TestRunTimeline:
         records = [FlowRecord(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)]
         with pytest.raises(InputError):
             run_timeline(PipelineConfig(window_days=7, step_days=1), records)
-
-    def test_no_inputs_configured(self):
-        with pytest.raises(ConfigError):
-            run_timeline(PipelineConfig())
 
     def test_entry_zero_has_no_cd(self, event_timeline):
         result, _, _, _ = event_timeline
