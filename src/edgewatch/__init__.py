@@ -40,9 +40,11 @@ from .features import (
 )
 from .ingest import (
     CacheName,
+    Codes,
     FlowLineError,
     FlowLogFormatError,
     FlowRecord,
+    FlowTable,
     Snapshot,
     parse_cache_hostname,
     parse_flow_log,

@@ -14,9 +14,10 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import DAY_SECONDS, text_output, window_flows, write_flow_log
+from .ingest import count_steps, text_output, write_flow_log
 from .pipeline import (
     PipelineConfig,
+    config_windows,
     drilldown,
     read_flow_logs,
     run_timeline,
@@ -31,8 +32,11 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+MAX_GRID = 10_000
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'; finite, non-empty."""
+    """'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'; finite, 1 to MAX_GRID values."""
     is_range = ":" in text
     try:
         values = [float(p) for p in text.split(":")] if is_range else _parse_float_list(text)
@@ -46,9 +50,13 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = values
         if step <= 0:
             raise ConfigError("grid step must be positive")
-        values = []
-        while start + len(values) * step <= stop + 1e-12:
-            values.append(round(start + len(values) * step, 12))
+        n = count_steps(
+            lambda n: start + n * step <= stop + 1e-12,
+            (stop + 1e-12 - start) / step + 1,
+            MAX_GRID,
+            "grid values",
+        )
+        values = [round(start + i * step, 12) for i in range(n)]
     if not values:
         raise ConfigError(f"grid is empty: {text!r}")
     return tuple(values)
@@ -176,27 +184,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     eps_grid = _parse_grid(args.eps_grid)
     if eps_grid[0] <= 0 or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ConfigError(f"--eps-grid must be positive and ascending, got {args.eps_grid!r}")
-    records = read_flow_logs(args.input)
-    snapshots = window_flows(
-        records,
-        config.window_days * DAY_SECONDS,
-        config.step_days * DAY_SECONDS,
-        utc_offset_hours=config.utc_offset_hours,
-    )
+    snapshots = config_windows(config, read_flow_logs(args.input))
     if not snapshots:
         raise InputError("no snapshots produced from input")
     if not 0 <= args.snapshot < len(snapshots):
         raise InputError(f"snapshot {args.snapshot} out of range (0..{len(snapshots) - 1})")
     ground_truth = GroundTruth.load(args.ground_truth)
-    rows = epsilon_sweep(
-        snapshots[args.snapshot],
-        ground_truth,
-        eps_grid,
-        feature_mode=args.feature_mode,
-        min_flow=config.min_flow,
-        percentiles=config.percentiles,
-        min_pts=config.min_pts,
-    )
+    try:
+        rows = epsilon_sweep(
+            snapshots[args.snapshot],
+            ground_truth,
+            eps_grid,
+            feature_mode=args.feature_mode,
+            min_flow=config.min_flow,
+            percentiles=config.percentiles,
+            min_pts=config.min_pts,
+        )
+    except ValueError as exc:  # the grid and config are checked above: a clustered cache has no label
+        raise InputError(f"{args.ground_truth}: {exc}") from None
     write_sweep_csv(args.out, rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
@@ -233,10 +238,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     if not math.isfinite(args.utc_offset):
         raise ConfigError(f"--utc-offset must be finite, got {args.utc_offset}")
-    records = read_flow_logs(args.input)
-    if not records:
-        raise InputError("input contains no records")
-    matrix = rank_matrix(records, args.utc_offset)
+    matrix = rank_matrix(read_flow_logs(args.input), args.utc_offset)
     write_rank_csv(args.out, matrix)
     print(f"wrote {len(matrix.cache_ids)}x{matrix.ranks.shape[1]} rank matrix to {args.out}")
     return 0

@@ -82,7 +82,8 @@ def majority_label(labels: Iterable[str | None]) -> str | None:
 
     None entries cast no vote; with no votes at all the result is None.
     """
-    votes = Counter(label for label in labels if label is not None)
+    votes = Counter(labels)
+    votes.pop(None, None)
     if not votes:
         return None
     top = max(votes.values())

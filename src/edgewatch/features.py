@@ -66,26 +66,32 @@ class FeatureVector:
         return int(self.values.size)
 
 
-def percentile_vector(samples: Sequence[float] | np.ndarray, qs: Sequence[float]) -> np.ndarray:
+def percentile_vector(
+    samples: Sequence[float] | np.ndarray, qs: Sequence[float], sizes: Sequence[int] | None = None
+) -> np.ndarray:
     """Linear-interpolation percentiles on (N-1)-scaled ranks, one sort for all ranks.
 
     With sorted samples s_0..s_{N-1} and rank h = (N-1) * q / 100, each value
     is s_{floor(h)} + (h - floor(h)) * (s_{floor(h)+1} - s_{floor(h)}), the
     fractional term vanishing at h = N-1. This is the library's only
     percentile arithmetic; np.percentile differs from it in the last ulp.
-    An empty sample set gives NaN at every rank.
+    Without ``sizes`` the samples are one set, in any order, and the result
+    has one value per rank (NaN if the set is empty). With ``sizes`` they are
+    consecutive non-empty groups of those sizes, each sorted ascending, and
+    the result has one row per group.
     """
     if not all(0.0 <= q <= 100.0 for q in qs):
         raise ValueError(f"percentile rank out of [0, 100]: {qs}")
-    s = np.sort(np.asarray(samples, dtype=float))
-    out = np.full(len(qs), math.nan)
-    if s.size == 0:
-        return out
-    for i, q in enumerate(qs):
-        h = (s.size - 1) * q / 100.0
-        lo = math.floor(h)
-        out[i] = s[-1] if lo >= s.size - 1 else s[lo] + (h - lo) * (s[lo + 1] - s[lo])
-    return out
+    if sizes is None:
+        s = np.sort(np.asarray(samples, dtype=float))
+        return percentile_vector(s, qs, [s.size])[0] if s.size else np.full(len(qs), math.nan)
+    s, n = np.asarray(samples, dtype=float), np.asarray(sizes).reshape(-1, 1)
+    h = (n - 1) * np.asarray(qs, dtype=float) / 100.0
+    lo = np.floor(h)
+    top = lo >= n - 1
+    # Position of s_{floor(h)} in ``samples``, or of s_{N-1} where the fractional term vanishes.
+    i = np.cumsum(n).reshape(-1, 1) - n + np.where(top, n - 1, lo).astype(np.intp)
+    return np.where(top, s[i], s[i] + (h - lo) * (s[np.minimum(i + 1, s.size - 1)] - s[i]))
 
 
 def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:
@@ -118,7 +124,9 @@ def extract_cache_features(
     by cache_id so downstream clustering is deterministic.
     """
     ps = _validate_percentiles(percentiles)
-    return _summarize_caches(snapshot, min_flow, lambda values: percentile_vector(values, ps))
+    return _summarize_caches(
+        snapshot, min_flow, lambda samples, sizes: percentile_vector(samples, ps, sizes), by_value=True
+    )
 
 
 def extract_cache_features_mean_std(
@@ -130,30 +138,44 @@ def extract_cache_features_mean_std(
     Same CacheFeatures shape with a 2-vector (mean, std) per metric, so the
     normalization and clustering stages apply unchanged.
     """
-    return _summarize_caches(
-        snapshot, min_flow, lambda values: np.array([values.mean(), values.std()])
-    )
+
+    def mean_std(samples: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return np.array([[g.mean(), g.std()] for g in np.split(samples, np.cumsum(sizes))[:-1]])
+
+    return _summarize_caches(snapshot, min_flow, mean_std, by_value=False)
 
 
 def _summarize_caches(
-    snapshot: Snapshot, min_flow: int, summarize: Callable[[np.ndarray], np.ndarray]
+    snapshot: Snapshot,
+    min_flow: int,
+    summarize: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    by_value: bool,
 ) -> list[CacheFeatures]:
-    """Apply ``summarize`` to the RTT and TTL samples of each cache with >= min_flow flows."""
-    out: list[CacheFeatures] = []
-    for cache_id in snapshot.cache_ids():
-        flows = snapshot.records[cache_id]
-        if len(flows) < min_flow:
-            continue
-        rtt = np.fromiter((r.min_rtt for r in flows), dtype=float, count=len(flows))
-        ttl = np.fromiter((r.ttl for r in flows), dtype=float, count=len(flows))
-        out.append(
-            CacheFeatures(
-                cache_id=cache_id,
-                flow_count=len(flows),
-                raw_percentiles={"rtt": summarize(rtt), "ttl": summarize(ttl)},
-            )
-        )
-    return out
+    """``summarize(samples, sizes)`` of the RTT and TTL samples of each cache with >= min_flow flows.
+
+    ``samples`` holds one metric's samples grouped by cache, each group
+    ascending if ``by_value``, else in input order; the result has one row
+    per group.
+    """
+    table = snapshot.table
+    caches = table.server_ip.codes[snapshot.rows]
+    sizes = np.bincount(caches, minlength=len(table.server_ip.names))
+    min_flow = max(min_flow, 1)
+    kept = np.flatnonzero(sizes >= min_flow)  # codes of the kept caches, ascending
+    in_kept = sizes[caches] >= min_flow
+    rows, caches = snapshot.rows[in_kept], caches[in_kept]
+    summaries = {}
+    for metric, column in (("rtt", table.min_rtt), ("ttl", table.ttl)):
+        values = column[rows].astype(float)
+        rank = rows  # a row's input position, or its value's rank
+        if by_value:
+            rank = np.empty_like(rows)
+            rank[np.argsort(values)] = np.arange(len(rows))
+        # One argsort of the unique key sorts like lexsort((rank, caches)), several times faster.
+        summaries[metric] = summarize(values[np.argsort(caches * len(table) + rank)], sizes[kept])
+    names = table.server_ip.names[kept]
+    return [CacheFeatures(names[g], int(sizes[kept[g]]), {m: s[g] for m, s in summaries.items()})
+            for g in sorted(range(len(kept)), key=names.__getitem__)]
 
 
 def snapshot_bounds(features: Sequence[CacheFeatures]) -> NormalizationBounds:

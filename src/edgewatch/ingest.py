@@ -1,4 +1,4 @@
-"""Flow-log ingestion: TSV parsing, cache hostname decoding, sliding time windows."""
+"""Flow-log ingestion: the columnar flow table, TSV parsing, cache hostname decoding, sliding time windows."""
 
 from __future__ import annotations
 
@@ -6,8 +6,15 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, count, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+
+from .errors import ConfigError
 
 FLOW_LOG_COLUMNS = (
     "start_time",
@@ -23,6 +30,8 @@ FLOW_LOG_COLUMNS = (
 FLOW_LOG_HEADER = "\t".join(FLOW_LOG_COLUMNS)
 
 DAY_SECONDS = 86_400.0
+CHUNK_BYTES = 256 * 1024  # flow-log text converted per column-wise pass
+MAX_WINDOWS = 100_000
 
 
 class FlowLogFormatError(ValueError):
@@ -40,7 +49,7 @@ class FlowLineError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
-    """One TCP flow as logged by the passive probe.
+    """One TCP flow as logged by the passive probe: a row of a FlowTable.
 
     ``server_ip`` is the cache's unique identity downstream; it may be a
     dotted quad or an opaque token (synthetic traces use symbolic names).
@@ -55,6 +64,111 @@ class FlowRecord:
     bytes_up: int
     bytes_down: int
     avg_throughput: float  # kb/s
+
+
+# The fields of a FlowRecord, or the columns of a FlowTable, as a tuple.
+_fields_of = attrgetter(*FlowRecord.__slots__)
+# How each field is read: float() or int(), or str for a dictionary-encoded one.
+_CONVERTERS = (float, str, str, str, float, int, int, int, float)
+# Per string field's position, the name -> code dictionary of its Codes.
+_Index = dict[int, dict[str, int]]
+
+
+def _new_index() -> _Index:
+    return {i: {} for i, convert in enumerate(_CONVERTERS) if convert is str}
+
+
+def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
+    """One array per field from one sequence per field: float()/int(), or codes in ``index``."""
+    arrays = []
+    for i, (convert, values) in enumerate(zip(_CONVERTERS, columns)):
+        if i in index:  # new names take the next free codes, in order of first use
+            new = dict.fromkeys(values)
+            for name in new.keys() & index[i].keys():
+                del new[name]
+            index[i].update(zip(new, count(len(index[i]))))
+            convert = index[i].__getitem__
+        dtype = np.float64 if convert is float else np.int64
+        arrays.append(np.fromiter(map(convert, values), dtype, len(values)))
+    return arrays
+
+
+def _record_arrays(records: Iterable[FlowRecord], index: _Index) -> list[np.ndarray]:
+    return _arrays(list(zip(*map(_fields_of, records))) or [()] * len(_CONVERTERS), index)
+
+
+def _table(parts: list[list[np.ndarray]], index: _Index) -> FlowTable:
+    """The table of the concatenated field arrays; ``index`` names the codes."""
+    columns = map(np.concatenate, zip(_arrays([()] * len(_CONVERTERS), index), *parts))
+    return FlowTable(*(Codes(c, np.array(list(index[i]), dtype=object)) if i in index else c
+                       for i, c in enumerate(columns)))
+
+
+@dataclass(frozen=True, eq=False)
+class Codes:
+    """A dictionary-encoded string column: row i holds ``names[codes[i]]``."""
+
+    codes: np.ndarray
+    names: np.ndarray  # object array of distinct strings
+
+    def __getitem__(self, rows) -> Codes:
+        return Codes(self.codes[rows], self.names)
+
+    def decode(self) -> list[str]:
+        return self.names[self.codes].tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flows as columns, one row per flow in input order.
+
+    The fields mirror FlowRecord: numeric ones are numpy arrays (int64 for
+    ``ttl`` and the byte counts, float64 otherwise), string ones are Codes.
+    Indexing with an int, or iterating, yields FlowRecord rows; indexing with
+    a slice, mask or index array yields a table of those rows.
+    """
+
+    start_time: np.ndarray
+    client_id: Codes
+    server_ip: Codes
+    hostname: Codes
+    min_rtt: np.ndarray
+    ttl: np.ndarray
+    bytes_up: np.ndarray
+    bytes_down: np.ndarray
+    avg_throughput: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
+        """A table of the records, in order."""
+        index = _new_index()
+        return _table([_record_arrays(records, index)], index)
+
+    @classmethod
+    def concat(cls, tables: Sequence[FlowTable]) -> FlowTable:
+        """The rows of the tables, in order, coded over the union of their names."""
+        index = _new_index()
+        return tables[0] if len(tables) == 1 else _table([_arrays(t._values(), index) for t in tables], index)
+
+    def __len__(self) -> int:
+        return len(self.start_time)
+
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            return FlowRecord(*(values[0] for values in self._values([rows])))
+        return FlowTable(*(column[rows] for column in _fields_of(self)))
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return map(FlowRecord, *self._values())
+
+    def _values(self, rows=slice(None)) -> list[list]:
+        """Python values of every field for ``rows``, in FlowRecord order."""
+        return [c[rows].decode() if isinstance(c, Codes) else c[rows].tolist() for c in _fields_of(self)]
+
+    @cached_property
+    def time_order(self) -> np.ndarray:
+        """Row indices in start-time order; equal times keep input order."""
+        return np.argsort(self.start_time, kind="stable")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +222,8 @@ def _parse_line(line_number: int, line: str) -> FlowRecord:
         raise FlowLineError(line_number, f"ttl out of range: {ttl}")
     if bytes_up < 0 or bytes_down < 0:
         raise FlowLineError(line_number, "negative byte count")
+    if max(bytes_up, bytes_down) >= 2**63:  # the columns are int64
+        raise FlowLineError(line_number, "byte count above 2**63 - 1")
     if avg_throughput < 0 or not math.isfinite(avg_throughput):
         raise FlowLineError(line_number, f"throughput out of range: {avg_throughput}")
     if not math.isfinite(start_time):
@@ -125,58 +241,70 @@ def _parse_line(line_number: int, line: str) -> FlowRecord:
     )
 
 
-def parse_flow_log(
-    source: IO[str] | Iterable[str],
-    errors: list[FlowLineError] | None = None,
-) -> Iterator[FlowRecord]:
-    """Stream FlowRecords out of a TSV flow log.
+def _rejected(arrays: list[np.ndarray], index: _Index) -> np.ndarray:
+    """The rows whose converted values _parse_line rejects: its range checks, column-wise."""
+    start, _, server, _, rtt, ttl, up, down, thr = arrays
+    empty_server = index[2].get("", -1)  # the code of an empty server_ip, if one was read
+    return ((server == empty_server) | (rtt < 0) | ~np.isfinite(rtt) | (ttl < 0) | (ttl > 255)
+            | (up < 0) | (down < 0) | (thr < 0) | ~np.isfinite(thr) | ~np.isfinite(start))
+
+
+def _parse_chunk(
+    first_line: int, chunk: list[str], errors: list[FlowLineError] | None, index: _Index
+) -> list[np.ndarray]:
+    """The field arrays of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
+    width = len(FLOW_LOG_COLUMNS)
+    whole = np.fromiter(map(str.count, chunk, repeat("\t")), np.intp, len(chunk)) == width - 1
+    # A line's last field keeps its line break, which float() ignores.
+    flat = "\t".join(compress(chunk, whole)).split("\t")
+    try:
+        arrays = _arrays([flat[i::width] for i in range(width)], index)
+    except (ValueError, OverflowError):
+        arrays, recheck = None, range(len(chunk))
+    else:
+        rejected = _rejected(arrays, index)
+        arrays = [a[~rejected] for a in arrays]
+        recheck = np.union1d(np.flatnonzero(~whole), np.flatnonzero(whole)[rejected]).tolist()
+    records = []
+    for i in recheck:
+        if line := chunk[i].rstrip("\r\n"):
+            try:
+                records.append(_parse_line(first_line + i, line))
+            except FlowLineError as exc:
+                if errors is None:
+                    raise
+                errors.append(exc)
+    # Rows the column checks reject never parse: only a chunk that failed to convert has records.
+    return _record_arrays(records, index) if arrays is None else arrays
+
+
+def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
+    """Read a TSV flow log from a text stream into a FlowTable.
 
     The first line must be exactly the fixed header, otherwise
     FlowLogFormatError is raised. Malformed data lines raise FlowLineError,
     unless ``errors`` is a list, in which case they are appended there and
-    skipped (skip-and-count mode). Lazy: consumes ``source`` on iteration.
+    skipped (skip-and-count mode). Chunks of about CHUNK_BYTES are converted
+    column-wise with float() and int(); the rows the column checks reject,
+    and every row of a chunk that fails to convert, go through the per-line
+    parser, which words each rejection.
     """
-    lines = iter(source)
-    try:
-        header = next(lines).rstrip("\r\n")
-    except StopIteration:
-        raise FlowLogFormatError("empty stream, missing header") from None
+    header = source.readline()
+    if not header:
+        raise FlowLogFormatError("empty stream, missing header")
+    header = header.rstrip("\r\n")
     if header != FLOW_LOG_HEADER:
         raise FlowLogFormatError(f"bad header: {header!r}")
-    for line_number, raw in enumerate(lines, start=2):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        try:
-            yield _parse_line(line_number, line)
-        except FlowLineError as exc:
-            if errors is None:
-                raise
-            errors.append(exc)
+    index, parts, line_number = _new_index(), [], 2
+    while chunk := source.readlines(CHUNK_BYTES):
+        parts.append(_parse_chunk(line_number, chunk, errors, index))
+        line_number += len(chunk)
+    return _table(parts, index)
 
 
-def read_flow_log(path: str | Path, errors: list[FlowLineError] | None = None) -> list[FlowRecord]:
+def read_flow_log(path: str | Path, errors: list[FlowLineError] | None = None) -> FlowTable:
     with open(path, "r", encoding="utf-8", newline="") as fp:
-        return list(parse_flow_log(fp, errors=errors))
-
-
-def format_flow_record(record: FlowRecord) -> str:
-    for field in (record.client_id, record.server_ip, record.hostname):
-        if "\t" in field or "\n" in field or "\r" in field:
-            raise ValueError(f"field not serializable to TSV: {field!r}")
-    return "\t".join(
-        (
-            repr(record.start_time),
-            record.client_id,
-            record.server_ip,
-            record.hostname,
-            repr(record.min_rtt),
-            str(record.ttl),
-            str(record.bytes_up),
-            str(record.bytes_down),
-            repr(record.avg_throughput),
-        )
-    )
+        return parse_flow_log(fp, errors=errors)
 
 
 @contextmanager
@@ -193,29 +321,41 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
         yield target
 
 
-def write_flow_log(target: IO[str] | str | Path, records: Iterable[FlowRecord]) -> None:
-    """Write records in the TSV format; floats use repr so parsing round-trips."""
+def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
+    """Write a table in the TSV format; floats use repr so parsing round-trips."""
+    for codes in (table.client_id, table.server_ip, table.hostname):
+        for field in codes.names[np.unique(codes.codes)].tolist():
+            if "\t" in field or "\n" in field or "\r" in field:
+                raise ValueError(f"field not serializable to TSV: {field!r}")
+    line = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
     with text_output(target) as fp:
         fp.write(FLOW_LOG_HEADER + "\n")
-        for record in records:
-            fp.write(format_flow_record(record) + "\n")
+        for lo in range(0, len(table), 4096):
+            fp.write("".join(map(line.format, *table._values(slice(lo, lo + 4096)))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """All flows of one time window, grouped by cache (server_ip)."""
+    """All flows of one time window: the rows ``rows`` of ``table``, in start-time order."""
 
     index: int
     window_start: float
     window_end: float
-    records: dict[str, list[FlowRecord]]
-
-    def cache_ids(self) -> list[str]:
-        return sorted(self.records)
+    table: FlowTable
+    rows: np.ndarray
 
     @property
     def n_records(self) -> int:
-        return sum(len(v) for v in self.records.values())
+        return len(self.rows)
+
+    @cached_property
+    def records(self) -> dict[str, FlowTable]:
+        """The window's flows grouped by cache (server_ip), each group in input order."""
+        codes = self.table.server_ip.codes[self.rows]
+        order = np.argsort(codes * len(self.table) + self.rows)  # by cache, then input position
+        caches, firsts = np.unique(codes[order], return_index=True)
+        groups = np.split(self.rows[order], firsts[1:])
+        return {self.table.server_ip.names[c]: self.table[g] for c, g in zip(caches.tolist(), groups)}
 
 
 def midnight_floor(t: float, utc_offset_hours: float = 0.0) -> float:
@@ -224,54 +364,54 @@ def midnight_floor(t: float, utc_offset_hours: float = 0.0) -> float:
     return math.floor((t + shift) / DAY_SECONDS) * DAY_SECONDS - shift
 
 
+def count_steps(fits: Callable[[int], bool], estimate: float, limit: int, what: str) -> int:
+    """How many n = 0, 1, ... pass ``fits`` (which fails from some n on), checked near ``estimate``.
+
+    ``fits`` itself decides the boundary, so the caller's float rounding is
+    kept; a count above ``limit`` raises ConfigError instead of looping.
+    """
+    # An infinite step or window makes the estimate -inf or nan: start at 0.
+    n = limit + 1 if estimate > limit else math.floor(estimate) if estimate >= 0 else 0
+    while 0 < n <= limit and not fits(n - 1):
+        n -= 1
+    while n <= limit and fits(n):
+        n += 1
+    if n > limit:
+        raise ConfigError(f"more than {limit} {what} (about {estimate:.3g})")
+    return n
+
+
 def window_flows(
-    records: Iterable[FlowRecord],
+    table: FlowTable,
     window_seconds: float,
     step_seconds: float,
     *,
     utc_offset_hours: float = 0.0,
     origin: float | None = None,
 ) -> list[Snapshot]:
-    """Slice records into sliding snapshots of width ``window_seconds``.
+    """Slice a table into sliding snapshots of width ``window_seconds``.
 
     Snapshot n covers [t0 + n*step, t0 + n*step + window); intervals are
     half-open so a record exactly at a window's end is excluded. t0 defaults
     to the midnight (in the given UTC offset) at or before the earliest
     record; windows are generated while they fit inside coverage, which ends
-    at the first midnight boundary strictly after the latest record.
-    Records may fall into several overlapping snapshots.
+    at the first midnight boundary strictly after the latest record. Each
+    snapshot is a range of the table's time order, so a record in several
+    overlapping snapshots is not copied. More than MAX_WINDOWS windows raise
+    ConfigError.
     """
     if window_seconds <= 0 or step_seconds <= 0:
         raise ValueError("window and step must be positive")
-    records = list(records)
-    if not records:
+    if not len(table):
         return []
-    t_min = min(r.start_time for r in records)
-    t_max = max(r.start_time for r in records)
-    t0 = midnight_floor(t_min, utc_offset_hours) if origin is None else float(origin)
-    t_end = midnight_floor(t_max, utc_offset_hours) + DAY_SECONDS
-
-    count = 0
-    while t0 + count * step_seconds + window_seconds <= t_end:
-        count += 1
-    buckets: list[dict[str, list[FlowRecord]]] = [{} for _ in range(count)]
-    for record in records:
-        t = record.start_time
-        if t < t0:
-            continue
-        # Candidate windows: (t - t0 - window)/step < n <= (t - t0)/step.
-        lo = max(0, math.floor((t - t0 - window_seconds) / step_seconds))
-        hi = min(count - 1, math.floor((t - t0) / step_seconds))
-        for n in range(lo, hi + 1):
-            start = t0 + n * step_seconds
-            if start <= t < start + window_seconds:
-                buckets[n].setdefault(record.server_ip, []).append(record)
-    return [
-        Snapshot(
-            index=n,
-            window_start=t0 + n * step_seconds,
-            window_end=t0 + n * step_seconds + window_seconds,
-            records=buckets[n],
-        )
-        for n in range(count)
-    ]
+    order = table.time_order
+    times = table.start_time[order]
+    t0 = midnight_floor(times[0], utc_offset_hours) if origin is None else float(origin)
+    t_end = midnight_floor(times[-1], utc_offset_hours) + DAY_SECONDS
+    n_windows = count_steps(lambda n: t0 + n * step_seconds + window_seconds <= t_end,
+                            (t_end - t0 - window_seconds) / step_seconds + 1, MAX_WINDOWS, "windows")
+    starts = t0 + np.arange(n_windows) * step_seconds
+    ends = starts + window_seconds
+    bounds = zip(np.searchsorted(times, starts).tolist(), np.searchsorted(times, ends).tolist())
+    return [Snapshot(n, start, end, table, order[lo:hi])
+            for n, (start, end, (lo, hi)) in enumerate(zip(starts.tolist(), ends.tolist(), bounds))]

@@ -9,6 +9,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .constellation import (
     CDReport,
     Constellation,
@@ -33,7 +35,7 @@ from .ingest import (
     DAY_SECONDS,
     FlowLineError,
     FlowLogFormatError,
-    FlowRecord,
+    FlowTable,
     Snapshot,
     parse_cache_hostname,
     read_flow_log,
@@ -165,45 +167,56 @@ def _pair_constellations(
     )
 
 
-def _star_label(snapshot: Snapshot, members: Iterable[str]) -> str | None:
-    """Vote over the members' labels, each the vote over its flows' hostname codes."""
-    return majority_label(
-        majority_label(parse_cache_hostname(r.hostname).iata for r in snapshot.records[c])
-        for c in members
+def _star_label(snapshot: Snapshot, members: Iterable[str], iata: np.ndarray) -> str | None:
+    """Vote over the members' labels, each the vote over its flows' hostname codes.
+
+    ``iata[h]`` is the airport code of the table's hostname h, or None.
+    """
+    table = snapshot.table
+    caches, hosts = table.server_ip.codes[snapshot.rows], table.hostname.codes[snapshot.rows]
+    members = np.flatnonzero(np.isin(table.server_ip.names, members))
+    return majority_label(majority_label(iata[hosts[caches == c]].tolist()) for c in members)
+
+
+def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
+    """The snapshots of ``records`` under the config's window, step and UTC offset."""
+    config.validate()
+    return window_flows(
+        records,
+        config.window_days * DAY_SECONDS,
+        config.step_days * DAY_SECONDS,
+        utc_offset_hours=config.utc_offset_hours,
     )
 
 
-def read_flow_logs(paths: Iterable[str | Path]) -> list[FlowRecord]:
-    """All records of the given flow logs, in order; an unreadable log raises InputError."""
-    records: list[FlowRecord] = []
+def read_flow_logs(paths: Iterable[str | Path]) -> FlowTable:
+    """All flows of the given flow logs, in order; an unreadable or empty log raises InputError."""
+    tables = []
     for path in paths:
         try:
-            records.extend(read_flow_log(path))
+            tables.append(read_flow_log(path))
         except (FlowLogFormatError, FlowLineError, UnicodeDecodeError, IsADirectoryError) as exc:
             raise InputError(f"{path}: {exc}") from exc
-    return records
+        if not len(tables[-1]):
+            raise InputError(f"{path}: no flow records")
+    return FlowTable.concat(tables)
 
 
-def run_timeline(config: PipelineConfig, records: Sequence[FlowRecord]) -> TimelineResult:
+def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
     """Slide the window over the trace and compare each consecutive pair.
 
     Entry 0 has no previous snapshot, so its CD is undefined. A snapshot with
     zero qualifying caches still participates: its empty constellation makes
     every partner star couple at the sentinel distance.
     """
-    config.validate()
-    snapshots = window_flows(
-        records,
-        config.window_days * DAY_SECONDS,
-        config.step_days * DAY_SECONDS,
-        utc_offset_hours=config.utc_offset_hours,
-    )
+    snapshots = config_windows(config, records)
     if len(snapshots) < 2:
         raise InputError(
             f"only {len(snapshots)} snapshot(s); the timeline needs at least 2 "
             "(trace shorter than one window plus one step?)"
         )
     states = tuple(analyze_snapshot(s, config) for s in snapshots)
+    iata = np.array([parse_cache_hostname(h).iata for h in records.hostname.names.tolist()], dtype=object)
 
     entries: list[TimelineEntry] = []
     reports: list[CDReport | None] = []
@@ -220,7 +233,7 @@ def run_timeline(config: PipelineConfig, records: Sequence[FlowRecord]) -> Timel
                     StarContribution(
                         side=side,
                         star_id=coupling.star_index,
-                        label=_star_label(source.snapshot, members),
+                        label=_star_label(source.snapshot, members, iata),
                         distance=coupling.distance,
                         members=members,
                     )
@@ -265,7 +278,7 @@ class DrilldownReport:
 
 def drilldown(
     entry: TimelineEntry,
-    records: Sequence[FlowRecord],
+    records: FlowTable,
     config: PipelineConfig,
 ) -> DrilldownReport:
     """Per-star member, throughput and RTT summary for a flagged entry.
@@ -279,20 +292,24 @@ def drilldown(
         "before": (entry.window_start - step, entry.window_end - step),
         "after": (entry.window_start, entry.window_end),
     }
+    order = records.time_order
+    times = records.start_time[order]
+    phase_rows = {
+        phase: order[np.searchsorted(times, lo) : np.searchsorted(times, hi)]
+        for phase, (lo, hi) in windows.items()
+    }
     stars = []
     for contrib in entry.contributors if entry.flagged != FLAG_NONE else ():
-        members = set(contrib.members)
+        members = np.flatnonzero(np.isin(records.server_ip.names, contrib.members))
         phase_thr: dict[str, tuple[float, ...]] = {}
         phase_rtt: dict[str, tuple[float, ...]] = {}
-        for phase, (lo, hi) in windows.items():
-            flows = [
-                r for r in records if r.server_ip in members and lo <= r.start_time < hi
-            ]
+        for phase, rows in phase_rows.items():
+            flows = rows[np.isin(records.server_ip.codes[rows], members)]
             phase_thr[phase] = tuple(
-                percentile_vector([r.avg_throughput for r in flows], THROUGHPUT_DECILES).tolist()
+                percentile_vector(records.avg_throughput[flows], THROUGHPUT_DECILES).tolist()
             )
             phase_rtt[phase] = tuple(
-                percentile_vector([r.min_rtt for r in flows], config.percentiles).tolist()
+                percentile_vector(records.min_rtt[flows], config.percentiles).tolist()
             )
         stars.append(
             StarDrilldown(

@@ -19,14 +19,14 @@ import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, FlowRecord, text_output, window_flows
+from .ingest import DAY_SECONDS, Codes, FlowTable, text_output, window_flows
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -170,14 +170,21 @@ def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> flo
     return factor
 
 
-def generate_trace(config: SynthConfig) -> tuple[list[FlowRecord], GroundTruth]:
+def _coded(keys: np.ndarray, name: Callable[[int], str]) -> Codes:
+    """Dictionary-encode integer keys, naming each distinct key with ``name``."""
+    distinct, codes = np.unique(keys, return_inverse=True)
+    return Codes(codes.ravel(), np.array([name(k) for k in distinct.tolist()], dtype=object))
+
+
+def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     """Draw the whole trace day by day; identical config+seed gives identical output.
 
     Per day: flows are split across active nodes by load weight, then across a
     node's caches by a per-day weight vector (re-perturbed with strength
     rank_churn); each (day, node, cache) bucket then samples its flows from
-    an independent derived stream. Ground truth maps every cache that emitted
-    at least one flow to its node label.
+    an independent derived stream. Each day's flows are in start-time order.
+    Ground truth maps every cache that emitted at least one flow to its node
+    label.
     """
     identities = [
         [cache_identity(i, spec, j) for j in range(spec.cache_count)]
@@ -190,8 +197,12 @@ def generate_trace(config: SynthConfig) -> tuple[list[FlowRecord], GroundTruth]:
         w = _rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
         base_weights.append(w / w.sum())
 
-    records: list[FlowRecord] = []
+    # start, cache, client, rtt, ttl, up, down, throughput; rows [0, end) are filled.
+    dtypes = (np.float64, np.intp, np.int64, np.float64, np.int64, np.int64, np.int64, np.float64)
+    columns = [np.empty(config.days * config.flows_per_day, dtype) for dtype in dtypes]
+    end = 0
     gt_labels: dict[str, str] = {}
+    first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
     for day in range(config.days):
         day_start = config.start_epoch + day * DAY_SECONDS
         node_weights = np.array(
@@ -206,7 +217,7 @@ def generate_trace(config: SynthConfig) -> tuple[list[FlowRecord], GroundTruth]:
         node_counts = _rng(config.seed, _STREAM_NODE_ALLOC, day).multinomial(
             config.flows_per_day, node_weights / total
         )
-        day_records: list[FlowRecord] = []
+        day_begin = end
         for i, spec in enumerate(config.nodes):
             if node_counts[i] == 0:
                 continue
@@ -242,23 +253,20 @@ def generate_trace(config: SynthConfig) -> tuple[list[FlowRecord], GroundTruth]:
                 bytes_down = (throughput * 125.0 * duration).astype(np.int64)
                 bytes_up = (bytes_down * 0.012).astype(np.int64)
                 clients = rng.integers(0, 1_000_000, count)
-                for k in range(count):
-                    day_records.append(
-                        FlowRecord(
-                            start_time=day_start + float(offsets[k]),
-                            client_id=f"u{clients[k]:06d}",
-                            server_ip=server_ip,
-                            hostname=hostname,
-                            min_rtt=float(rtt[k]),
-                            ttl=spec.ttl_value,
-                            bytes_up=int(bytes_up[k]),
-                            bytes_down=int(bytes_down[k]),
-                            avg_throughput=float(throughput[k]),
-                        )
-                    )
-        day_records.sort(key=lambda r: r.start_time)
-        records.extend(day_records)
-    return records, GroundTruth(gt_labels)
+                values = (day_start + offsets, first_cache[i] + j, clients, rtt, spec.ttl_value, bytes_up,
+                          bytes_down, throughput)
+                for column, v in zip(columns, values):
+                    column[end : end + count] = v
+                end += count
+        order = day_begin + np.argsort(columns[0][day_begin:end], kind="stable")
+        for column in columns:
+            column[day_begin:end] = column[order]
+    start, cache, client, *numbers = (column[:end] for column in columns)
+    servers, hostnames = zip(*(identity for node in identities for identity in node))
+    return FlowTable(
+        start, _coded(client, "u{:06d}".format), _coded(cache, servers.__getitem__),
+        _coded(cache, hostnames.__getitem__), *numbers,
+    ), GroundTruth(gt_labels)
 
 
 @dataclass(frozen=True)
@@ -270,7 +278,7 @@ class RankMatrix:
     ranks: np.ndarray  # shape (n_caches, n_days)
 
 
-def rank_matrix(records: Iterable[FlowRecord], utc_offset_hours: float = 0.0) -> RankMatrix:
+def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix:
     """Rank caches by flow count in each 1-day timeline window.
 
     Ties break by cache_id ascending. Caches observed in any window are ranked
@@ -279,8 +287,10 @@ def rank_matrix(records: Iterable[FlowRecord], utc_offset_hours: float = 0.0) ->
     days = window_flows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=utc_offset_hours)
     if not days:
         raise ValueError("rank_matrix needs at least one record")
-    cache_ids = tuple(sorted({c for day in days for c in day.records}))
-    counts = np.array([[len(day.records.get(c, ())) for day in days] for c in cache_ids])
+    names = records.server_ip.names
+    counts = np.array([np.bincount(records.server_ip.codes[d.rows], minlength=len(names)) for d in days]).T
+    seen = sorted(np.flatnonzero(counts.sum(axis=1)).tolist(), key=names.__getitem__)
+    counts, cache_ids = counts[seen], tuple(names[seen].tolist())
     ranks = np.zeros(counts.shape, dtype=np.int64)
     for d in range(len(days)):
         # A stable sort keeps equal counts in cache_id order.

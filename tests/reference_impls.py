@@ -3,6 +3,8 @@
 These deliberately take different routes from the library code: scipy's
 distance matrix and connected-components instead of the hand-rolled
 neighborhood scan and BFS, and a literal rank-interpolation percentile.
+The windowing and per-cache feature oracles are the per-record loops the
+library used before its columnar flow table.
 """
 
 from __future__ import annotations
@@ -72,3 +74,64 @@ def clusters_as_sets(labels: np.ndarray) -> set[frozenset[int]]:
         if lab >= 0:
             out.setdefault(int(lab), set()).add(i)
     return {frozenset(v) for v in out.values()}
+
+
+def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hours=0.0, origin=None):
+    """The per-record bucket loop that windowed flow lists before the columnar table.
+
+    Returns (window_start, window_end, {cache_id: [records in input order]})
+    per window.
+    """
+    day = 86_400.0
+    shift = utc_offset_hours * 3600.0
+    records = list(records)
+    if not records:
+        return []
+    t_min = min(r.start_time for r in records)
+    t_max = max(r.start_time for r in records)
+    t0 = math.floor((t_min + shift) / day) * day - shift if origin is None else float(origin)
+    t_end = math.floor((t_max + shift) / day) * day - shift + day
+    count = 0
+    while t0 + count * step_seconds + window_seconds <= t_end:
+        count += 1
+    buckets = [{} for _ in range(count)]
+    for record in records:
+        t = record.start_time
+        if t < t0:
+            continue
+        lo = max(0, math.floor((t - t0 - window_seconds) / step_seconds))
+        hi = min(count - 1, math.floor((t - t0) / step_seconds))
+        for n in range(lo, hi + 1):
+            start = t0 + n * step_seconds
+            if start <= t < start + window_seconds:
+                buckets[n].setdefault(record.server_ip, []).append(record)
+    return [
+        (t0 + n * step_seconds, t0 + n * step_seconds + window_seconds, buckets[n])
+        for n in range(count)
+    ]
+
+
+def reference_percentile_vector(samples, qs):
+    """The scalar percentile loop of the per-cache extractor, one rank at a time."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    out = np.full(len(qs), math.nan)
+    for i, q in enumerate(qs):
+        h = (s.size - 1) * q / 100.0
+        lo = math.floor(h)
+        out[i] = s[-1] if lo >= s.size - 1 else s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+    return out
+
+
+def reference_cache_features(groups, min_flow, summarize):
+    """The per-cache extractor loop: (cache_id, flow_count, {metric: summary}) per
+    cache with >= min_flow flows, sorted by cache_id; ``summarize`` maps one
+    cache's samples, in input order, to its summary vector."""
+    out = []
+    for cache_id in sorted(groups):
+        flows = groups[cache_id]
+        if len(flows) < min_flow:
+            continue
+        rtt = np.fromiter((r.min_rtt for r in flows), dtype=float, count=len(flows))
+        ttl = np.fromiter((r.ttl for r in flows), dtype=float, count=len(flows))
+        out.append((cache_id, len(flows), {"rtt": summarize(rtt), "ttl": summarize(ttl)}))
+    return out

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import edgewatch
 from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
 from edgewatch.ingest import FLOW_LOG_HEADER
@@ -58,7 +63,7 @@ class TestParseGrid:
             _parse_grid("0:x:0.5")
         with pytest.raises(ConfigError):
             _parse_grid("0.1,abc")
-        for text in ("0:inf:1", "nan:1:1", "0.1,nan", "inf", "", "1:0:0.5"):
+        for text in ("0:inf:1", "nan:1:1", "0.1,nan", "inf", "", "1:0:0.5", "0:1e9:1e-9"):
             with pytest.raises(ConfigError):
                 _parse_grid(text)
 
@@ -141,6 +146,33 @@ class TestTimelineCommand:
         assert "Traceback" not in err
         if name == "malformed":
             assert f"{path}: line 2: bad numeric field" in err
+
+    def test_header_only_input_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.tsv"
+        path.write_text(FLOW_LOG_HEADER + "\n")
+        assert main(["timeline", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"input error: {path}: no flow records\n"
+
+    def test_tiny_step_exit_2_without_hanging(self, trace_files, tmp_path):
+        # Counting 10^300 windows one by one never ended; the count is closed-form.
+        _, _, trace, _ = trace_files
+        env = dict(os.environ, PYTHONPATH=str(Path(edgewatch.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "edgewatch.cli", "timeline", "--input", str(trace),
+             "--window-days", "1", "--step-days", "1e-300", "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: ") and done.stderr.count("\n") == 1
+
+    def test_window_beyond_float_range_exit_1(self, trace_files, tmp_path, capsys):
+        # 1e308 days is an infinite number of seconds: no window fits the trace.
+        _, _, trace, _ = trace_files
+        for extra in ([], ["--step-days", "1e308"]):
+            argv = ["timeline", "--input", str(trace), "--window-days", "1e308", *extra]
+            assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error: only 0 snapshot(s)") and err.count("\n") == 1
 
     def test_short_trace_exit_1(self, tmp_path, capsys):
         path = tmp_path / "tiny.tsv"
@@ -239,6 +271,19 @@ class TestSweepCommand:
         assert code == 1
         assert "input error" in capsys.readouterr().err
 
+    def test_ground_truth_missing_a_cache_exit_1(self, trace_files, tmp_path, capsys):
+        _, _, trace, gt = trace_files
+        cut = tmp_path / "cut_gt.tsv"
+        cut.write_text("".join(gt.read_text().splitlines(keepends=True)[:6]))
+        code = main([
+            "sweep", "--input", str(trace), "--ground-truth", str(cut), "--window-days", "1",
+            "--eps-grid", "0.04", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {cut}: clustered caches without a GT label")
+        assert err.count("\n") == 1
+
     def test_writes_rows(self, trace_files, tmp_path):
         _, _, trace, gt = trace_files
         out = tmp_path / "sweep.csv"
@@ -281,7 +326,7 @@ class TestCalibrateCommand:
         "flag",
         [
             ["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"],
-            ["--dim", "0"], ["--e-grid", "nan"], ["--e-grid", "0:inf:1"],
+            ["--dim", "0"], ["--e-grid", "nan"], ["--e-grid", "0:inf:1"], ["--e-grid", "0:1e9:1e-9"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):

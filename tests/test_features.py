@@ -13,7 +13,7 @@ from edgewatch.features import (
     snapshot_bounds,
     write_feature_dump,
 )
-from edgewatch.ingest import FlowRecord, Snapshot, window_flows, DAY_SECONDS
+from edgewatch.ingest import FlowRecord, FlowTable, Snapshot, window_flows, DAY_SECONDS
 
 from reference_impls import reference_percentile
 
@@ -23,10 +23,8 @@ def flow(t, ip, rtt, ttl=54):
 
 
 def snapshot_of(flows):
-    grouped: dict[str, list[FlowRecord]] = {}
-    for r in flows:
-        grouped.setdefault(r.server_ip, []).append(r)
-    return Snapshot(0, 0.0, DAY_SECONDS, grouped)
+    table = FlowTable.from_records(flows)
+    return Snapshot(0, 0.0, DAY_SECONDS, table, table.time_order)
 
 
 class TestPercentile:

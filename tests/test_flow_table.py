@@ -1,0 +1,226 @@
+"""The columnar flow table against the per-record code it replaced.
+
+Windows and features are checked against the old bucket loop and per-cache
+extractors in ``reference_impls``; the chunked parser is checked against the
+per-line parser applied line by line.
+"""
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from edgewatch import ingest
+from edgewatch.cli import main
+from edgewatch.features import extract_cache_features, extract_cache_features_mean_std
+from edgewatch.ingest import (
+    DAY_SECONDS,
+    FLOW_LOG_HEADER,
+    FlowLineError,
+    FlowRecord,
+    FlowTable,
+    midnight_floor,
+    parse_flow_log,
+    window_flows,
+)
+
+from reference_impls import (
+    reference_cache_features,
+    reference_percentile_vector,
+    reference_window_flows,
+)
+
+BASE = 1_388_534_400.0  # a UTC midnight
+PERCENTILES = (20.0, 35.0, 50.0, 65.0, 80.0)
+
+
+@st.composite
+def windowed_traces(draw):
+    """Unsorted flows split over 1-3 files, with window/step in whole hours,
+    a UTC offset in quarter hours and, half the time, an origin before the
+    first flow. Many flows sit exactly on, or one ulp below, a window edge."""
+    window = draw(st.integers(1, 60)) * 3600.0
+    step = draw(st.integers(1, 36)) * 3600.0
+    offset = draw(st.integers(-48, 56)) * 0.25
+    first = BASE + draw(st.integers(0, 86_399))
+    origin = draw(st.none() | st.integers(0, 2 * 86_400).map(lambda d: first - d))
+    t0 = midnight_floor(first, offset) if origin is None else origin
+    edge = st.builds(lambda n, w: t0 + n * step + w * window, st.integers(0, 30), st.integers(0, 1))
+    time = st.one_of(
+        st.floats(first, first + 3 * DAY_SECONDS),
+        edge,
+        edge.map(lambda t: float(np.nextafter(t, -math.inf))),
+    ).filter(lambda t: t >= first)
+    # Bursts of flows of one cache at one time give caches enough samples;
+    # magnitudes far apart make the mean depend on summation order.
+    burst = st.builds(
+        lambda t, cache, rtts, ttl: [FlowRecord(t, "u", cache, "h", rtt, ttl, 1, 2, 3.0) for rtt in rtts],
+        time,
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.lists(st.sampled_from([1.0, 2.5, 1e16]) | st.floats(0, 500), min_size=1, max_size=6),
+        st.integers(0, 255),
+    )
+    records = [FlowRecord(first, "u", "a", "h", 1.0, 64, 1, 2, 3.0)]
+    records += [r for flows in draw(st.lists(burst, max_size=20)) for r in flows]
+    cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=2)))
+    files = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    return files, window, step, offset, origin, draw(st.integers(1, 6))
+
+
+def _bytes(features):
+    """(cache_id, flow_count, {metric: raw bytes}) of CacheFeatures or reference tuples."""
+    rows = [(f.cache_id, f.flow_count, f.raw_percentiles) if hasattr(f, "cache_id") else f for f in features]
+    return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in rows]
+
+
+@given(windowed_traces())
+def test_windows_and_features_match_per_record_code(trace):
+    files, window, step, offset, origin, min_flow = trace
+    records = [r for f in files for r in f]
+    table = FlowTable.concat([FlowTable.from_records(f) for f in files])
+    assert list(table) == records
+    snaps = window_flows(table, window, step, utc_offset_hours=offset, origin=origin)
+    expected = reference_window_flows(records, window, step, offset, origin)
+    assert [(s.index, s.window_start, s.window_end) for s in snaps] == [
+        (n, start, end) for n, (start, end, _) in enumerate(expected)
+    ]
+    for snap, (_, _, groups) in zip(snaps, expected):
+        assert {c: list(flows) for c, flows in snap.records.items()} == groups
+        assert snap.n_records == sum(map(len, groups.values()))
+        # Bit-identical features; the mean/std oracle sees each cache's samples
+        # in input order, as np.mean's pairwise sum is order-sensitive.
+        assert _bytes(extract_cache_features(snap, min_flow, PERCENTILES)) == _bytes(
+            reference_cache_features(groups, min_flow, lambda v: reference_percentile_vector(v, PERCENTILES))
+        )
+        assert _bytes(extract_cache_features_mean_std(snap, min_flow)) == _bytes(
+            reference_cache_features(groups, min_flow, lambda v: np.array([v.mean(), v.std()]))
+        )
+
+
+VALID_LINES = [
+    "\t".join([repr(BASE + day * DAY_SECONDS + 3600.5 * k), f"u{k}", f"c{k % 3}", f"r1---ams0{k}.example",
+               repr(10.0 + k), str(50 + k), str(100 * k), str(2000 + k), repr(1e3 * k)])
+    for day in range(3)
+    for k in range(3)
+]
+TOKENS = [
+    "", "nan", "inf", "-inf", "-1", "-0.0", "0", "255", "256", "1e400", " 7 ", "1_0", "+5", "0x1f",
+    "٣", "abc", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "10" * 20, "\x00", " 1.5",
+]
+ACTIONS = ["keep", "keep", "replace", "replace", "drop", "add", "blank", "space"]
+
+
+@st.composite
+def mutated_logs(draw):
+    """A small valid log with some lines' fields replaced, dropped or added,
+    blank and whitespace lines, CRLF endings and a missing final newline."""
+    lines = []
+    for line in draw(st.lists(st.sampled_from(VALID_LINES), min_size=1, max_size=14)):
+        fields = line.split("\t")
+        action = draw(st.sampled_from(ACTIONS))
+        i = draw(st.integers(0, len(fields) - 1))
+        if action == "replace":
+            fields[i] = draw(st.sampled_from(TOKENS))
+        elif action == "drop":
+            del fields[i]
+        elif action == "add":
+            fields.insert(i, draw(st.sampled_from(TOKENS)))
+        lines.append({"blank": "", "space": " "}.get(action, "\t".join(fields)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return FLOW_LOG_HEADER + newline + newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def _line_by_line(text):
+    """(records, [(line number, reason)]) of _parse_line applied to each data line."""
+    records, errors = [], []
+    lines = io.StringIO(text, newline="")
+    next(lines)
+    for number, raw in enumerate(lines, start=2):
+        if line := raw.rstrip("\r\n"):
+            try:
+                records.append(ingest._parse_line(number, line))
+            except FlowLineError as exc:
+                errors.append((exc.line_number, exc.reason))
+    return records, errors
+
+
+def _check_against_line_parser(text):
+    expected_records, expected_errors = _line_by_line(text)
+    errors: list[FlowLineError] = []
+    table = parse_flow_log(io.StringIO(text, newline=""), errors=errors)
+    assert list(table) == expected_records
+    assert [(e.line_number, e.reason) for e in errors] == expected_errors
+    if expected_errors:
+        with pytest.raises(FlowLineError) as exc:
+            parse_flow_log(io.StringIO(text, newline=""))
+        assert (exc.value.line_number, exc.value.reason) == expected_errors[0]
+    return expected_errors
+
+
+@pytest.mark.parametrize("field", range(len(VALID_LINES[0].split("\t"))))
+def test_every_token_in_every_field_matches_line_parser(field):
+    for token in TOKENS:
+        fields = VALID_LINES[4].split("\t")
+        fields[field] = token
+        _check_against_line_parser("\n".join([FLOW_LOG_HEADER, VALID_LINES[0], "\t".join(fields), ""]))
+
+
+@given(mutated_logs(), st.sampled_from([64, 512, ingest.CHUNK_BYTES]))
+def test_chunked_parser_matches_line_parser(text, chunk_bytes):
+    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes):
+        expected_errors = _check_against_line_parser(text)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "trace.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        argv = ["timeline", "--input", str(path), "--window-days", "1", "--min-flow", "1",
+                "--out-dir", str(Path(root) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert code != 0 or not expected_errors
+
+
+class TestFlowTable:
+    RECORDS = [
+        FlowRecord(5.0, "u1", "b", "hb", 1.5, 10, 1, 2, 3.0),
+        FlowRecord(1.0, "u2", "a", "ha", 2.5, 20, 3, 4, 5.0),
+        FlowRecord(5.0, "u1", "a", "ha", 0.5, 30, 5, 6, 7.0),
+    ]
+
+    def test_rows_round_trip(self):
+        table = FlowTable.from_records(self.RECORDS)
+        assert len(table) == 3
+        assert list(table) == self.RECORDS
+        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
+        assert list(table[1:]) == self.RECORDS[1:]
+        assert list(table[np.array([True, False, True])]) == [self.RECORDS[0], self.RECORDS[2]]
+
+    def test_string_columns_are_dictionary_encoded(self):
+        table = FlowTable.from_records(self.RECORDS)
+        assert table.server_ip.names.tolist() == ["b", "a"]
+        assert table.server_ip.codes.tolist() == [0, 1, 1]
+        assert table.ttl.dtype == np.int64 and table.min_rtt.dtype == np.float64
+
+    def test_concat_merges_dictionaries(self):
+        parts = [FlowTable.from_records(self.RECORDS[:2]), FlowTable.from_records(self.RECORDS[2:])]
+        table = FlowTable.concat(parts)
+        assert list(table) == self.RECORDS
+        assert sorted(table.server_ip.names.tolist()) == ["a", "b"]
+
+    def test_time_order_is_stable(self):
+        table = FlowTable.from_records(self.RECORDS)
+        assert table.time_order.tolist() == [1, 0, 2]
+
+    def test_empty(self):
+        table = FlowTable.from_records([])
+        assert len(table) == 0 and list(table) == []
+        assert window_flows(table, DAY_SECONDS, DAY_SECONDS) == []

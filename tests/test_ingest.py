@@ -10,7 +10,7 @@ from edgewatch.ingest import (
     FlowLineError,
     FlowLogFormatError,
     FlowRecord,
-    format_flow_record,
+    FlowTable,
     midnight_floor,
     parse_cache_hostname,
     parse_flow_log,
@@ -29,6 +29,10 @@ def make_log(*lines):
 
 def flow(t, ip="c1", rtt=1.0, ttl=10, thr=100.0, host="r1---abc00t00.c.vcdn.example"):
     return FlowRecord(t, "u0", ip, host, rtt, ttl, 10, 100, thr)
+
+
+def windows(records, *args, **kwargs):
+    return window_flows(FlowTable.from_records(records), *args, **kwargs)
 
 
 class TestParseFlowLog:
@@ -55,6 +59,17 @@ class TestParseFlowLog:
     def test_malformed_line_aborts_without_collector(self):
         with pytest.raises(FlowLineError):
             list(parse_flow_log(make_log("not\ta\tflow")))
+
+    def test_byte_counts_beyond_int64_rejected(self):
+        parts = SAMPLE_LINE.split("\t")
+        for field in (6, 7):
+            parts[field] = str(2**63)
+            errors: list[FlowLineError] = []
+            assert list(parse_flow_log(make_log("\t".join(parts)), errors=errors)) == []
+            assert [(e.line_number, e.reason) for e in errors] == [(2, "byte count above 2**63 - 1")]
+            parts[field] = str(2**63 - 1)
+            (rec,) = parse_flow_log(make_log("\t".join(parts)))
+            assert getattr(rec, ("bytes_up", "bytes_down")[field - 6]) == 2**63 - 1
 
     def test_empty_file_with_header(self):
         assert list(parse_flow_log(make_log())) == []
@@ -102,15 +117,15 @@ record_strategy = st.builds(
 @given(st.lists(record_strategy, max_size=20))
 def test_tsv_round_trip(records):
     buf = io.StringIO()
-    write_flow_log(buf, records)
+    write_flow_log(buf, FlowTable.from_records(records))
     buf.seek(0)
     assert list(parse_flow_log(buf)) == records
 
 
 def test_format_rejects_embedded_tabs():
-    rec = flow(0.0, ip="a\tb")
+    table = FlowTable.from_records([flow(0.0, ip="a\tb")])
     with pytest.raises(ValueError):
-        format_flow_record(rec)
+        write_flow_log(io.StringIO(), table)
 
 
 class TestParseCacheHostname:
@@ -144,14 +159,14 @@ class TestParseCacheHostname:
 class TestWindowFlows:
     def test_fourteen_days_sliding_weekly(self):
         records = [flow(d * DAY_SECONDS + 7.0) for d in range(14)]
-        snaps = window_flows(records, 7 * DAY_SECONDS, DAY_SECONDS)
+        snaps = windows(records, 7 * DAY_SECONDS, DAY_SECONDS)
         assert len(snaps) == 8
         assert all(s.window_end - s.window_start == 7 * DAY_SECONDS for s in snaps)
         assert [s.index for s in snaps] == list(range(8))
 
     def test_non_overlapping_tiling(self):
         records = [flow(d * DAY_SECONDS + 7.0) for d in range(14)]
-        snaps = window_flows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)
+        snaps = windows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)
         assert len(snaps) == 2
         assert snaps[0].window_start == 0.0
         assert snaps[1].window_start == 7 * DAY_SECONDS
@@ -161,23 +176,23 @@ class TestWindowFlows:
         # windows starting on days 0..3 (those containing t=3.5d).
         anchors = [flow(0.5 * DAY_SECONDS, ip="edge"), flow(13.5 * DAY_SECONDS, ip="edge")]
         target = flow(3.5 * DAY_SECONDS, ip="target")
-        snaps = window_flows(anchors + [target], 7 * DAY_SECONDS, DAY_SECONDS)
+        snaps = windows(anchors + [target], 7 * DAY_SECONDS, DAY_SECONDS)
         holding = [s.index for s in snaps if "target" in s.records]
         assert holding == [0, 1, 2, 3]
 
     def test_grouping_key_is_server_ip(self):
         records = [flow(10.0, ip="a"), flow(20.0, ip="b"), flow(30.0, ip="a")]
-        (snap,) = window_flows(records, DAY_SECONDS, DAY_SECONDS)
-        assert snap.cache_ids() == ["a", "b"]
+        (snap,) = windows(records, DAY_SECONDS, DAY_SECONDS)
+        assert sorted(snap.records) == ["a", "b"]
         assert [r.start_time for r in snap.records["a"]] == [10.0, 30.0]
 
     def test_empty_records(self):
-        assert window_flows([], DAY_SECONDS, DAY_SECONDS) == []
+        assert windows([], DAY_SECONDS, DAY_SECONDS) == []
 
     def test_window_end_excluded(self):
         # A record exactly at window 0's end belongs to window 1 only.
         records = [flow(0.0), flow(7 * DAY_SECONDS), flow(13.9 * DAY_SECONDS)]
-        snaps = window_flows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)
+        snaps = windows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)
         assert len(snaps) == 2
         assert snaps[0].n_records == 1
         assert snaps[1].n_records == 2
@@ -186,20 +201,20 @@ class TestWindowFlows:
         records = [flow(d * DAY_SECONDS + i * 1000.0) for d in range(5) for i in range(4)]
         shuffled = records[:]
         random.Random(3).shuffle(shuffled)
-        a = window_flows(records, 2 * DAY_SECONDS, DAY_SECONDS)
-        b = window_flows(shuffled, 2 * DAY_SECONDS, DAY_SECONDS)
+        a = windows(records, 2 * DAY_SECONDS, DAY_SECONDS)
+        b = windows(shuffled, 2 * DAY_SECONDS, DAY_SECONDS)
         assert [set(s.records) for s in a] == [set(s.records) for s in b]
         assert [s.n_records for s in a] == [s.n_records for s in b]
 
     def test_origin_override(self):
         records = [flow(3.5 * DAY_SECONDS), flow(9.5 * DAY_SECONDS)]
-        snaps = window_flows(records, 7 * DAY_SECONDS, DAY_SECONDS, origin=2 * DAY_SECONDS)
+        snaps = windows(records, 7 * DAY_SECONDS, DAY_SECONDS, origin=2 * DAY_SECONDS)
         assert snaps[0].window_start == 2 * DAY_SECONDS
 
     def test_midnight_alignment_with_offset(self):
         t = 5 * DAY_SECONDS + 3600.0
         records = [flow(t)]
-        snaps = window_flows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=2.0)
+        snaps = windows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=2.0)
         assert snaps[0].window_start == midnight_floor(t, 2.0)
         assert midnight_floor(t, 2.0) == 5 * DAY_SECONDS - 2 * 3600.0
 
@@ -210,7 +225,7 @@ class TestWindowFlows:
     )
     def test_membership_invariant(self, times, window_days, step_days):
         records = [flow(t, ip=f"c{i % 3}") for i, t in enumerate(times)]
-        snaps = window_flows(records, window_days * DAY_SECONDS, step_days * DAY_SECONDS)
+        snaps = windows(records, window_days * DAY_SECONDS, step_days * DAY_SECONDS)
         for snap in snaps:
             for flows in snap.records.values():
                 for r in flows:
@@ -223,6 +238,6 @@ class TestWindowFlows:
         window = k * step
         records = [flow(0.5 * DAY_SECONDS, ip="edge"), flow(27.5 * DAY_SECONDS, ip="edge")]
         target = flow(day * DAY_SECONDS + 12345.0, ip="target")
-        snaps = window_flows(records + [target], window, step)
+        snaps = windows(records + [target], window, step)
         hits = sum(1 for s in snaps if "target" in s.records)
         assert hits == k

@@ -8,7 +8,7 @@ from edgewatch.constellation import build_constellation, constellation_distance,
 from edgewatch.dbscan import ClusterParams, dbscan
 from edgewatch.errors import ConfigError, InputError
 from edgewatch.features import extract_cache_features, normalize_snapshot
-from edgewatch.ingest import DAY_SECONDS, FlowRecord, window_flows
+from edgewatch.ingest import DAY_SECONDS, FlowRecord, FlowTable, window_flows
 from edgewatch.pipeline import (
     FLAG_EVENT,
     FLAG_MAJOR,
@@ -74,7 +74,7 @@ class TestFlagFor:
 
 class TestRunTimeline:
     def test_too_few_snapshots(self):
-        records = [FlowRecord(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)]
+        records = FlowTable.from_records([FlowRecord(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)])
         with pytest.raises(InputError):
             run_timeline(PipelineConfig(window_days=7, step_days=1), records)
 
@@ -128,7 +128,7 @@ class TestRunTimeline:
                 for i in range(count)
             ]
 
-        records = burst(0, 60) + burst(1, 10) + burst(2, 60)
+        records = FlowTable.from_records(burst(0, 60) + burst(1, 10) + burst(2, 60))
         config = PipelineConfig(window_days=1, step_days=1)
         with caplog.at_level(logging.WARNING):
             result = run_timeline(config, records)
@@ -160,7 +160,7 @@ class TestRunTimeline:
         )
         steady = [r for day in (0, 1) for c in ("d1", "d2", "d3") for r in flows(day, c, 90.0, ["LON"] * 5)]
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
-        entry = run_timeline(config, moving + steady).entries[1]
+        entry = run_timeline(config, FlowTable.from_records(moving + steady)).entries[1]
         labels = {c.members: c.label for c in entry.contributors}
         # Votes FRA, AMS and none (opaque name): a tie, to AMS. A flat vote
         # over the star's flows would say FRA (7 to 3).
