@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 from dataclasses import fields
@@ -14,7 +13,7 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import count_steps, text_output, write_flow_log
+from .ingest import count_steps, read_ini_section, text_output, write_flow_log
 from .pipeline import (
     PipelineConfig,
     config_windows,
@@ -85,15 +84,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_pipeline_ini(path: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read pipeline config: {path}")
-    if "pipeline" not in parser:
-        raise ConfigError(f"{path} has no [pipeline] section")
-    for key in parser["pipeline"]:
+    section = read_ini_section(path, "pipeline")
+    for key in section:
         if key not in _FIELD_PARSERS:
             raise ConfigError(f"unknown pipeline option: {key}")
-    return dict(parser["pipeline"])
+    return dict(section)
 
 
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -310,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

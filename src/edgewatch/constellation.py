@@ -98,16 +98,8 @@ def astral_distance(star: Star, constellation: Constellation) -> tuple[float, in
     no nearest reference, so an all-noise snapshot registers as a maximal
     change instead of failing.
     """
-    if not constellation.stars:
-        return math.sqrt(star.position.size), None
-    best = math.inf
-    best_idx: int | None = None
-    for idx, other in enumerate(constellation.stars):
-        d = float(np.linalg.norm(star.position - other.position))
-        if d < best:
-            best = d
-            best_idx = idx
-    return best, best_idx
+    (coupling,) = _couplings((star,), constellation.stars)
+    return coupling.distance, coupling.nearest_index
 
 
 @dataclass(frozen=True)
@@ -133,6 +125,20 @@ class CDReport:
         return sorted(tagged, key=lambda t: (-t[1].distance, t[0], t[1].star_index))
 
 
+def _couplings(stars: tuple[Star, ...], other: tuple[Star, ...]) -> tuple[Coupling, ...]:
+    """Each star's coupling to its nearest star in ``other``, from one distance matrix.
+
+    ``np.vecdot`` is the dot routine ``np.linalg.norm`` runs on one vector, so each
+    distance equals the per-pair norm bit for bit; ``argmin`` keeps the lowest-index tie.
+    """
+    if not (stars and other):
+        return tuple(Coupling(i, None, math.sqrt(s.position.size)) for i, s in enumerate(stars))
+    d = np.stack([s.position for s in stars])[:, None] - np.stack([s.position for s in other])
+    distances = np.sqrt(np.vecdot(d, d))
+    nearest, nearest_distances = distances.argmin(axis=1).tolist(), distances.min(axis=1).tolist()
+    return tuple(map(Coupling, range(len(stars)), nearest, nearest_distances))
+
+
 def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
     """Symmetric sum of astral distances between two constellations.
 
@@ -144,28 +150,19 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
         raise ValueError("constellations were built with different bounds")
     if a.stars and b.stars and a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    def couple(stars: tuple[Star, ...], other: Constellation) -> tuple[Coupling, ...]:
-        out = []
-        for i, star in enumerate(stars):
-            distance, nearest = astral_distance(star, other)
-            out.append(Coupling(star_index=i, nearest_index=nearest, distance=distance))
-        return tuple(out)
+    couplings_ab = _couplings(a.stars, b.stars)
+    couplings_ba = _couplings(b.stars, a.stars)
+    cd_value = sum(c.distance for c in couplings_ab) + sum(c.distance for c in couplings_ba)
+    return CDReport(cd_value, couplings_ab, couplings_ba)
 
-    couplings_ab = couple(a.stars, b)
-    couplings_ba = couple(b.stars, a)
-    total_ab = sum(c.distance for c in couplings_ab)
-    total_ba = sum(c.distance for c in couplings_ba)
-    return CDReport(
-        cd_value=total_ab + total_ba,
-        couplings_ab=couplings_ab,
-        couplings_ba=couplings_ba,
-    )
+
+CD_REPORT_HEADER = "snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance".split(",")
 
 
 def write_cd_report_rows(
     writer, report: CDReport, snapshot_n: int, snapshot_n1: int
 ) -> None:
-    """Append one CSV row per coupling: snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance."""
+    """Append one CSV row per coupling, in the columns of CD_REPORT_HEADER."""
     for side, couplings in (("a", report.couplings_ab), ("b", report.couplings_ba)):
         for c in couplings:
             writer.writerow(
@@ -186,7 +183,5 @@ def write_cd_report_csv(
 ) -> None:
     with text_output(target) as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(
-            ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
-        )
+        writer.writerow(CD_REPORT_HEADER)
         write_cd_report_rows(writer, report, snapshot_n, snapshot_n1)

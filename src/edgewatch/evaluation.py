@@ -39,16 +39,18 @@ class GroundTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "GroundTruth":
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (UnicodeDecodeError, IsADirectoryError) as exc:
+            raise InputError(f"{path}: {exc}") from None
         labels = {}
-        with open(path, "r", encoding="utf-8") as fp:
-            for number, line in enumerate(fp, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise InputError(f"{path}:{number}: expected cache_id<TAB>label")
-                labels[parts[0]] = parts[1]
+        for number, line in enumerate(text.split("\n"), start=1):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise InputError(f"{path}:{number}: expected cache_id<TAB>label")
+            labels[parts[0]] = parts[1]
         try:
             return cls(labels)
         except ValueError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 import math
 import re
 from contextlib import contextmanager
@@ -319,6 +320,19 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
             yield fp
     else:
         yield target
+
+
+def read_ini_section(path: str | Path, section: str) -> configparser.SectionProxy:
+    """``[section]`` of the UTF-8 INI file ``path``; any failure is a one-line ConfigError."""
+    parser = configparser.ConfigParser()
+    try:
+        with open(path, encoding="utf-8") as fp:
+            parser.read_file(fp)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read {path}: {' '.join(str(exc).split())}") from None
+    if section not in parser:
+        raise ConfigError(f"{path} has no [{section}] section")
+    return parser[section]
 
 
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:

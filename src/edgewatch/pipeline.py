@@ -12,11 +12,13 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .constellation import (
+    CD_REPORT_HEADER,
     CDReport,
     Constellation,
     build_constellation,
     constellation_distance,
     joint_bounds,
+    write_cd_report_rows,
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError
@@ -357,13 +359,9 @@ def write_timeline_csv(target: IO[str] | str | Path, entries: Sequence[TimelineE
 
 def write_couplings_csv(target: IO[str] | str | Path, result: TimelineResult) -> None:
     """couplings.csv: every astral coupling of every consecutive pair."""
-    from .constellation import write_cd_report_rows
-
     with text_output(target) as fp:
         writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(
-            ["snapshot_n", "snapshot_n1", "cd", "side", "star_id", "nearest_star_id", "astral_distance"]
-        )
+        writer.writerow(CD_REPORT_HEADER)
         for entry, report in zip(result.entries, result.reports):
             if report is None:
                 continue

@@ -26,7 +26,7 @@ import numpy as np
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, Codes, FlowTable, text_output, window_flows
+from .ingest import DAY_SECONDS, Codes, FlowTable, read_ini_section, text_output, window_flows
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -308,13 +308,8 @@ def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
 
 def load_synth_config(path: str | Path) -> SynthConfig:
     """Read the plain-text section/key-value config documented in the README."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read synth config: {path}")
-    if "trace" not in parser:
-        raise ConfigError("synth config needs a [trace] section")
-    trace = parser["trace"]
+    trace = read_ini_section(path, "trace")
+    parser = trace.parser
     nodes = []
     events = []
     try:

@@ -4,7 +4,8 @@ These deliberately take different routes from the library code: scipy's
 distance matrix and connected-components instead of the hand-rolled
 neighborhood scan and BFS, and a literal rank-interpolation percentile.
 The windowing and per-cache feature oracles are the per-record loops the
-library used before its columnar flow table.
+library used before its columnar flow table, and the astral-distance oracle
+is the per-star-pair norm loop it used before its distance matrix.
 """
 
 from __future__ import annotations
@@ -135,3 +136,18 @@ def reference_cache_features(groups, min_flow, summarize):
         ttl = np.fromiter((r.ttl for r in flows), dtype=float, count=len(flows))
         out.append((cache_id, len(flows), {"rtt": summarize(rtt), "ttl": summarize(ttl)}))
     return out
+
+
+def reference_astral_distance(position, others):
+    """(distance, index) of the nearest of ``others`` by a per-pair ``np.linalg.norm``
+    loop, lowest index on ties; (sqrt(dim), None) when ``others`` is empty."""
+    if not len(others):
+        return math.sqrt(position.size), None
+    best = math.inf
+    best_idx = None
+    for idx, other in enumerate(others):
+        d = float(np.linalg.norm(position - other))
+        if d < best:
+            best = d
+            best_idx = idx
+    return best, best_idx

@@ -197,11 +197,28 @@ class TestTimelineCommand:
     def test_unknown_config_key_exit_2(self, trace_files, tmp_path, capsys):
         _, _, trace, _ = trace_files
         ini = tmp_path / "pipe.ini"
-        # Also bad values, and names that are flags but not PipelineConfig fields.
-        for line in ("frobnicate = 3", "min_flow = abc", "inputs = x.tsv", "out_dir = o", "utc_offset = 1"):
-            ini.write_text(f"[pipeline]\n{line}\n")
-            assert main(["timeline", "--input", str(trace), "--config", str(ini)]) == 2, line
-            assert "config error" in capsys.readouterr().err
+        timeline = ["timeline", "--input", str(trace), "--config", str(ini)]
+        synth = ["synth", "--config", str(ini), "--out-trace", str(tmp_path / "t.tsv"),
+                 "--out-ground-truth", str(tmp_path / "g.tsv")]
+        # Also bad values, names that are flags but not PipelineConfig fields,
+        # and files that are not INI or not UTF-8.
+        cases = [
+            (timeline, f"[pipeline]\n{line}\n".encode())
+            for line in ("frobnicate = 3", "min_flow = abc", "inputs = x.tsv", "out_dir = o", "utc_offset = 1")
+        ]
+        cases += [
+            (timeline, b"epsilon = 0.1\n"),
+            (timeline, b"[pipeline\nepsilon = 0.1\n"),
+            (timeline, b"[pipeline]\nepsilon = 0.1\n[pipeline\n"),
+            (timeline, b"[pipeline]\nepsilon = 0.1\nepsilon = 0.2\n"),
+            (timeline, b"[pipeline]\nepsilon = 0.1\xff\n"),
+            (synth, b"[trace\ndays = 3\n"),
+        ]
+        for argv, text in cases:
+            ini.write_bytes(text)
+            assert main(argv) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_argparse_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -264,12 +281,16 @@ class TestSweepCommand:
         _, _, trace, _ = trace_files
         bad = tmp_path / "bad_gt.tsv"
         bad.write_text("only-one-column\n")
-        code = main([
-            "sweep", "--input", str(trace), "--ground-truth", str(bad),
-            "--eps-grid", "0.04", "--out", str(tmp_path / "s.csv"),
-        ])
-        assert code == 1
-        assert "input error" in capsys.readouterr().err
+        not_utf8 = tmp_path / "latin1_gt.tsv"
+        not_utf8.write_bytes(b"c1\tM\xefL\n")
+        for path in (bad, not_utf8, tmp_path):
+            code = main([
+                "sweep", "--input", str(trace), "--ground-truth", str(path), "--window-days", "1",
+                "--eps-grid", "0.04", "--out", str(tmp_path / "s.csv"),
+            ])
+            assert code == 1, path
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}") and err.count("\n") == 1, err
 
     def test_ground_truth_missing_a_cache_exit_1(self, trace_files, tmp_path, capsys):
         _, _, trace, gt = trace_files
@@ -345,6 +366,26 @@ class TestRankCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("cache_id,day_0")
         assert len(lines) == 13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["timeline", "--window-days", "1", "--out-dir", "{file}"],
+        ["rank", "--out", "{dir}"],
+        ["calibrate", "--stars", "2", "--trials", "1", "--out", "{dir}"],
+    ],
+    ids=["timeline_out_dir_is_file", "rank_out_is_dir", "calibrate_out_is_dir"],
+)
+def test_unwritable_output_exit_1(trace_files, tmp_path, capsys, argv):
+    _, _, trace, _ = trace_files
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
+    if argv[0] != "calibrate":
+        argv += ["--input", str(trace)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
 def test_parser_exposes_all_subcommands():

@@ -17,6 +17,8 @@ from edgewatch.constellation import (
 from edgewatch.dbscan import Cluster, Clustering, ClusterParams
 from edgewatch.features import CacheFeatures, NormalizationBounds
 
+from reference_impls import reference_astral_distance
+
 
 def bounds_of(rtt, ttl=(0.0, 1.0)):
     return NormalizationBounds({"rtt": rtt, "ttl": ttl})
@@ -213,6 +215,35 @@ class TestConstellationDistance:
         backward = constellation_distance(b, a).cd_value
         assert forward == backward
         assert forward >= 0.0
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 64),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.integers(0, 100),
+    )
+    def test_matches_per_pair_loop(self, seed, dim, na, nb, spread):
+        # Stars are drawn with repeats from a pool holding x, -x and the origin,
+        # so equal distances (ties) are common. Coordinates are scaled by
+        # 10**k, |k| <= spread <= 100, so squared distances stay finite.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(3, dim)) * 10.0 ** rng.integers(-spread, spread + 1, (3, dim))
+        pool = np.vstack([base, -base, np.zeros((1, dim))])
+        a = constellation_at(*pool[rng.integers(0, len(pool), na)])
+        b = constellation_at(*pool[rng.integers(0, len(pool), nb)])
+        report = constellation_distance(a, b)
+        expected_cd = 0.0
+        for couplings, side, other in ((report.couplings_ab, a, b), (report.couplings_ba, b, a)):
+            others = [s.position for s in other.stars]
+            expected = [reference_astral_distance(s.position, others) for s in side.stars]
+            assert [(c.distance, c.nearest_index) for c in couplings] == expected
+            assert [astral_distance(s, other) for s in side.stars] == expected
+            assert [c.star_index for c in couplings] == list(range(len(side)))
+            assert all(type(c.distance) is float for c in couplings)
+            assert all(type(c.nearest_index) is (int if other.stars else type(None)) for c in couplings)
+            expected_cd += sum(d for d, _ in expected)
+        assert report.cd_value == expected_cd
 
     def test_contributors_ranked_descending(self):
         rng = np.random.default_rng(17)

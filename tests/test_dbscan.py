@@ -198,6 +198,14 @@ class TestDbscan:
             )
             assert_matches_reference(matrix, params)
 
+    def test_matches_reference_at_wide_scale(self):
+        # The benchmark's wide shape: 300 edge nodes of 8 caches, 2,400 points.
+        rng = np.random.default_rng(7)
+        centers = rng.uniform(0, 1, (300, 10))
+        matrix = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 10))
+        rng.shuffle(matrix)
+        assert_matches_reference(matrix, ClusterParams(epsilon=0.04, min_pts=5))
+
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         matrix = random_instance(rng)

@@ -72,6 +72,11 @@ class TestFlagFor:
         assert flag_for(50.0, config) == FLAG_MAJOR
 
 
+def cache_flows(day, cache, rtt, count=5):
+    """``count`` flows of one cache on ``day``, all with the same RTT and TTL 50."""
+    return [FlowRecord(day * DAY_SECONDS + i, "u", cache, "h", rtt, 50, 0, 0, 1.0) for i in range(count)]
+
+
 class TestRunTimeline:
     def test_too_few_snapshots(self):
         records = FlowTable.from_records([FlowRecord(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)])
@@ -137,6 +142,52 @@ class TestRunTimeline:
         # One star against an empty constellation, both directions.
         assert result.entries[1].cd_to_previous == pytest.approx(math.sqrt(10))
         assert result.entries[2].cd_to_previous == pytest.approx(math.sqrt(10))
+
+    def test_constant_metric_maps_to_zero(self):
+        # TTL is 50 everywhere, so its bounds have hi == lo and every TTL
+        # coordinate is 0; only RTT moves: one group from 90 to 50 ms.
+        steady = [r for day in (0, 1) for c in ("a1", "a2", "a3") for r in cache_flows(day, c, 10.0)]
+        moving = [
+            r for day, rtt in ((0, 90.0), (1, 50.0)) for c in ("b1", "b2", "b3") for r in cache_flows(day, c, rtt)
+        ]
+        config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
+        result = run_timeline(config, FlowTable.from_records(steady + moving))
+        assert [s.bounds.bounds["ttl"] for s in result.states] == [(50.0, 50.0)] * 2
+        report = result.reports[1]
+        # Stars at RTT 0 and 1 against 0 and 0.5 on 5 percentile axes; the
+        # moved star is equally far from both, a tie that goes to star 0.
+        half = math.sqrt(5 * 0.25)
+        assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(0, 0.0), (1, half)]
+        assert [(c.nearest_index, c.distance) for c in report.couplings_ba] == [(0, 0.0), (0, half)]
+        assert report.cd_value == 2 * half
+
+    def test_all_noise_snapshot_next_to_clustered(self):
+        # Day 0: two clusters of three. Day 1: four caches kept above min_flow
+        # but too far apart to cluster, so every star couples at sqrt(dim).
+        clustered = [r for c in ("a1", "a2", "a3") for r in cache_flows(0, c, 10.0)]
+        clustered += [r for c in ("b1", "b2", "b3") for r in cache_flows(0, c, 90.0)]
+        spread = [r for i, rtt in enumerate((10.0, 40.0, 70.0, 100.0)) for r in cache_flows(1, f"n{i}", rtt)]
+        config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
+        result = run_timeline(config, FlowTable.from_records(clustered + spread))
+        assert [len(s.features) for s in result.states] == [6, 4]
+        assert result.states[1].clustering.n_clusters == 0
+        assert result.entries[1].noise_count == 4
+        report = result.reports[1]
+        assert report.couplings_ba == ()
+        assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(None, math.sqrt(10))] * 2
+        assert result.entries[1].cd_to_previous == 2 * math.sqrt(10)
+
+    def test_one_cache_snapshot(self):
+        # A lone cache spans no range (every coordinate 0 in its own bounds);
+        # against the joint RTT bounds 10..30 its star moves from 0 to 1.
+        records = cache_flows(0, "c1", 10.0) + cache_flows(1, "c1", 30.0)
+        config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=1)
+        result = run_timeline(config, FlowTable.from_records(records))
+        assert [s.bounds.bounds["rtt"] for s in result.states] == [(10.0, 10.0), (30.0, 30.0)]
+        report = result.reports[1]
+        assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(0, math.sqrt(5))]
+        assert [(c.nearest_index, c.distance) for c in report.couplings_ba] == [(0, math.sqrt(5))]
+        assert result.entries[1].cd_to_previous == 2 * math.sqrt(5)
 
     def test_noise_counts_reported(self, event_timeline):
         result, _, _, _ = event_timeline
