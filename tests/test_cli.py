@@ -371,8 +371,8 @@ class TestRankCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["timeline", "--window-days", "1", "--out-dir", "{file}"],
-        ["rank", "--out", "{dir}"],
+        ["timeline", "--input", "{trace}", "--window-days", "1", "--out-dir", "{file}"],
+        ["rank", "--input", "{trace}", "--out", "{dir}"],
         ["calibrate", "--stars", "2", "--trials", "1", "--out", "{dir}"],
     ],
     ids=["timeline_out_dir_is_file", "rank_out_is_dir", "calibrate_out_is_dir"],
@@ -380,10 +380,7 @@ class TestRankCommand:
 def test_unwritable_output_exit_1(trace_files, tmp_path, capsys, argv):
     _, _, trace, _ = trace_files
     (tmp_path / "file").write_text("")
-    argv = [a.format(file=tmp_path / "file", dir=tmp_path) for a in argv]
-    if argv[0] != "calibrate":
-        argv += ["--input", str(trace)]
-    assert main(argv) == 1
+    assert main([a.format(trace=trace, file=tmp_path / "file", dir=tmp_path) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
 
