@@ -31,7 +31,6 @@ from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
     DEFAULT_PERCENTILES,
-    FeatureVector,
     NormalizationBounds,
     extract_cache_features,
     extract_cache_features_mean_std,
@@ -39,7 +38,6 @@ from .features import (
     percentile,
 )
 from .ingest import (
-    CacheName,
     Codes,
     FlowLineError,
     FlowLogFormatError,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO
 
 import numpy as np
 
@@ -51,42 +51,31 @@ class Constellation:
 
 
 def joint_bounds(a: NormalizationBounds, b: NormalizationBounds) -> NormalizationBounds:
-    """Elementwise union of two normalization ranges (min of mins, max of maxes)."""
-    if a.metrics() != b.metrics():
-        raise ValueError(f"metric sets differ: {a.metrics()} vs {b.metrics()}")
-    return NormalizationBounds(
-        {
-            m: (min(a.bounds[m][0], b.bounds[m][0]), max(a.bounds[m][1], b.bounds[m][1]))
-            for m in a.metrics()
-        }
-    )
+    """Per-metric union of two normalization ranges (min of mins, max of maxes)."""
+    return NormalizationBounds(*((min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(astuple(a), astuple(b))))
 
 
 def build_constellation(
     clustering: Clustering,
-    raw_features: Mapping[str, CacheFeatures],
-    bounds: NormalizationBounds,
+    features: CacheFeatures,
+    bounds: NormalizationBounds | None,
 ) -> Constellation:
-    """One star per cluster at the mean of its members' renormalized percentiles.
+    """One star per cluster at the mean of its members' renormalized raw feature rows.
 
-    The renormalization is affine, so the mean of renormalized raw vectors is
-    computed as renorm(mean of raw vectors); the equivalence is asserted by a
-    property test rather than assumed. Noise caches contribute nothing.
+    The renormalization is affine, so the mean of renormalized raw rows is
+    computed as renorm(mean of raw rows); the equivalence is asserted by a
+    property test rather than assumed. Noise caches contribute nothing, and
+    ``bounds`` may be None only for a clustering without clusters.
     """
-    stars = []
+    row = dict(zip(features.cache_ids, range(len(features))))
+    means = []
     for cid, cluster in enumerate(clustering.clusters):
-        missing = [c for c in cluster.members if c not in raw_features]
+        missing = [c for c in cluster.members if c not in row]
         if missing:
             raise ValueError(f"cluster {cid} members missing from raw features: {missing}")
-        feats = [raw_features[c] for c in cluster.members]
-        metrics = feats[0].metrics()
-        position = np.concatenate(
-            [
-                bounds.normalize(m, np.mean([f.raw_percentiles[m] for f in feats], axis=0))
-                for m in metrics
-            ]
-        )
-        stars.append(Star(position=position, members=tuple(cluster.members), cluster_id=cid))
+        means.append(features.raw[[row[c] for c in cluster.members]].mean(axis=0))
+    positions = bounds.normalize(np.array(means)) if means else ()
+    stars = (Star(p, c.members, cid) for cid, (p, c) in enumerate(zip(positions, clustering.clusters)))
     return Constellation(stars=tuple(stars), bounds=bounds)
 
 

@@ -9,7 +9,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .features import FeatureVector
 from .ingest import text_output
 
 DEFAULT_EPSILON = 0.04
@@ -70,9 +69,6 @@ class Clustering:
                 out[c] = CORE if c in cluster.core else BORDER
         return out
 
-    def cache_ids(self) -> list[str]:
-        return sorted(self.labels())
-
     @property
     def n_points(self) -> int:
         return len(self.noise) + sum(len(c) for c in self.clusters)
@@ -97,9 +93,10 @@ def _neighborhoods(points: np.ndarray, epsilon: float) -> list[np.ndarray]:
     return [region_query(points, i, epsilon) for i in range(points.shape[0])]
 
 
-def dbscan(points: Sequence[FeatureVector], params: ClusterParams) -> Clustering:
+def dbscan(points: np.ndarray, cache_ids: Sequence[str], params: ClusterParams) -> Clustering:
     """Classic DBSCAN with Euclidean distance, deterministic for a fixed order.
 
+    ``points`` is an (N, d) float array whose row i is cache ``cache_ids[i]``.
     A point is core iff its epsilon-neighborhood (itself included) holds at
     least ``min_pts`` points. Core points within epsilon of each other are
     density-connected into one cluster; a non-core point joins the cluster of
@@ -107,15 +104,12 @@ def dbscan(points: Sequence[FeatureVector], params: ClusterParams) -> Clustering
     falls into the noise set. Clusters are ordered by their smallest core
     index and members keep input order.
     """
-    points = list(points)
-    if not points:
+    n = len(points)
+    if len(cache_ids) != n:
+        raise ValueError(f"{len(cache_ids)} cache ids for {n} points")
+    if not n:
         return Clustering(clusters=(), noise=(), params=params)
-    dims = {p.dimension for p in points}
-    if len(dims) != 1:
-        raise ValueError(f"mixed feature dimensionalities: {sorted(dims)}")
-    matrix = np.stack([p.values for p in points]).astype(float)
-    n = matrix.shape[0]
-    neighborhoods = _neighborhoods(matrix, params.epsilon)
+    neighborhoods = _neighborhoods(points, params.epsilon)
     is_core = np.fromiter(
         (len(nb) >= params.min_pts for nb in neighborhoods), dtype=bool, count=n
     )
@@ -148,11 +142,11 @@ def dbscan(points: Sequence[FeatureVector], params: ClusterParams) -> Clustering
         member_idx = np.flatnonzero(labels == cid)
         clusters.append(
             Cluster(
-                members=tuple(points[i].cache_id for i in member_idx),
-                core=frozenset(points[i].cache_id for i in member_idx if is_core[i]),
+                members=tuple(cache_ids[i] for i in member_idx),
+                core=frozenset(cache_ids[i] for i in member_idx if is_core[i]),
             )
         )
-    noise = tuple(points[i].cache_id for i in range(n) if labels[i] == -1)
+    noise = tuple(cache_ids[i] for i in range(n) if labels[i] == -1)
     return Clustering(clusters=tuple(clusters), noise=noise, params=params)
 
 

@@ -174,12 +174,12 @@ def epsilon_sweep(
         features = extract_cache_features_mean_std(snapshot, min_flow)
     else:
         raise ValueError(f"unknown feature_mode: {feature_mode!r}")
-    if not features:
+    if not len(features):
         return [SweepRow(e, 0.0, None, 0.0, 0) for e in grid]
-    vectors, _ = normalize_snapshot(features)
+    points, _ = normalize_snapshot(features)
     rows = []
     for eps in grid:
-        clustering = dbscan(vectors, ClusterParams(epsilon=eps, min_pts=min_pts))
+        clustering = dbscan(points, features.cache_ids, ClusterParams(epsilon=eps, min_pts=min_pts))
         q = clustering_indices(clustering, ground_truth)
         rows.append(SweepRow(eps, q.tpr, q.fragmentation, q.pureness, q.noise_count))
     return rows

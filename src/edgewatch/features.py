@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -17,53 +17,37 @@ DEFAULT_PERCENTILES = (20.0, 35.0, 50.0, 65.0, 80.0)
 DEFAULT_MIN_FLOW = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CacheFeatures:
-    """Raw (unnormalized) percentile vectors of one cache, per metric."""
+    """Raw (unnormalized) features of one snapshot's kept caches, one row per cache.
 
-    cache_id: str
-    flow_count: int
-    raw_percentiles: dict[str, np.ndarray]
+    ``cache_ids`` ascend and ``flow_counts`` follow them. ``raw`` is a float64
+    (caches x dims) matrix of equal-width column blocks, one per metric of METRICS.
+    """
 
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(self.raw_percentiles)
+    cache_ids: tuple[str, ...]
+    flow_counts: np.ndarray
+    raw: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cache_ids)
 
 
 @dataclass(frozen=True)
 class NormalizationBounds:
-    """Per-metric (min, max) used for the affine map onto [0, 1]."""
+    """Per-metric (min, max) used for the affine map onto [0, 1]; fields follow METRICS."""
 
-    bounds: dict[str, tuple[float, float]]
+    rtt: tuple[float, float]
+    ttl: tuple[float, float]
 
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(self.bounds)
+    def normalize(self, raw: np.ndarray) -> np.ndarray:
+        """``raw`` (one feature row, or a matrix of them) mapped onto [0, 1] block by block.
 
-    def normalize(self, metric: str, values: np.ndarray | float) -> np.ndarray:
-        lo, hi = self.bounds[metric]
-        values = np.asarray(values, dtype=float)
-        if hi <= lo:
-            # Degenerate span: every value of the metric maps to 0.
-            return np.zeros_like(values)
-        return (values - lo) / (hi - lo)
-
-    def denormalize(self, metric: str, values: np.ndarray | float) -> np.ndarray:
-        lo, hi = self.bounds[metric]
-        values = np.asarray(values, dtype=float)
-        if hi <= lo:
-            return np.full_like(values, lo)
-        return values * (hi - lo) + lo
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Concatenated normalized percentile blocks (metric order is fixed)."""
-
-    cache_id: str
-    values: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return int(self.values.size)
+        A degenerate span maps every value of its metric to 0.
+        """
+        blocks = zip(np.split(np.asarray(raw, dtype=float), len(METRICS), axis=-1), astuple(self))
+        normalized = [np.zeros_like(b) if hi <= lo else (b - lo) / (hi - lo) for b, (lo, hi) in blocks]
+        return np.concatenate(normalized, axis=-1)
 
 
 def percentile_vector(
@@ -116,11 +100,11 @@ def extract_cache_features(
     snapshot: Snapshot,
     min_flow: int = DEFAULT_MIN_FLOW,
     percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-) -> list[CacheFeatures]:
+) -> CacheFeatures:
     """Percentile vectors of RTT and TTL for every cache with enough flows.
 
     Caches with fewer than ``min_flow`` flows are dropped (the caller can
-    count them as ``len(snapshot.records) - len(result)``). Output is sorted
+    count them as ``len(snapshot.records) - len(result)``). Rows are sorted
     by cache_id so downstream clustering is deterministic.
     """
     ps = _validate_percentiles(percentiles)
@@ -132,15 +116,16 @@ def extract_cache_features(
 def extract_cache_features_mean_std(
     snapshot: Snapshot,
     min_flow: int = DEFAULT_MIN_FLOW,
-) -> list[CacheFeatures]:
+) -> CacheFeatures:
     """Mean/stddev variant of the feature extractor (sweep harness only).
 
-    Same CacheFeatures shape with a 2-vector (mean, std) per metric, so the
-    normalization and clustering stages apply unchanged.
+    Same CacheFeatures shape with a 2-column (mean, std) block per metric, so
+    the normalization and clustering stages apply unchanged.
     """
 
     def mean_std(samples: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        return np.array([[g.mean(), g.std()] for g in np.split(samples, np.cumsum(sizes))[:-1]])
+        groups = np.split(samples, np.cumsum(sizes))[:-1]
+        return np.array([[g.mean(), g.std()] for g in groups]).reshape(-1, 2)  # (0, 2) if no group
 
     return _summarize_caches(snapshot, min_flow, mean_std, by_value=False)
 
@@ -150,7 +135,7 @@ def _summarize_caches(
     min_flow: int,
     summarize: Callable[[np.ndarray, np.ndarray], np.ndarray],
     by_value: bool,
-) -> list[CacheFeatures]:
+) -> CacheFeatures:
     """``summarize(samples, sizes)`` of the RTT and TTL samples of each cache with >= min_flow flows.
 
     ``samples`` holds one metric's samples grouped by cache, each group
@@ -164,69 +149,52 @@ def _summarize_caches(
     kept = np.flatnonzero(sizes >= min_flow)  # codes of the kept caches, ascending
     in_kept = sizes[caches] >= min_flow
     rows, caches = snapshot.rows[in_kept], caches[in_kept]
-    summaries = {}
-    for metric, column in (("rtt", table.min_rtt), ("ttl", table.ttl)):
+    blocks = []
+    for column in (table.min_rtt, table.ttl):  # the order of METRICS
         values = column[rows].astype(float)
         rank = rows  # a row's input position, or its value's rank
         if by_value:
             rank = np.empty_like(rows)
             rank[np.argsort(values)] = np.arange(len(rows))
         # One argsort of the unique key sorts like lexsort((rank, caches)), several times faster.
-        summaries[metric] = summarize(values[np.argsort(caches * len(table) + rank)], sizes[kept])
+        blocks.append(summarize(values[np.argsort(caches * len(table) + rank)], sizes[kept]))
     names = table.server_ip.names[kept]
-    return [CacheFeatures(names[g], int(sizes[kept[g]]), {m: s[g] for m, s in summaries.items()})
-            for g in sorted(range(len(kept)), key=names.__getitem__)]
+    order = np.argsort(names, kind="stable")
+    return CacheFeatures(tuple(names[order].tolist()), sizes[kept][order], np.hstack(blocks)[order])
 
 
-def snapshot_bounds(features: Sequence[CacheFeatures]) -> NormalizationBounds:
-    """Per-metric min/max over all caches and all percentile indices jointly."""
-    if not features:
+def snapshot_bounds(features: CacheFeatures) -> NormalizationBounds:
+    """Per-metric min/max over all caches and all columns of the metric's block jointly."""
+    if not len(features):
         raise ValueError("cannot compute bounds of an empty feature set")
-    metrics = features[0].metrics()
-    bounds: dict[str, tuple[float, float]] = {}
-    for metric in metrics:
-        stacked = np.concatenate([f.raw_percentiles[metric] for f in features])
-        bounds[metric] = (float(stacked.min()), float(stacked.max()))
-    return NormalizationBounds(bounds)
+    blocks = np.split(features.raw, len(METRICS), axis=1)
+    return NormalizationBounds(*((float(b.min()), float(b.max())) for b in blocks))
 
 
-def normalize_snapshot(
-    features: Sequence[CacheFeatures],
-) -> tuple[list[FeatureVector], NormalizationBounds]:
-    """Map raw percentiles onto [0, 1] with the snapshot's own bounds.
+def normalize_snapshot(features: CacheFeatures) -> tuple[np.ndarray, NormalizationBounds]:
+    """Map the raw matrix onto [0, 1] with the snapshot's own bounds.
 
-    The same (min, max) pair is shared by every percentile index of a metric;
+    The same (min, max) pair is shared by every column of a metric's block;
     the bounds are returned so that a later comparison can renormalize.
     """
     bounds = snapshot_bounds(features)
-    metrics = features[0].metrics()
-    vectors = [
-        FeatureVector(
-            cache_id=f.cache_id,
-            values=np.concatenate(
-                [bounds.normalize(m, f.raw_percentiles[m]) for m in metrics]
-            ),
-        )
-        for f in features
-    ]
-    return vectors, bounds
+    return bounds.normalize(features.raw), bounds
 
 
 def write_feature_dump(
     target: IO[str] | str | Path,
-    features: Iterable[CacheFeatures],
+    features: CacheFeatures,
     percentiles: Sequence[float],
     bounds: NormalizationBounds,
 ) -> None:
     """Optional CSV dump: cache_id,metric,percentile,raw_value,normalized_value."""
+    shape = (-1, len(METRICS), features.raw.shape[1] // len(METRICS))
+    raw = features.raw.reshape(shape).tolist()
+    normalized = bounds.normalize(features.raw).reshape(shape).tolist()
     with text_output(target) as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(["cache_id", "metric", "percentile", "raw_value", "normalized_value"])
-        for f in features:
-            for metric in f.metrics():
-                raw = f.raw_percentiles[metric]
-                norm = bounds.normalize(metric, raw)
-                for q, rv, nv in zip(percentiles, raw, norm):
-                    writer.writerow(
-                        [f.cache_id, metric, repr(float(q)), repr(float(rv)), repr(float(nv))]
-                    )
+        for cache_id, raw_blocks, norm_blocks in zip(features.cache_ids, raw, normalized):
+            for metric, raw_block, norm_block in zip(METRICS, raw_blocks, norm_blocks):
+                for q, rv, nv in zip(percentiles, raw_block, norm_block):
+                    writer.writerow([cache_id, metric, repr(float(q)), repr(rv), repr(nv)])

@@ -172,31 +172,18 @@ class FlowTable:
         return np.argsort(self.start_time, kind="stable")
 
 
-@dataclass(frozen=True, slots=True)
-class CacheName:
-    """Decoded cache hostname; ``iata`` is present only for plain-form names."""
-
-    raw: str
-    iata: str | None
-    machine_suffix: str
-
-
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
 # (e.g. cipher-obfuscated ones) are treated as opaque.
-_PLAIN_HOSTNAME_RE = re.compile(
-    r"^r\d+---(?P<iata>[A-Za-z]{3})(?P<suffix>[0-9A-Za-z]*)\.(?P<domain>.+)$"
-)
+_PLAIN_HOSTNAME_RE = re.compile(r"^r\d+---([A-Za-z]{3})[0-9A-Za-z]*\..+$")
 
 
-def parse_cache_hostname(hostname: str) -> CacheName:
-    """Extract the airport code from a plain-form cache hostname.
+def parse_cache_hostname(hostname: str) -> str | None:
+    """The airport code of a plain-form cache hostname, upper-cased.
 
-    Any string is accepted; non-matching names come back with ``iata=None``.
+    Any string is accepted; a non-matching name has no code (None).
     """
     m = _PLAIN_HOSTNAME_RE.match(hostname)
-    if m is None:
-        return CacheName(raw=hostname, iata=None, machine_suffix="")
-    return CacheName(raw=hostname, iata=m.group("iata").upper(), machine_suffix=m.group("suffix"))
+    return None if m is None else m.group(1).upper()
 
 
 def _parse_line(line_number: int, line: str) -> FlowRecord:
@@ -324,7 +311,7 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
 
 def read_ini_section(path: str | Path, section: str) -> configparser.SectionProxy:
     """``[section]`` of the UTF-8 INI file ``path``; any failure is a one-line ConfigError."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fp:
             parser.read_file(fp)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -21,7 +20,7 @@ from .constellation import (
     write_cd_report_rows,
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, require_finite
 from .evaluation import majority_label
 from .features import (
     CacheFeatures,
@@ -71,10 +70,7 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def validate(self) -> "PipelineConfig":
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+        require_finite(self)
         if self.window_days <= 0 or self.step_days <= 0:
             raise ConfigError("window_days and step_days must be positive")
         if self.min_flow < 1:
@@ -121,7 +117,7 @@ class SnapshotState:
     """Everything the pipeline derives from one snapshot."""
 
     snapshot: Snapshot
-    features: tuple[CacheFeatures, ...]
+    features: CacheFeatures
     bounds: NormalizationBounds | None
     clustering: Clustering
 
@@ -145,13 +141,13 @@ def flag_for(cd: float | None, config: PipelineConfig) -> str:
 
 def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotState:
     features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
-    if features:
-        vectors, bounds = normalize_snapshot(features)
+    if len(features):
+        points, bounds = normalize_snapshot(features)
     else:
-        vectors, bounds = [], None
+        points, bounds = features.raw, None
         log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
-    clustering = dbscan(vectors, ClusterParams(config.epsilon, config.min_pts))
-    return SnapshotState(snapshot, tuple(features), bounds, clustering)
+    clustering = dbscan(points, features.cache_ids, ClusterParams(config.epsilon, config.min_pts))
+    return SnapshotState(snapshot, features, bounds, clustering)
 
 
 def _pair_constellations(
@@ -162,11 +158,8 @@ def _pair_constellations(
     if state_a.bounds is not None and state_b.bounds is not None:
         bounds = joint_bounds(state_a.bounds, state_b.bounds)
     else:
-        bounds = state_a.bounds or state_b.bounds or NormalizationBounds({})
-    return tuple(
-        build_constellation(s.clustering, {f.cache_id: f for f in s.features}, bounds)
-        for s in (state_a, state_b)
-    )
+        bounds = state_a.bounds or state_b.bounds
+    return tuple(build_constellation(s.clustering, s.features, bounds) for s in (state_a, state_b))
 
 
 def _star_label(snapshot: Snapshot, members: Iterable[str], iata: np.ndarray) -> str | None:
@@ -218,7 +211,7 @@ def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
             "(trace shorter than one window plus one step?)"
         )
     states = tuple(analyze_snapshot(s, config) for s in snapshots)
-    iata = np.array([parse_cache_hostname(h).iata for h in records.hostname.names.tolist()], dtype=object)
+    iata = np.array([parse_cache_hostname(h) for h in records.hostname.names.tolist()], dtype=object)
 
     entries: list[TimelineEntry] = []
     reports: list[CDReport | None] = []

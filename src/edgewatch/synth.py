@@ -24,7 +24,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .dbscan import DEFAULT_MIN_PTS
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .evaluation import GroundTruth
 from .ingest import DAY_SECONDS, Codes, FlowTable, read_ini_section, text_output, window_flows
 
@@ -57,6 +57,7 @@ class EdgeNodeSpec:
     load_weight: float
 
     def __post_init__(self):
+        require_finite(self)
         if not (len(self.label) == 3 and self.label.isalpha() and self.label.isascii()):
             raise ConfigError(f"node label must be 3 ASCII letters: {self.label!r}")
         if self.cache_count < DEFAULT_MIN_PTS:
@@ -92,6 +93,7 @@ class EventSpec:
     magnitude: float = 0.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in EVENT_KINDS:
             raise ConfigError(f"unknown event kind: {self.kind!r}")
         if self.start_day > self.end_day:
@@ -114,6 +116,7 @@ class SynthConfig:
     start_epoch: float = DEFAULT_START_EPOCH
 
     def __post_init__(self):
+        require_finite(self)
         if not self.nodes:
             raise ConfigError("at least one node is required")
         if self.days < 1:

@@ -4,8 +4,10 @@ These deliberately take different routes from the library code: scipy's
 distance matrix and connected-components instead of the hand-rolled
 neighborhood scan and BFS, and a literal rank-interpolation percentile.
 The windowing and per-cache feature oracles are the per-record loops the
-library used before its columnar flow table, and the astral-distance oracle
-is the per-star-pair norm loop it used before its distance matrix.
+library used before its columnar flow table, the astral-distance oracle is
+the per-star-pair norm loop it used before its distance matrix, and the
+normalization and centroid oracles are the per-cache, per-metric loops it
+used before its feature matrix.
 """
 
 from __future__ import annotations
@@ -151,3 +153,40 @@ def reference_astral_distance(position, others):
             best = d
             best_idx = idx
     return best, best_idx
+
+
+def _reference_normalize(bounds, metric, values):
+    """(values - lo) / (hi - lo) with one metric's bounds; 0 for a degenerate span."""
+    lo, hi = bounds[metric]
+    values = np.asarray(values, dtype=float)
+    if hi <= lo:
+        return np.zeros_like(values)
+    return (values - lo) / (hi - lo)
+
+
+def reference_normalize_snapshot(features):
+    """({metric: (lo, hi)}, {cache_id: normalized vector}) of ``features``, a
+    {cache_id: {"rtt": raw vector, "ttl": raw vector}} dict, by the per-cache loop."""
+    bounds = {}
+    for metric in ("rtt", "ttl"):
+        stacked = np.concatenate([f[metric] for f in features.values()])
+        bounds[metric] = (float(stacked.min()), float(stacked.max()))
+    vectors = {
+        cache_id: np.concatenate([_reference_normalize(bounds, m, f[m]) for m in ("rtt", "ttl")])
+        for cache_id, f in features.items()
+    }
+    return bounds, vectors
+
+
+def reference_centroids(clusters, features, bounds):
+    """One star position per list of member ids: per metric, the mean of the
+    members' raw vectors taken from a Python list, then normalized."""
+    return [
+        np.concatenate(
+            [
+                _reference_normalize(bounds, m, np.mean([features[c][m] for c in members], axis=0))
+                for m in ("rtt", "ttl")
+            ]
+        )
+        for members in clusters
+    ]

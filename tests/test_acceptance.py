@@ -26,7 +26,6 @@ from edgewatch.features import (
 )
 from edgewatch.constellation import build_constellation
 from edgewatch.dbscan import Cluster, Clustering
-from edgewatch.features import FeatureVector
 from edgewatch.ingest import DAY_SECONDS, window_flows
 from edgewatch.pipeline import PipelineConfig, drilldown, run_timeline
 from edgewatch.synth import generate_trace
@@ -75,8 +74,8 @@ def test_01_dbscan_matches_bruteforce_reference():
 
             eps = float(rng.uniform(0.05, 0.5))
             min_pts = int(rng.integers(2, 9))
-            points = [FeatureVector(f"p{i:03d}", row) for i, row in enumerate(matrix)]
-            clustering = dbscan(points, ClusterParams(epsilon=eps, min_pts=min_pts))
+            ids = [f"p{i:03d}" for i in range(matrix.shape[0])]
+            clustering = dbscan(matrix, ids, ClusterParams(epsilon=eps, min_pts=min_pts))
 
             ref_labels, ref_core = reference_dbscan(matrix, eps, min_pts)
             ours = np.full(matrix.shape[0], -1, dtype=int)
@@ -222,32 +221,16 @@ def test_06_affine_commutation():
             raw = rng.uniform(-1000, 1000, (members, 2 * k))
             lo_r, hi_r = np.sort(rng.uniform(-1000, 1000, 2))
             lo_t, hi_t = np.sort(rng.uniform(-1000, 1000, 2))
-            bounds = NormalizationBounds({"rtt": (lo_r, hi_r + 1e-9), "ttl": (lo_t, hi_t + 1e-9)})
-            features = {
-                f"c{i}": CacheFeatures(
-                    cache_id=f"c{i}",
-                    flow_count=100,
-                    raw_percentiles={"rtt": raw[i, :k], "ttl": raw[i, k:]},
-                )
-                for i in range(members)
-            }
+            bounds = NormalizationBounds((lo_r, hi_r + 1e-9), (lo_t, hi_t + 1e-9))
+            ids = tuple(f"c{i}" for i in range(members))
+            features = CacheFeatures(ids, np.full(members, 100), raw)
             clustering = Clustering(
-                clusters=(
-                    Cluster(
-                        members=tuple(features),
-                        core=frozenset(features),
-                    ),
-                ),
+                clusters=(Cluster(members=ids, core=frozenset(ids)),),
                 noise=(),
                 params=ClusterParams(),
             )
             constellation = build_constellation(clustering, features, bounds)
-            renorm_then_mean = np.concatenate(
-                [
-                    np.mean([bounds.normalize("rtt", raw[i, :k]) for i in range(members)], axis=0),
-                    np.mean([bounds.normalize("ttl", raw[i, k:]) for i in range(members)], axis=0),
-                ]
-            )
+            renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
             diff = np.max(np.abs(constellation.stars[0].position - renorm_then_mean))
             assert diff <= 1e-12
 

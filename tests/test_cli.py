@@ -214,6 +214,19 @@ class TestTimelineCommand:
             (timeline, b"[pipeline]\nepsilon = 0.1\xff\n"),
             (synth, b"[trace\ndays = 3\n"),
         ]
+        # Non-finite synth values: each wrote an unreadable trace or died in numpy.
+        one_node = "[trace]\ndays = 2\n{}\n[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = {}\n{}\n"
+        shift = "[event shift]\nkind = path_shift\ntarget = MIL\nstart_day = 0\nend_day = 1\nmagnitude = nan"
+        cases += [
+            (synth, one_node.format(*values).encode())
+            for values in (
+                ("", "nan", ""),
+                ("start_epoch = nan", "10", ""),
+                ("", "10", "rtt_spread_ms = nan"),
+                ("", "10", "weight = inf"),
+                ("", "10", shift),
+            )
+        ]
         for argv, text in cases:
             ini.write_bytes(text)
             assert main(argv) == 2, text

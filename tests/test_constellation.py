@@ -15,13 +15,13 @@ from edgewatch.constellation import (
     write_cd_report_csv,
 )
 from edgewatch.dbscan import Cluster, Clustering, ClusterParams
-from edgewatch.features import CacheFeatures, NormalizationBounds
+from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_snapshot
 
-from reference_impls import reference_astral_distance
+from reference_impls import reference_astral_distance, reference_centroids, reference_normalize_snapshot
 
 
 def bounds_of(rtt, ttl=(0.0, 1.0)):
-    return NormalizationBounds({"rtt": rtt, "ttl": ttl})
+    return NormalizationBounds(rtt, ttl)
 
 
 def star_at(*coords, index=0):
@@ -34,12 +34,10 @@ def constellation_at(*positions):
     )
 
 
-def cache_features(cache_id, rtt, ttl):
-    return CacheFeatures(
-        cache_id=cache_id,
-        flow_count=100,
-        raw_percentiles={"rtt": np.asarray(rtt, dtype=float), "ttl": np.asarray(ttl, dtype=float)},
-    )
+def cache_features(rows):
+    """CacheFeatures of {cache_id: (rtt vector, ttl vector)}."""
+    raw = np.array([np.concatenate(blocks) for blocks in rows.values()], dtype=float)
+    return CacheFeatures(tuple(rows), np.full(len(rows), 100), raw)
 
 
 def clustering_of(*clusters):
@@ -55,7 +53,7 @@ def clustering_of(*clusters):
 class TestJointBounds:
     def test_elementwise_union(self):
         joint = joint_bounds(bounds_of((10.0, 100.0)), bounds_of((20.0, 150.0)))
-        assert joint.bounds["rtt"] == (10.0, 150.0)
+        assert joint.rtt == (10.0, 150.0)
 
     def test_idempotent_on_identical(self):
         b = bounds_of((10.0, 100.0), (40.0, 70.0))
@@ -63,19 +61,12 @@ class TestJointBounds:
 
     def test_degenerate_contained(self):
         joint = joint_bounds(bounds_of((10.0, 100.0)), bounds_of((42.0, 42.0)))
-        assert joint.bounds["rtt"] == (10.0, 100.0)
-
-    def test_metric_mismatch(self):
-        with pytest.raises(ValueError):
-            joint_bounds(
-                NormalizationBounds({"rtt": (0.0, 1.0)}),
-                NormalizationBounds({"ttl": (0.0, 1.0)}),
-            )
+        assert joint.rtt == (10.0, 100.0)
 
 
 class TestBuildConstellation:
     def test_singleton_cluster(self):
-        features = {"a": cache_features("a", [10.0, 20.0], [50.0, 50.0])}
+        features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 100.0))
         constellation = build_constellation(clustering_of(["a"]), features, bounds)
         (star,) = constellation.stars
@@ -83,17 +74,15 @@ class TestBuildConstellation:
         assert star.position == pytest.approx([0.25, 0.5, 0.5, 0.5])
 
     def test_symmetric_pair_midpoint(self):
-        features = {
-            "a": cache_features("a", [10.0, 10.0], [0.0, 0.0]),
-            "b": cache_features("b", [30.0, 30.0], [0.0, 0.0]),
-        }
+        features = cache_features({"a": ([10.0, 10.0], [0.0, 0.0]), "b": ([30.0, 30.0], [0.0, 0.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 1.0))
         constellation = build_constellation(clustering_of(["a", "b"]), features, bounds)
         assert constellation.stars[0].position[:2] == pytest.approx([0.5, 0.5])
 
     def test_missing_member_rejected(self):
         with pytest.raises(ValueError):
-            build_constellation(clustering_of(["a", "ghost"]), {"a": cache_features("a", [1], [1])}, bounds_of((0, 1)))
+            features = cache_features({"a": ([1], [1])})
+            build_constellation(clustering_of(["a", "ghost"]), features, bounds_of((0, 1)))
 
     def test_affine_commutation(self):
         # mean-then-renorm equals renorm-then-mean because renorm is affine.
@@ -105,19 +94,42 @@ class TestBuildConstellation:
             lo_r, hi_r = sorted(rng.uniform(-100, 100, 2))
             lo_t, hi_t = sorted(rng.uniform(-100, 100, 2))
             bounds = bounds_of((lo_r, hi_r + 1e-6), (lo_t, hi_t + 1e-6))
-            features = {
-                f"c{i}": cache_features(f"c{i}", raw[i, :k], raw[i, k:]) for i in range(members)
-            }
-            constellation = build_constellation(
-                clustering_of([f"c{i}" for i in range(members)]), features, bounds
-            )
-            renorm_then_mean = np.concatenate(
-                [
-                    np.mean([bounds.normalize("rtt", raw[i, :k]) for i in range(members)], axis=0),
-                    np.mean([bounds.normalize("ttl", raw[i, k:]) for i in range(members)], axis=0),
-                ]
-            )
+            features = cache_features({f"c{i}": (raw[i, :k], raw[i, k:]) for i in range(members)})
+            constellation = build_constellation(clustering_of(list(features.cache_ids)), features, bounds)
+            renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
             assert np.max(np.abs(constellation.stars[0].position - renorm_then_mean)) <= 1e-12
+
+    @given(st.data())
+    def test_matches_per_cache_loop(self, data):
+        # Blocks as wide as the default percentiles (5) or mean/std (2); one
+        # metric may be constant (a degenerate span) and a snapshot may hold one cache.
+        width = data.draw(st.sampled_from([2, 5]))
+        n = data.draw(st.integers(1, 12))
+        value = st.sampled_from([0.0, 54.0, 1e-3, 1e16]) | st.floats(-1e6, 1e6)
+        row = st.lists(value, min_size=width, max_size=width)
+        blocks = [
+            np.full((n, width), data.draw(value))
+            if data.draw(st.booleans())
+            else np.array(data.draw(st.lists(row, min_size=n, max_size=n)))
+            for _ in ("rtt", "ttl")
+        ]
+        ids = tuple(f"c{i:02d}" for i in range(n))
+        features = CacheFeatures(ids, np.ones(n, dtype=int), np.hstack(blocks))
+        per_cache = {c: {"rtt": row[:width], "ttl": row[width:]} for c, row in zip(ids, features.raw)}
+
+        points, bounds = normalize_snapshot(features)
+        ref_bounds, ref_vectors = reference_normalize_snapshot(per_cache)
+        assert (bounds.rtt, bounds.ttl) == (ref_bounds["rtt"], ref_bounds["ttl"])
+        assert points.tobytes() == np.stack([ref_vectors[c] for c in ids]).tobytes()
+
+        # Members keep row order, as dbscan gives them; label -1 is noise.
+        labels = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        clusters = [[c for c, lab in zip(ids, labels) if lab == k] for k in sorted(set(labels) - {-1})]
+        partner = bounds_of(*(tuple(sorted(data.draw(st.tuples(value, value)))) for _ in range(2)))
+        for b in (bounds, joint_bounds(bounds, partner)):
+            stars = build_constellation(clustering_of(*clusters), features, b).stars
+            expected = reference_centroids(clusters, per_cache, {"rtt": b.rtt, "ttl": b.ttl})
+            assert [s.position.tobytes() for s in stars] == [e.tobytes() for e in expected]
 
 
 class TestAstralDistance:

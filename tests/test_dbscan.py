@@ -13,13 +13,14 @@ from edgewatch.dbscan import (
     region_query,
     write_clustering_csv,
 )
-from edgewatch.features import FeatureVector
 
 from reference_impls import clusters_as_sets, reference_dbscan
 
 
-def vectors_of(matrix):
-    return [FeatureVector(cache_id=f"p{i:03d}", values=np.asarray(row, dtype=float)) for i, row in enumerate(matrix)]
+def dbscan_of(matrix, params):
+    """DBSCAN of the rows of ``matrix``, row i named p<i> (zero-padded)."""
+    matrix = np.asarray(matrix, dtype=float)
+    return dbscan(matrix, [f"p{i:03d}" for i in range(len(matrix))], params)
 
 
 def random_instance(rng, max_points=120, dim=4):
@@ -38,7 +39,7 @@ def random_instance(rng, max_points=120, dim=4):
 
 
 def assert_matches_reference(matrix, params):
-    clustering = dbscan(vectors_of(matrix), params)
+    clustering = dbscan_of(matrix, params)
     ref_labels, ref_core = reference_dbscan(matrix, params.epsilon, params.min_pts)
 
     ours = np.full(matrix.shape[0], -1, dtype=int)
@@ -83,36 +84,32 @@ class TestDbscan:
         blob_b = rng.normal(5.0, 0.001, (10, 3))
         matrix = np.vstack([blob_a, blob_b])
         params = ClusterParams(epsilon=0.1, min_pts=5)
-        clustering = dbscan(vectors_of(matrix), params)
+        clustering = dbscan_of(matrix, params)
         assert clustering.n_clusters == 2
         assert clustering.noise == ()
         assert_matches_reference(matrix, params)
 
     def test_isolated_point_is_noise(self):
-        clustering = dbscan(vectors_of([[0.0, 0.0]]), ClusterParams(epsilon=1.0, min_pts=5))
+        clustering = dbscan_of([[0.0, 0.0]], ClusterParams(epsilon=1.0, min_pts=5))
         assert clustering.clusters == ()
         assert clustering.noise == ("p000",)
 
     def test_identical_points_one_cluster_all_core(self):
         matrix = np.zeros((6, 4))
-        clustering = dbscan(vectors_of(matrix), ClusterParams(epsilon=0.01, min_pts=5))
+        clustering = dbscan_of(matrix, ClusterParams(epsilon=0.01, min_pts=5))
         assert clustering.n_clusters == 1
         (cluster,) = clustering.clusters
         assert len(cluster.core) == 6
         assert cluster.border == frozenset()
 
     def test_empty_input(self):
-        clustering = dbscan([], ClusterParams())
+        clustering = dbscan(np.empty((0, 3)), (), ClusterParams())
         assert clustering.clusters == ()
         assert clustering.noise == ()
 
-    def test_dimension_mismatch(self):
-        points = [
-            FeatureVector("a", np.zeros(3)),
-            FeatureVector("b", np.zeros(4)),
-        ]
+    def test_ids_must_match_rows(self):
         with pytest.raises(ValueError):
-            dbscan(points, ClusterParams())
+            dbscan(np.zeros((2, 3)), ["a"], ClusterParams())
 
     def test_partition_and_invariants(self):
         rng = np.random.default_rng(5)
@@ -121,7 +118,7 @@ class TestDbscan:
             params = ClusterParams(
                 epsilon=float(rng.uniform(0.02, 0.4)), min_pts=int(rng.integers(2, 8))
             )
-            clustering = dbscan(vectors_of(matrix), params)
+            clustering = dbscan_of(matrix, params)
             labels = clustering.labels()
             assert len(labels) == matrix.shape[0]
             for cluster in clustering.clusters:
@@ -140,13 +137,10 @@ class TestDbscan:
         rng = np.random.default_rng(9)
         matrix = random_instance(rng)
         params = ClusterParams(epsilon=0.15, min_pts=4)
-        base = dbscan(vectors_of(matrix), params)
+        base = dbscan_of(matrix, params)
 
         perm = rng.permutation(matrix.shape[0])
-        permuted_points = [
-            FeatureVector(cache_id=f"p{i:03d}", values=matrix[i]) for i in perm
-        ]
-        shuffled = dbscan(permuted_points, params)
+        shuffled = dbscan(matrix[perm], [f"p{i:03d}" for i in perm], params)
 
         def core_partition(clustering: Clustering):
             return {frozenset(c.core) for c in clustering.clusters}
@@ -161,7 +155,7 @@ class TestDbscan:
         matrix = random_instance(rng)
         previous: set[str] = set()
         for eps in (0.02, 0.05, 0.1, 0.2, 0.5):
-            clustering = dbscan(vectors_of(matrix), ClusterParams(epsilon=eps, min_pts=4))
+            clustering = dbscan_of(matrix, ClusterParams(epsilon=eps, min_pts=4))
             cores = {c for cl in clustering.clusters for c in cl.core}
             assert previous <= cores
             previous = cores
@@ -182,7 +176,7 @@ class TestDbscan:
             [0.7, 0.0],  # p008: 0.7 from p000 and p004, > eps from the rest
         ]
         params = ClusterParams(epsilon=0.7005, min_pts=4)
-        clustering = dbscan(vectors_of(points), params)
+        clustering = dbscan_of(points, params)
         labels = clustering.labels()
         assert clustering.n_clusters == 2
         assert clustering.roles()["p008"] == BORDER
@@ -210,8 +204,8 @@ class TestDbscan:
         rng = np.random.default_rng(21)
         matrix = random_instance(rng)
         params = ClusterParams(epsilon=0.12, min_pts=4)
-        a = dbscan(vectors_of(matrix), params)
-        b = dbscan(vectors_of(matrix), params)
+        a = dbscan_of(matrix, params)
+        b = dbscan_of(matrix, params)
         assert a.labels() == b.labels()
         assert a.roles() == b.roles()
 
@@ -239,7 +233,7 @@ class TestRegionQuery:
 
 def test_clustering_csv_dump():
     matrix = [[0.0, 0.0], [0.01, 0.0], [0.0, 0.01], [9.0, 9.0]]
-    clustering = dbscan(vectors_of(matrix), ClusterParams(epsilon=0.05, min_pts=3))
+    clustering = dbscan_of(matrix, ClusterParams(epsilon=0.05, min_pts=3))
     buf = io.StringIO()
     write_clustering_csv(buf, clustering)
     lines = buf.getvalue().splitlines()

@@ -80,18 +80,19 @@ class TestExtractCacheFeatures:
         flows = [flow(float(i), "low", 10.0) for i in range(49)]
         flows += [flow(float(i), "high", 10.0) for i in range(50)]
         features = extract_cache_features(snapshot_of(flows), min_flow=50)
-        assert [f.cache_id for f in features] == ["high"]
-        assert features[0].flow_count == 50
+        assert features.cache_ids == ("high",)
+        assert features.flow_counts.tolist() == [50]
 
     def test_constant_samples(self):
         flows = [flow(float(i), "c", 10.0) for i in range(50)]
-        (feat,) = extract_cache_features(snapshot_of(flows), percentiles=DEFAULT_PERCENTILES)
-        assert np.array_equal(feat.raw_percentiles["rtt"], np.full(5, 10.0))
-        assert np.array_equal(feat.raw_percentiles["ttl"], np.full(5, 54.0))
+        (row,) = extract_cache_features(snapshot_of(flows), percentiles=DEFAULT_PERCENTILES).raw
+        assert np.array_equal(row[:5], np.full(5, 10.0))  # rtt
+        assert np.array_equal(row[5:], np.full(5, 54.0))  # ttl
 
     def test_empty_result(self):
         flows = [flow(0.0, "only", 5.0)]
-        assert extract_cache_features(snapshot_of(flows), min_flow=50) == []
+        features = extract_cache_features(snapshot_of(flows), min_flow=50)
+        assert len(features) == 0 and features.raw.shape == (0, 10)
 
     def test_percentile_list_validation(self):
         snap = snapshot_of([flow(0.0, "c", 5.0)])
@@ -107,44 +108,32 @@ class TestExtractCacheFeatures:
     @given(st.lists(st.floats(0, 1000, allow_nan=False), min_size=5, max_size=40))
     def test_vectors_non_decreasing(self, rtts):
         flows = [flow(float(i), "c", v) for i, v in enumerate(rtts)]
-        (feat,) = extract_cache_features(snapshot_of(flows), min_flow=1)
-        for metric in ("rtt", "ttl"):
-            vec = feat.raw_percentiles[metric]
+        (row,) = extract_cache_features(snapshot_of(flows), min_flow=1).raw
+        for vec in (row[:5], row[5:]):  # rtt, ttl
             assert all(b >= a for a, b in zip(vec, vec[1:]))
 
     def test_mean_std_variant_same_shape(self):
         flows = [flow(float(i), "c", 10.0 + i, ttl=54) for i in range(60)]
-        (feat,) = extract_cache_features_mean_std(snapshot_of(flows))
-        assert feat.raw_percentiles["rtt"].shape == (2,)
-        assert feat.raw_percentiles["ttl"].shape == (2,)
-        vectors, _ = normalize_snapshot([feat])
-        assert vectors[0].dimension == 4
+        features = extract_cache_features_mean_std(snapshot_of(flows))
+        assert features.raw.shape == (1, 4)  # (mean, std) of rtt, then of ttl
+        points, _ = normalize_snapshot(features)
+        assert points.shape == (1, 4)
 
 
 def features_of(values_by_cache, metric_values=None):
-    out = []
-    for cache_id, rtt_vec in values_by_cache.items():
-        out.append(
-            CacheFeatures(
-                cache_id=cache_id,
-                flow_count=100,
-                raw_percentiles={
-                    "rtt": np.asarray(rtt_vec, dtype=float),
-                    "ttl": np.asarray(
-                        metric_values[cache_id] if metric_values else rtt_vec, dtype=float
-                    ),
-                },
-            )
-        )
-    return out
+    """CacheFeatures with the given rtt vectors and ttl vectors (the rtt ones by default)."""
+    ids = tuple(values_by_cache)
+    ttl = metric_values or values_by_cache
+    raw = np.array([list(values_by_cache[c]) + list(ttl[c]) for c in ids], dtype=float)
+    return CacheFeatures(ids, np.full(len(ids), 100), raw)
 
 
 class TestNormalizeSnapshot:
     def test_affine_endpoints_and_midpoint(self):
         features = features_of({"a": [10.0, 60.0], "b": [60.0, 110.0]})
-        vectors, bounds = normalize_snapshot(features)
-        assert bounds.bounds["rtt"] == (10.0, 110.0)
-        by_id = {v.cache_id: v.values for v in vectors}
+        points, bounds = normalize_snapshot(features)
+        assert bounds.rtt == (10.0, 110.0)
+        by_id = dict(zip(features.cache_ids, points))
         assert by_id["a"][0] == 0.0
         assert by_id["b"][1] == 1.0
         assert by_id["a"][1] == pytest.approx(0.5)
@@ -152,24 +141,23 @@ class TestNormalizeSnapshot:
 
     def test_degenerate_span_maps_to_zero(self):
         features = features_of({"a": [10.0, 20.0], "b": [15.0, 25.0]}, {"a": [54.0, 54.0], "b": [54.0, 54.0]})
-        vectors, _ = normalize_snapshot(features)
-        for v in vectors:
-            assert np.array_equal(v.values[2:], np.zeros(2))
+        points, _ = normalize_snapshot(features)
+        for v in points:
+            assert np.array_equal(v[2:], np.zeros(2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            normalize_snapshot([])
+            normalize_snapshot(CacheFeatures((), np.zeros(0, dtype=int), np.zeros((0, 10))))
 
     def test_generated_snapshot_in_unit_range(self, six_node_trace):
         records, _ = six_node_trace
         snap = window_flows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)[0]
         features = extract_cache_features(snap)
-        vectors, _ = normalize_snapshot(features)
-        assert vectors, "fixture produced no features"
-        for v in vectors:
-            assert v.values.min() >= 0.0
-            assert v.values.max() <= 1.0
-            assert v.dimension == 2 * len(DEFAULT_PERCENTILES)
+        points, _ = normalize_snapshot(features)
+        assert len(points), "fixture produced no features"
+        assert points.min() >= 0.0
+        assert points.max() <= 1.0
+        assert points.shape[1] == 2 * len(DEFAULT_PERCENTILES)
 
     @given(
         st.lists(
@@ -180,31 +168,29 @@ class TestNormalizeSnapshot:
     )
     def test_monotonicity_preserved(self, rows):
         features = features_of({f"c{i}": sorted(row) for i, row in enumerate(rows)})
-        vectors, _ = normalize_snapshot(features)
-        for v in vectors:
-            rtt_block = v.values[:3]
+        points, _ = normalize_snapshot(features)
+        for v in points:
+            rtt_block = v[:3]
             assert all(b >= a for a, b in zip(rtt_block, rtt_block[1:]))
 
     def test_identity_under_unit_bounds(self):
-        bounds = NormalizationBounds({"rtt": (0.0, 1.0)})
+        bounds = NormalizationBounds((0.0, 1.0), (0.0, 1.0))
         values = np.array([0.0, 0.25, 0.9, 1.0])
-        assert np.array_equal(bounds.normalize("rtt", values), values)
+        assert np.array_equal(bounds.normalize(values), values)
 
     def test_per_metric_coupling_roundtrip(self):
         features = features_of({"a": [10.0, 50.0], "b": [20.0, 110.0]}, {"a": [40.0, 64.0], "b": [48.0, 70.0]})
-        vectors, bounds = normalize_snapshot(features)
-        by_id = {v.cache_id: v.values for v in vectors}
-        for f in features:
-            vec = by_id[f.cache_id]
-            rtt_raw = bounds.denormalize("rtt", vec[:2])
-            ttl_raw = bounds.denormalize("ttl", vec[2:])
-            assert rtt_raw == pytest.approx(f.raw_percentiles["rtt"], abs=1e-9)
-            assert ttl_raw == pytest.approx(f.raw_percentiles["ttl"], abs=1e-9)
+        points, bounds = normalize_snapshot(features)
+        # Each block inverts through its own metric's bounds.
+        (rtt_lo, rtt_hi), (ttl_lo, ttl_hi) = bounds.rtt, bounds.ttl
+        for vec, raw in zip(points, features.raw):
+            assert vec[:2] * (rtt_hi - rtt_lo) + rtt_lo == pytest.approx(raw[:2], abs=1e-9)
+            assert vec[2:] * (ttl_hi - ttl_lo) + ttl_lo == pytest.approx(raw[2:], abs=1e-9)
 
     def test_snapshot_bounds_joint_over_indices(self):
         features = features_of({"a": [1.0, 9.0], "b": [4.0, 5.0]})
         bounds = snapshot_bounds(features)
-        assert bounds.bounds["rtt"] == (1.0, 9.0)
+        assert bounds.rtt == (1.0, 9.0)
 
 
 def test_feature_dump_csv(tmp_path):

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from edgewatch import ingest
 from edgewatch.cli import main
-from edgewatch.features import extract_cache_features, extract_cache_features_mean_std
+from edgewatch.features import CacheFeatures, extract_cache_features, extract_cache_features_mean_std
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
@@ -74,9 +74,12 @@ def windowed_traces(draw):
 
 
 def _bytes(features):
-    """(cache_id, flow_count, {metric: raw bytes}) of CacheFeatures or reference tuples."""
-    rows = [(f.cache_id, f.flow_count, f.raw_percentiles) if hasattr(f, "cache_id") else f for f in features]
-    return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in rows]
+    """(cache_id, flow_count, {metric: raw bytes}) per cache of CacheFeatures or reference tuples."""
+    if isinstance(features, CacheFeatures):
+        rtt, ttl = np.split(features.raw, 2, axis=1)
+        counts = features.flow_counts.tolist()
+        features = [(c, n, {"rtt": r, "ttl": t}) for c, n, r, t in zip(features.cache_ids, counts, rtt, ttl)]
+    return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in features]
 
 
 @given(windowed_traces())

@@ -7,6 +7,7 @@ digests in its own change and says why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from edgewatch.cli import main
@@ -137,13 +138,14 @@ def write_event_outputs(root, result, records, config):
     for index in (10, 18):
         report = drilldown(result.entries[index], records, config)
         write_drilldown_csv(root / f"drilldown_{index:04d}.csv", report)
-    # The mean/std extractor has no writer; pin its raw float bytes instead.
+    # The mean/std extractor has no writer; pin its raw float bytes instead,
+    # as the cache id before each of its metric blocks.
     features = extract_cache_features_mean_std(result.states[10].snapshot)
     (root / "mean_std_0010.bin").write_bytes(
         b"".join(
-            f.cache_id.encode() + f.raw_percentiles[m].tobytes()
-            for f in features
-            for m in f.metrics()
+            cache_id.encode() + block.tobytes()
+            for cache_id, row in zip(features.cache_ids, features.raw)
+            for block in np.split(row, 2)
         )
     )
 

@@ -117,12 +117,12 @@ class TestRunTimeline:
             extract_cache_features(snaps[i], config.min_flow, config.percentiles)
             for i in (n - 1, n)
         ]
-        (va, ba), (vb, bb) = (normalize_snapshot(f) for f in feats)
+        (pa, ba), (pb, bb) = (normalize_snapshot(f) for f in feats)
         params = ClusterParams(config.epsilon, config.min_pts)
-        ca, cb = dbscan(va, params), dbscan(vb, params)
+        ca, cb = dbscan(pa, feats[0].cache_ids, params), dbscan(pb, feats[1].cache_ids, params)
         joint = joint_bounds(ba, bb)
-        ka = build_constellation(ca, {f.cache_id: f for f in feats[0]}, joint)
-        kb = build_constellation(cb, {f.cache_id: f for f in feats[1]}, joint)
+        ka = build_constellation(ca, feats[0], joint)
+        kb = build_constellation(cb, feats[1], joint)
         assert constellation_distance(ka, kb).cd_value == result.entries[n].cd_to_previous
 
     def test_empty_snapshot_participates_with_sentinel(self, caplog):
@@ -152,7 +152,7 @@ class TestRunTimeline:
         ]
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
         result = run_timeline(config, FlowTable.from_records(steady + moving))
-        assert [s.bounds.bounds["ttl"] for s in result.states] == [(50.0, 50.0)] * 2
+        assert [s.bounds.ttl for s in result.states] == [(50.0, 50.0)] * 2
         report = result.reports[1]
         # Stars at RTT 0 and 1 against 0 and 0.5 on 5 percentile axes; the
         # moved star is equally far from both, a tie that goes to star 0.
@@ -183,7 +183,7 @@ class TestRunTimeline:
         records = cache_flows(0, "c1", 10.0) + cache_flows(1, "c1", 30.0)
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=1)
         result = run_timeline(config, FlowTable.from_records(records))
-        assert [s.bounds.bounds["rtt"] for s in result.states] == [(10.0, 10.0), (30.0, 30.0)]
+        assert [s.bounds.rtt for s in result.states] == [(10.0, 10.0), (30.0, 30.0)]
         report = result.reports[1]
         assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(0, math.sqrt(5))]
         assert [(c.nearest_index, c.distance) for c in report.couplings_ba] == [(0, math.sqrt(5))]

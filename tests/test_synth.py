@@ -87,7 +87,7 @@ class TestGenerateTrace:
     def test_label_fidelity(self):
         records, gt = generate_trace(small_config())
         for r in records[:2000]:
-            assert parse_cache_hostname(r.hostname).iata == gt.labels[r.server_ip]
+            assert parse_cache_hostname(r.hostname) == gt.labels[r.server_ip]
 
     def test_field_invariants(self):
         records, _ = generate_trace(small_config(days=2))
@@ -103,7 +103,7 @@ class TestGenerateTrace:
         death = EventSpec("node_death", "AMS", start_day=3, end_day=5)
         records, _ = generate_trace(small_config(events=[death]))
         for r in records:
-            if parse_cache_hostname(r.hostname).iata == "AMS":
+            if parse_cache_hostname(r.hostname) == "AMS":
                 day = (r.start_time - DEFAULT_START_EPOCH) // DAY_SECONDS
                 assert day < 3
 
@@ -113,7 +113,7 @@ class TestGenerateTrace:
         fra_days = {
             int((r.start_time - DEFAULT_START_EPOCH) // DAY_SECONDS)
             for r in records
-            if parse_cache_hostname(r.hostname).iata == "FRA"
+            if parse_cache_hostname(r.hostname) == "FRA"
         }
         assert fra_days == {2, 3, 4}
 
@@ -121,10 +121,10 @@ class TestGenerateTrace:
         shift = EventSpec("path_shift", "AMS", start_day=3, end_day=5, magnitude=80.0)
         records, _ = generate_trace(small_config(events=[shift]))
         before = [r.min_rtt for r in records
-                  if parse_cache_hostname(r.hostname).iata == "AMS"
+                  if parse_cache_hostname(r.hostname) == "AMS"
                   and (r.start_time - DEFAULT_START_EPOCH) < 3 * DAY_SECONDS]
         during = [r.min_rtt for r in records
-                  if parse_cache_hostname(r.hostname).iata == "AMS"
+                  if parse_cache_hostname(r.hostname) == "AMS"
                   and (r.start_time - DEFAULT_START_EPOCH) >= 3 * DAY_SECONDS]
         assert percentile(during, 50) - percentile(before, 50) == pytest.approx(80.0, abs=2.0)
 
@@ -137,7 +137,7 @@ class TestGenerateTrace:
             return [
                 getattr(r, attr)
                 for r in rs
-                if parse_cache_hostname(r.hostname).iata == "FRA"
+                if parse_cache_hostname(r.hostname) == "FRA"
                 and day_lo * DAY_SECONDS <= (r.start_time - DEFAULT_START_EPOCH) < day_hi * DAY_SECONDS
             ]
 
@@ -159,7 +159,7 @@ class TestGenerateTrace:
             rtts = [
                 r.min_rtt
                 for r in records
-                if parse_cache_hostname(r.hostname).iata == label
+                if parse_cache_hostname(r.hostname) == label
                 and day * DAY_SECONDS <= (r.start_time - DEFAULT_START_EPOCH) < (day + 1) * DAY_SECONDS
             ]
             return np.array([percentile(rtts, q) for q in (20, 35, 50, 65, 80)])
