@@ -41,7 +41,6 @@ from .ingest import (
     Codes,
     FlowLineError,
     FlowLogFormatError,
-    FlowRecord,
     FlowTable,
     Snapshot,
     parse_cache_hostname,

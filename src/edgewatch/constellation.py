@@ -11,17 +11,13 @@ change can be read directly off the coupling lists.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass
-from pathlib import Path
-from typing import IO
 
 import numpy as np
 
 from .dbscan import Clustering
 from .features import CacheFeatures, NormalizationBounds
-from .ingest import text_output
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,6 @@ class Star:
 
     position: np.ndarray
     members: tuple[str, ...]
-    cluster_id: int
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def build_constellation(
             raise ValueError(f"cluster {cid} members missing from raw features: {missing}")
         means.append(features.raw[[row[c] for c in cluster.members]].mean(axis=0))
     positions = bounds.normalize(np.array(means)) if means else ()
-    stars = (Star(p, c.members, cid) for cid, (p, c) in enumerate(zip(positions, clustering.clusters)))
+    stars = (Star(p, c.members) for p, c in zip(positions, clustering.clusters))
     return Constellation(stars=tuple(stars), bounds=bounds)
 
 
@@ -166,11 +161,3 @@ def write_cd_report_rows(
                 ]
             )
 
-
-def write_cd_report_csv(
-    target: IO[str] | str | Path, report: CDReport, snapshot_n: int, snapshot_n1: int
-) -> None:
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(CD_REPORT_HEADER)
-        write_cd_report_rows(writer, report, snapshot_n, snapshot_n1)

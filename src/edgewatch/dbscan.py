@@ -38,10 +38,6 @@ class Cluster:
     members: tuple[str, ...]
     core: frozenset[str]
 
-    @property
-    def border(self) -> frozenset[str]:
-        return frozenset(self.members) - self.core
-
     def __len__(self) -> int:
         return len(self.members)
 

@@ -210,10 +210,7 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndar
 
 
 def _synthetic_constellation(positions: np.ndarray) -> Constellation:
-    stars = tuple(
-        Star(position=row, members=(), cluster_id=i) for i, row in enumerate(positions)
-    )
-    return Constellation(stars=stars)
+    return Constellation(stars=tuple(Star(position=row, members=()) for row in positions))
 
 
 def cd_calibration(
@@ -235,7 +232,7 @@ def cd_calibration(
     """
     if n_stars < 1:
         raise ValueError("n_stars must be >= 1")
-    if e < 0 or trials < 1 or extra_stars < 0:
+    if e < 0 or trials < 1 or extra_stars < 0 or (dim is not None and dim < 1):
         raise ValueError("invalid calibration parameters")
     space_dim = n_stars if dim is None else dim
     total = 0.0

@@ -6,12 +6,12 @@ import configparser
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import compress, count, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,27 +48,6 @@ class FlowLineError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One TCP flow as logged by the passive probe: a row of a FlowTable.
-
-    ``server_ip`` is the cache's unique identity downstream; it may be a
-    dotted quad or an opaque token (synthetic traces use symbolic names).
-    """
-
-    start_time: float  # epoch seconds, fractional allowed
-    client_id: str
-    server_ip: str
-    hostname: str
-    min_rtt: float  # milliseconds
-    ttl: int  # [0, 255]
-    bytes_up: int
-    bytes_down: int
-    avg_throughput: float  # kb/s
-
-
-# The fields of a FlowRecord, or the columns of a FlowTable, as a tuple.
-_fields_of = attrgetter(*FlowRecord.__slots__)
 # How each field is read: float() or int(), or str for a dictionary-encoded one.
 _CONVERTERS = (float, str, str, str, float, int, int, int, float)
 # Per string field's position, the name -> code dictionary of its Codes.
@@ -92,10 +71,6 @@ def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
         dtype = np.float64 if convert is float else np.int64
         arrays.append(np.fromiter(map(convert, values), dtype, len(values)))
     return arrays
-
-
-def _record_arrays(records: Iterable[FlowRecord], index: _Index) -> list[np.ndarray]:
-    return _arrays(list(zip(*map(_fields_of, records))) or [()] * len(_CONVERTERS), index)
 
 
 def _table(parts: list[list[np.ndarray]], index: _Index) -> FlowTable:
@@ -123,10 +98,10 @@ class Codes:
 class FlowTable:
     """Flows as columns, one row per flow in input order.
 
-    The fields mirror FlowRecord: numeric ones are numpy arrays (int64 for
-    ``ttl`` and the byte counts, float64 otherwise), string ones are Codes.
-    Indexing with an int, or iterating, yields FlowRecord rows; indexing with
-    a slice, mask or index array yields a table of those rows.
+    The fields are the flow-log columns in order: numeric ones are numpy
+    arrays (int64 for ``ttl`` and the byte counts, float64 otherwise), string
+    ones are Codes. ``server_ip`` is the cache's unique identity downstream.
+    Indexing with a slice, mask or index array yields a table of those rows.
     """
 
     start_time: np.ndarray
@@ -140,12 +115,6 @@ class FlowTable:
     avg_throughput: np.ndarray
 
     @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> FlowTable:
-        """A table of the records, in order."""
-        index = _new_index()
-        return _table([_record_arrays(records, index)], index)
-
-    @classmethod
     def concat(cls, tables: Sequence[FlowTable]) -> FlowTable:
         """The rows of the tables, in order, coded over the union of their names."""
         index = _new_index()
@@ -154,22 +123,21 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.start_time)
 
-    def __getitem__(self, rows):
-        if isinstance(rows, (int, np.integer)):
-            return FlowRecord(*(values[0] for values in self._values([rows])))
+    def __getitem__(self, rows) -> FlowTable:
         return FlowTable(*(column[rows] for column in _fields_of(self)))
 
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return map(FlowRecord, *self._values())
-
     def _values(self, rows=slice(None)) -> list[list]:
-        """Python values of every field for ``rows``, in FlowRecord order."""
+        """Python values of every field for ``rows``, in column order."""
         return [c[rows].decode() if isinstance(c, Codes) else c[rows].tolist() for c in _fields_of(self)]
 
     @cached_property
     def time_order(self) -> np.ndarray:
         """Row indices in start-time order; equal times keep input order."""
         return np.argsort(self.start_time, kind="stable")
+
+
+# The columns of a FlowTable, as a tuple.
+_fields_of = attrgetter(*(f.name for f in fields(FlowTable)))
 
 
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
@@ -186,13 +154,14 @@ def parse_cache_hostname(hostname: str) -> str | None:
     return None if m is None else m.group(1).upper()
 
 
-def _parse_line(line_number: int, line: str) -> FlowRecord:
-    fields = line.split("\t")
-    if len(fields) != len(FLOW_LOG_COLUMNS):
+def _parse_line(line_number: int, line: str) -> tuple:
+    """The line's converted values in column order, or FlowLineError naming its first fault."""
+    parts = line.split("\t")
+    if len(parts) != len(FLOW_LOG_COLUMNS):
         raise FlowLineError(
-            line_number, f"expected {len(FLOW_LOG_COLUMNS)} fields, got {len(fields)}"
+            line_number, f"expected {len(FLOW_LOG_COLUMNS)} fields, got {len(parts)}"
         )
-    (raw_start, client_id, server_ip, hostname, raw_rtt, raw_ttl, raw_up, raw_down, raw_thr) = fields
+    (raw_start, client_id, server_ip, hostname, raw_rtt, raw_ttl, raw_up, raw_down, raw_thr) = parts
     try:
         start_time = float(raw_start)
         min_rtt = float(raw_rtt)
@@ -216,17 +185,7 @@ def _parse_line(line_number: int, line: str) -> FlowRecord:
         raise FlowLineError(line_number, f"throughput out of range: {avg_throughput}")
     if not math.isfinite(start_time):
         raise FlowLineError(line_number, f"non-finite start_time: {raw_start}")
-    return FlowRecord(
-        start_time=start_time,
-        client_id=client_id,
-        server_ip=server_ip,
-        hostname=hostname,
-        min_rtt=min_rtt,
-        ttl=ttl,
-        bytes_up=bytes_up,
-        bytes_down=bytes_down,
-        avg_throughput=avg_throughput,
-    )
+    return start_time, client_id, server_ip, hostname, min_rtt, ttl, bytes_up, bytes_down, avg_throughput
 
 
 def _rejected(arrays: list[np.ndarray], index: _Index) -> np.ndarray:
@@ -253,17 +212,17 @@ def _parse_chunk(
         rejected = _rejected(arrays, index)
         arrays = [a[~rejected] for a in arrays]
         recheck = np.union1d(np.flatnonzero(~whole), np.flatnonzero(whole)[rejected]).tolist()
-    records = []
+    rows = []
     for i in recheck:
         if line := chunk[i].rstrip("\r\n"):
             try:
-                records.append(_parse_line(first_line + i, line))
+                rows.append(_parse_line(first_line + i, line))
             except FlowLineError as exc:
                 if errors is None:
                     raise
                 errors.append(exc)
-    # Rows the column checks reject never parse: only a chunk that failed to convert has records.
-    return _record_arrays(records, index) if arrays is None else arrays
+    # Rows the column checks reject never parse: only a chunk that failed to convert has rows.
+    return _arrays(list(zip(*rows)) or [()] * len(_CONVERTERS), index) if arrays is None else arrays
 
 
 def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:

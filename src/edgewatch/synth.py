@@ -37,6 +37,7 @@ BASELINE_THROUGHPUT_KBPS = 5_000.0
 THROUGHPUT_LOG_SIGMA = 0.25
 CHURN_LOG_SIGMA = 4.0  # rank_churn=1 -> sigma 4 on per-cache daily log-weights
 MIN_RTT_FLOOR_MS = 0.1
+MAX_FLOWS = 100_000_000  # days * flows_per_day; the generator holds them all in memory
 
 _STREAM_NODE_ALLOC = 1
 _STREAM_CACHE_ALLOC = 2
@@ -123,6 +124,8 @@ class SynthConfig:
             raise ConfigError(f"days must be >= 1: {self.days}")
         if self.flows_per_day < 1:
             raise ConfigError(f"flows_per_day must be >= 1: {self.flows_per_day}")
+        if self.days * self.flows_per_day > MAX_FLOWS:
+            raise ConfigError(f"days * flows_per_day is more than {MAX_FLOWS} flows")
         if not 0.0 <= self.rank_churn <= 1.0:
             raise ConfigError(f"rank_churn must lie in [0, 1]: {self.rank_churn}")
         if self.seed < 0:
@@ -131,6 +134,10 @@ class SynthConfig:
         for ev in self.events:
             if ev.target not in labels:
                 raise ConfigError(f"event targets unknown label: {ev.target!r}")
+        # A node's activity changes only on an event's start day and the day after its end.
+        days = {0, *(d for ev in self.events for d in (ev.start_day, ev.end_day + 1) if 0 < d < self.days)}
+        if not any(n.load_weight > 0 and _node_active(n, d, self.events) for d in days for n in self.nodes):
+            raise ConfigError("no node with a positive weight is active on any day: the trace has no flows")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

@@ -1,60 +1,28 @@
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from edgewatch.pipeline import PipelineConfig, run_timeline
-from edgewatch.synth import EdgeNodeSpec, EventSpec, SynthConfig, generate_trace
+from edgewatch.synth import SynthConfig, generate_trace, load_synth_config
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
-def six_node_config(days=7, flows_per_day=9000, seed=7) -> SynthConfig:
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def six_node_config() -> SynthConfig:
     """Six well-separated edge-nodes; RTT medians anchored at 15 vs 95 ms."""
-    nodes = (
-        EdgeNodeSpec("MIL", 15, 15.0, 1.5, 48, 1500.0),
-        EdgeNodeSpec("TOR", 15, 25.0, 1.5, 52, 1500.0),
-        EdgeNodeSpec("PAR", 15, 38.0, 1.5, 56, 1500.0),
-        EdgeNodeSpec("AMS", 15, 55.0, 1.5, 60, 1500.0),
-        EdgeNodeSpec("LON", 15, 75.0, 1.5, 64, 1500.0),
-        EdgeNodeSpec("FRA", 15, 95.0, 1.5, 68, 1500.0),
-    )
-    return SynthConfig(
-        nodes=nodes, events=(), days=days, flows_per_day=flows_per_day,
-        rank_churn=0.1, seed=seed,
-    )
+    return load_synth_config(CONFIGS / "six_node.ini")
 
 
 def event_trace_config() -> SynthConfig:
     """30-day trace: a 7-node AMS group dies on day 10, a 5-node FRA group's
-    paths shift +80 ms on day 18. Labels are shared within each group, as
-    several co-located edge-nodes behind one airport code."""
-    nodes = [
-        EdgeNodeSpec("MIL", 8, 12.0, 1.5, 52, 1800.0),
-        EdgeNodeSpec("TOR", 8, 18.0, 1.5, 54, 1800.0),
-        EdgeNodeSpec("PAR", 8, 24.0, 1.5, 56, 1800.0),
-        EdgeNodeSpec("LON", 8, 30.0, 1.5, 58, 1800.0),
-    ]
-    nodes += [
-        EdgeNodeSpec("AMS", 7, rtt, 1.5, ttl, 1350.0)
-        for rtt, ttl in zip((40, 49, 58, 67, 76, 85, 94), (200, 204, 208, 212, 216, 220, 224))
-    ]
-    nodes += [
-        EdgeNodeSpec("FRA", 7, rtt, 1.5, ttl, 1350.0)
-        for rtt, ttl in zip((36, 40, 44, 48, 52), (62, 66, 70, 74, 78))
-    ]
-    return SynthConfig(
-        nodes=tuple(nodes),
-        events=(
-            EventSpec("node_death", "AMS", start_day=10, end_day=29),
-            EventSpec("path_shift", "FRA", start_day=18, end_day=29, magnitude=80.0),
-        ),
-        days=30,
-        flows_per_day=23400,
-        rank_churn=0.0,
-        seed=42,
-    )
+    paths shift +80 ms on day 18 (the README's event demo)."""
+    return load_synth_config(CONFIGS / "event.ini")
 
 
 EVENT_DEATH_DAY = 10

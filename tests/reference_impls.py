@@ -8,16 +8,40 @@ library used before its columnar flow table, the astral-distance oracle is
 the per-star-pair norm loop it used before its distance matrix, and the
 normalization and centroid oracles are the per-cache, per-metric loops it
 used before its feature matrix.
+
+Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
+table through the public TSV parser and ``flow_rows`` turns a table back.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
+
+from edgewatch.ingest import FLOW_LOG_HEADER, Codes, FlowTable, parse_flow_log
+
+# One flow as a plain row, with the table's column names in column order.
+Flow = namedtuple("Flow", [f.name for f in fields(FlowTable)])
+_TSV_LINE = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
+
+
+def flow_table(rows) -> FlowTable:
+    """The rows (Flow or plain tuples), written as TSV and read back by ``parse_flow_log``."""
+    lines = [_TSV_LINE.format(float(r[0]), *r[1:4], float(r[4]), *r[5:8], float(r[8])) for r in rows]
+    return parse_flow_log(io.StringIO(FLOW_LOG_HEADER + "\n" + "".join(lines)))
+
+
+def flow_rows(table: FlowTable) -> list[Flow]:
+    """The table's rows in order, as Flow tuples of Python values."""
+    columns = (getattr(table, name) for name in Flow._fields)
+    return list(map(Flow, *(c.decode() if isinstance(c, Codes) else c.tolist() for c in columns)))
 
 
 def reference_percentile(samples, q):

@@ -150,7 +150,7 @@ def test_04_star_birth_growth():
 def _random_constellation(rng, n, dim):
     return Constellation(
         stars=tuple(
-            Star(position=rng.uniform(0, 1, dim), members=(), cluster_id=i) for i in range(n)
+            Star(position=rng.uniform(0, 1, dim), members=()) for _ in range(n)
         )
     )
 
@@ -166,8 +166,8 @@ def test_05_metric_properties():
                 order = rng.permutation(len(a.stars))
                 b = Constellation(
                     stars=tuple(
-                        Star(position=a.stars[i].position.copy(), members=(), cluster_id=k)
-                        for k, i in enumerate(order)
+                        Star(position=a.stars[i].position.copy(), members=())
+                        for i in order
                     )
                 )
                 equal_sets = True
@@ -201,9 +201,7 @@ def test_05_metric_properties():
                 deltas.append(float(np.linalg.norm(v)))
                 moved.append(s.position + v)
             perturbed = Constellation(
-                stars=tuple(
-                    Star(position=p, members=(), cluster_id=i) for i, p in enumerate(moved)
-                )
+                stars=tuple(Star(position=p, members=()) for p in moved)
             )
             report = constellation_distance(a, perturbed)
             expected = 2.0 * sum(deltas)

@@ -217,6 +217,7 @@ class TestTimelineCommand:
         # Non-finite synth values: each wrote an unreadable trace or died in numpy.
         one_node = "[trace]\ndays = 2\n{}\n[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = {}\n{}\n"
         shift = "[event shift]\nkind = path_shift\ntarget = MIL\nstart_day = 0\nend_day = 1\nmagnitude = nan"
+        death = "[event death]\nkind = node_death\ntarget = MIL\nstart_day = 0\nend_day = 1"
         cases += [
             (synth, one_node.format(*values).encode())
             for values in (
@@ -225,8 +226,14 @@ class TestTimelineCommand:
                 ("", "10", "rtt_spread_ms = nan"),
                 ("", "10", "weight = inf"),
                 ("", "10", shift),
+                # Configs that make no flows: every weight 0, or silenced on every day.
+                ("", "10", "weight = 0"),
+                ("", "10", death),
             )
         ]
+        # More than synth.MAX_FLOWS flows.
+        cases.append((synth, b"[trace]\ndays = 100000000000\nflows_per_day = 1000000000000\n"
+                             b"[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = 10\n"))
         for argv, text in cases:
             ini.write_bytes(text)
             assert main(argv) == 2, text

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgewatch.constellation import (
+    CD_REPORT_HEADER,
     Constellation,
     Star,
     astral_distance,
     build_constellation,
     constellation_distance,
     joint_bounds,
-    write_cd_report_csv,
+    write_cd_report_rows,
 )
 from edgewatch.dbscan import Cluster, Clustering, ClusterParams
 from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_snapshot
@@ -24,14 +26,12 @@ def bounds_of(rtt, ttl=(0.0, 1.0)):
     return NormalizationBounds(rtt, ttl)
 
 
-def star_at(*coords, index=0):
-    return Star(position=np.asarray(coords, dtype=float), members=(), cluster_id=index)
+def star_at(*coords):
+    return Star(position=np.asarray(coords, dtype=float), members=())
 
 
 def constellation_at(*positions):
-    return Constellation(
-        stars=tuple(star_at(*p, index=i) for i, p in enumerate(positions))
-    )
+    return Constellation(stars=tuple(star_at(*p) for p in positions))
 
 
 def cache_features(rows):
@@ -272,7 +272,9 @@ def test_cd_report_csv_format():
     b = constellation_at((0.3, 0.4))
     report = constellation_distance(a, b)
     buf = io.StringIO()
-    write_cd_report_csv(buf, report, 3, 4)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CD_REPORT_HEADER)
+    write_cd_report_rows(writer, report, 3, 4)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance"
     assert len(lines) == 3

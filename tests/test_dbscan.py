@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
 from edgewatch.dbscan import (
@@ -100,7 +101,7 @@ class TestDbscan:
         assert clustering.n_clusters == 1
         (cluster,) = clustering.clusters
         assert len(cluster.core) == 6
-        assert cluster.border == frozenset()
+        assert cluster.core == frozenset(cluster.members)
 
     def test_empty_input(self):
         clustering = dbscan(np.empty((0, 3)), (), ClusterParams())
@@ -182,6 +183,25 @@ class TestDbscan:
         assert clustering.roles()["p008"] == BORDER
         assert labels["p008"] == labels["p000"]
         assert labels["p008"] != labels["p004"]
+
+    @given(
+        exponent=st.integers(-6, 2),
+        cells=st.sets(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=50),
+        min_pts=st.integers(2, 7),
+    )
+    def test_neighbors_exactly_epsilon_apart(self, exponent, cells, min_pts):
+        # Lattice spacing epsilon = 2**exponent makes dist2 == epsilon**2 exactly
+        # for points one step apart along an axis; diagonal ones are farther.
+        cells = sorted(cells)
+        occupied = set(cells)
+        matrix = np.array(cells, dtype=float) * 2.0**exponent
+        params = ClusterParams(epsilon=2.0**exponent, min_pts=min_pts)
+        roles = dbscan_of(matrix, params).roles()
+        for i, cell in enumerate(cells):
+            steps = [(*cell[:a], cell[a] + d, *cell[a + 1 :]) for a in range(3) for d in (-1, 1)]
+            neighborhood = 1 + sum(step in occupied for step in steps)
+            assert (roles[f"p{i:03d}"] == CORE) == (neighborhood >= min_pts)
+        assert_matches_reference(matrix, params)
 
     def test_matches_reference_randomized(self):
         rng = np.random.default_rng(100)

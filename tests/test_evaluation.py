@@ -258,3 +258,5 @@ class TestCdCalibration:
             cd_calibration(3, 0.1, trials=0)
         with pytest.raises(ValueError):
             cd_calibration(3, 0.1, trials=1, extra_stars=-1)
+        with pytest.raises(ValueError):
+            cd_calibration(3, 0.1, trials=1, dim=0)

@@ -13,17 +13,17 @@ from edgewatch.features import (
     snapshot_bounds,
     write_feature_dump,
 )
-from edgewatch.ingest import FlowRecord, FlowTable, Snapshot, window_flows, DAY_SECONDS
+from edgewatch.ingest import Snapshot, window_flows, DAY_SECONDS
 
-from reference_impls import reference_percentile
+from reference_impls import Flow, flow_table, reference_percentile
 
 
 def flow(t, ip, rtt, ttl=54):
-    return FlowRecord(t, "u", ip, "h.example", rtt, ttl, 1, 1, 100.0)
+    return Flow(t, "u", ip, "h.example", rtt, ttl, 1, 1, 100.0)
 
 
 def snapshot_of(flows):
-    table = FlowTable.from_records(flows)
+    table = flow_table(flows)
     return Snapshot(0, 0.0, DAY_SECONDS, table, table.time_order)
 
 

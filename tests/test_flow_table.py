@@ -23,7 +23,6 @@ from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
     FlowLineError,
-    FlowRecord,
     FlowTable,
     midnight_floor,
     parse_flow_log,
@@ -31,6 +30,9 @@ from edgewatch.ingest import (
 )
 
 from reference_impls import (
+    Flow,
+    flow_rows,
+    flow_table,
     reference_cache_features,
     reference_percentile_vector,
     reference_window_flows,
@@ -60,13 +62,13 @@ def windowed_traces(draw):
     # Bursts of flows of one cache at one time give caches enough samples;
     # magnitudes far apart make the mean depend on summation order.
     burst = st.builds(
-        lambda t, cache, rtts, ttl: [FlowRecord(t, "u", cache, "h", rtt, ttl, 1, 2, 3.0) for rtt in rtts],
+        lambda t, cache, rtts, ttl: [Flow(t, "u", cache, "h", rtt, ttl, 1, 2, 3.0) for rtt in rtts],
         time,
         st.sampled_from(["a", "b", "c", "d"]),
         st.lists(st.sampled_from([1.0, 2.5, 1e16]) | st.floats(0, 500), min_size=1, max_size=6),
         st.integers(0, 255),
     )
-    records = [FlowRecord(first, "u", "a", "h", 1.0, 64, 1, 2, 3.0)]
+    records = [Flow(first, "u", "a", "h", 1.0, 64, 1, 2, 3.0)]
     records += [r for flows in draw(st.lists(burst, max_size=20)) for r in flows]
     cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=2)))
     files = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
@@ -86,15 +88,15 @@ def _bytes(features):
 def test_windows_and_features_match_per_record_code(trace):
     files, window, step, offset, origin, min_flow = trace
     records = [r for f in files for r in f]
-    table = FlowTable.concat([FlowTable.from_records(f) for f in files])
-    assert list(table) == records
+    table = FlowTable.concat([flow_table(f) for f in files])
+    assert flow_rows(table) == records
     snaps = window_flows(table, window, step, utc_offset_hours=offset, origin=origin)
     expected = reference_window_flows(records, window, step, offset, origin)
     assert [(s.index, s.window_start, s.window_end) for s in snaps] == [
         (n, start, end) for n, (start, end, _) in enumerate(expected)
     ]
     for snap, (_, _, groups) in zip(snaps, expected):
-        assert {c: list(flows) for c, flows in snap.records.items()} == groups
+        assert {c: flow_rows(flows) for c, flows in snap.records.items()} == groups
         assert snap.n_records == sum(map(len, groups.values()))
         # Bit-identical features; the mean/std oracle sees each cache's samples
         # in input order, as np.mean's pairwise sum is order-sensitive.
@@ -141,7 +143,7 @@ def mutated_logs(draw):
 
 
 def _line_by_line(text):
-    """(records, [(line number, reason)]) of _parse_line applied to each data line."""
+    """(rows, [(line number, reason)]) of _parse_line applied to each data line."""
     records, errors = [], []
     lines = io.StringIO(text, newline="")
     next(lines)
@@ -158,7 +160,7 @@ def _check_against_line_parser(text):
     expected_records, expected_errors = _line_by_line(text)
     errors: list[FlowLineError] = []
     table = parse_flow_log(io.StringIO(text, newline=""), errors=errors)
-    assert list(table) == expected_records
+    assert flow_rows(table) == expected_records
     assert [(e.line_number, e.reason) for e in errors] == expected_errors
     if expected_errors:
         with pytest.raises(FlowLineError) as exc:
@@ -194,36 +196,36 @@ def test_chunked_parser_matches_line_parser(text, chunk_bytes):
 
 class TestFlowTable:
     RECORDS = [
-        FlowRecord(5.0, "u1", "b", "hb", 1.5, 10, 1, 2, 3.0),
-        FlowRecord(1.0, "u2", "a", "ha", 2.5, 20, 3, 4, 5.0),
-        FlowRecord(5.0, "u1", "a", "ha", 0.5, 30, 5, 6, 7.0),
+        Flow(5.0, "u1", "b", "hb", 1.5, 10, 1, 2, 3.0),
+        Flow(1.0, "u2", "a", "ha", 2.5, 20, 3, 4, 5.0),
+        Flow(5.0, "u1", "a", "ha", 0.5, 30, 5, 6, 7.0),
     ]
 
     def test_rows_round_trip(self):
-        table = FlowTable.from_records(self.RECORDS)
+        table = flow_table(self.RECORDS)
         assert len(table) == 3
-        assert list(table) == self.RECORDS
-        assert table[1] == self.RECORDS[1] and table[-1] == self.RECORDS[-1]
-        assert list(table[1:]) == self.RECORDS[1:]
-        assert list(table[np.array([True, False, True])]) == [self.RECORDS[0], self.RECORDS[2]]
+        assert flow_rows(table) == self.RECORDS
+        assert flow_rows(table[1:]) == self.RECORDS[1:]
+        assert flow_rows(table[np.array([True, False, True])]) == [self.RECORDS[0], self.RECORDS[2]]
+        assert flow_rows(table[np.array([2, 0])]) == [self.RECORDS[2], self.RECORDS[0]]
 
     def test_string_columns_are_dictionary_encoded(self):
-        table = FlowTable.from_records(self.RECORDS)
+        table = flow_table(self.RECORDS)
         assert table.server_ip.names.tolist() == ["b", "a"]
         assert table.server_ip.codes.tolist() == [0, 1, 1]
         assert table.ttl.dtype == np.int64 and table.min_rtt.dtype == np.float64
 
     def test_concat_merges_dictionaries(self):
-        parts = [FlowTable.from_records(self.RECORDS[:2]), FlowTable.from_records(self.RECORDS[2:])]
+        parts = [flow_table(self.RECORDS[:2]), flow_table(self.RECORDS[2:])]
         table = FlowTable.concat(parts)
-        assert list(table) == self.RECORDS
+        assert flow_rows(table) == self.RECORDS
         assert sorted(table.server_ip.names.tolist()) == ["a", "b"]
 
     def test_time_order_is_stable(self):
-        table = FlowTable.from_records(self.RECORDS)
+        table = flow_table(self.RECORDS)
         assert table.time_order.tolist() == [1, 0, 2]
 
     def test_empty(self):
-        table = FlowTable.from_records([])
-        assert len(table) == 0 and list(table) == []
+        table = flow_table([])
+        assert len(table) == 0 and flow_rows(table) == []
         assert window_flows(table, DAY_SECONDS, DAY_SECONDS) == []

@@ -8,7 +8,7 @@ from edgewatch.constellation import build_constellation, constellation_distance,
 from edgewatch.dbscan import ClusterParams, dbscan
 from edgewatch.errors import ConfigError, InputError
 from edgewatch.features import extract_cache_features, normalize_snapshot
-from edgewatch.ingest import DAY_SECONDS, FlowRecord, FlowTable, window_flows
+from edgewatch.ingest import DAY_SECONDS, window_flows
 from edgewatch.pipeline import (
     FLAG_EVENT,
     FLAG_MAJOR,
@@ -23,6 +23,7 @@ from edgewatch.pipeline import (
 from edgewatch.synth import EdgeNodeSpec, EventSpec, SynthConfig, generate_trace
 
 from conftest import EVENT_DEATH_DAY, EVENT_SHIFT_DAY
+from reference_impls import Flow, flow_table
 
 
 class TestPipelineConfig:
@@ -74,12 +75,12 @@ class TestFlagFor:
 
 def cache_flows(day, cache, rtt, count=5):
     """``count`` flows of one cache on ``day``, all with the same RTT and TTL 50."""
-    return [FlowRecord(day * DAY_SECONDS + i, "u", cache, "h", rtt, 50, 0, 0, 1.0) for i in range(count)]
+    return [Flow(day * DAY_SECONDS + i, "u", cache, "h", rtt, 50, 0, 0, 1.0) for i in range(count)]
 
 
 class TestRunTimeline:
     def test_too_few_snapshots(self):
-        records = FlowTable.from_records([FlowRecord(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)])
+        records = flow_table([Flow(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)])
         with pytest.raises(InputError):
             run_timeline(PipelineConfig(window_days=7, step_days=1), records)
 
@@ -128,12 +129,12 @@ class TestRunTimeline:
     def test_empty_snapshot_participates_with_sentinel(self, caplog):
         def burst(day, count):
             return [
-                FlowRecord(day * DAY_SECONDS + i, "u", f"c{j}", "h", 10.0, 50, 0, 0, 100.0)
+                Flow(day * DAY_SECONDS + i, "u", f"c{j}", "h", 10.0, 50, 0, 0, 100.0)
                 for j in range(6)
                 for i in range(count)
             ]
 
-        records = FlowTable.from_records(burst(0, 60) + burst(1, 10) + burst(2, 60))
+        records = flow_table(burst(0, 60) + burst(1, 10) + burst(2, 60))
         config = PipelineConfig(window_days=1, step_days=1)
         with caplog.at_level(logging.WARNING):
             result = run_timeline(config, records)
@@ -151,7 +152,7 @@ class TestRunTimeline:
             r for day, rtt in ((0, 90.0), (1, 50.0)) for c in ("b1", "b2", "b3") for r in cache_flows(day, c, rtt)
         ]
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
-        result = run_timeline(config, FlowTable.from_records(steady + moving))
+        result = run_timeline(config, flow_table(steady + moving))
         assert [s.bounds.ttl for s in result.states] == [(50.0, 50.0)] * 2
         report = result.reports[1]
         # Stars at RTT 0 and 1 against 0 and 0.5 on 5 percentile axes; the
@@ -168,7 +169,7 @@ class TestRunTimeline:
         clustered += [r for c in ("b1", "b2", "b3") for r in cache_flows(0, c, 90.0)]
         spread = [r for i, rtt in enumerate((10.0, 40.0, 70.0, 100.0)) for r in cache_flows(1, f"n{i}", rtt)]
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
-        result = run_timeline(config, FlowTable.from_records(clustered + spread))
+        result = run_timeline(config, flow_table(clustered + spread))
         assert [len(s.features) for s in result.states] == [6, 4]
         assert result.states[1].clustering.n_clusters == 0
         assert result.entries[1].noise_count == 4
@@ -182,7 +183,7 @@ class TestRunTimeline:
         # against the joint RTT bounds 10..30 its star moves from 0 to 1.
         records = cache_flows(0, "c1", 10.0) + cache_flows(1, "c1", 30.0)
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=1)
-        result = run_timeline(config, FlowTable.from_records(records))
+        result = run_timeline(config, flow_table(records))
         assert [s.bounds.rtt for s in result.states] == [(10.0, 10.0), (30.0, 30.0)]
         report = result.reports[1]
         assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(0, math.sqrt(5))]
@@ -198,7 +199,7 @@ class TestRunTimeline:
         # star's is the majority of its members' labels, ties to the smallest.
         def flows(day, cache, rtt, codes):
             return [
-                FlowRecord(day * DAY_SECONDS + i, "u", cache, f"r1---{code.lower()}1.example.net",
+                Flow(day * DAY_SECONDS + i, "u", cache, f"r1---{code.lower()}1.example.net",
                            rtt, 50, 0, 0, 1.0)
                 for i, code in enumerate(codes)
             ]
@@ -206,12 +207,12 @@ class TestRunTimeline:
         moving = (
             flows(0, "c1", 10.0, ["FRA"] * 5)
             + flows(0, "c2", 10.0, ["AMS", "FRA", "AMS", "FRA", "AMS"])
-            + [FlowRecord(100.0 + i, "u", "c3", "opaque.example.net", 10.0, 50, 0, 0, 1.0)
+            + [Flow(100.0 + i, "u", "c3", "opaque.example.net", 10.0, 50, 0, 0, 1.0)
                for i in range(5)]
         )
         steady = [r for day in (0, 1) for c in ("d1", "d2", "d3") for r in flows(day, c, 90.0, ["LON"] * 5)]
         config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
-        entry = run_timeline(config, FlowTable.from_records(moving + steady)).entries[1]
+        entry = run_timeline(config, flow_table(moving + steady)).entries[1]
         labels = {c.members: c.label for c in entry.contributors}
         # Votes FRA, AMS and none (opaque name): a tie, to AMS. A flat vote
         # over the star's flows would say FRA (7 to 3).

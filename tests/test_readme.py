@@ -25,3 +25,11 @@ def test_synth_config_example_runs(tmp_path):
 
 def test_library_example_imports():
     exec(readme_block("python"), {})
+
+
+def test_named_configs_exist_and_load():
+    root = README.parent
+    named = set(re.findall(r"configs/[\w.-]+\.ini", README.read_text(encoding="utf-8")))
+    assert named == {f"configs/{path.name}" for path in (root / "configs").glob("*.ini")}
+    for name in sorted(named):
+        assert load_synth_config(root / name).nodes

@@ -18,6 +18,8 @@ from edgewatch.synth import (
     write_rank_csv,
 )
 
+from reference_impls import Flow, flow_rows, flow_table
+
 
 def small_config(events=(), days=6, churn=0.2, seed=5, flows=3000):
     nodes = (
@@ -74,7 +76,7 @@ class TestGenerateTrace:
         config = small_config()
         records_a, gt_a = generate_trace(config)
         records_b, gt_b = generate_trace(config)
-        assert list(records_a) == list(records_b)
+        assert flow_rows(records_a) == flow_rows(records_b)
         assert gt_a == gt_b
         buf_a, buf_b = io.StringIO(), io.StringIO()
         write_flow_log(buf_a, records_a)
@@ -82,15 +84,15 @@ class TestGenerateTrace:
         assert buf_a.getvalue() == buf_b.getvalue()
         # And the TSV round-trips.
         buf_a.seek(0)
-        assert list(parse_flow_log(buf_a)) == list(records_a)
+        assert flow_rows(parse_flow_log(buf_a)) == flow_rows(records_a)
 
     def test_label_fidelity(self):
         records, gt = generate_trace(small_config())
-        for r in records[:2000]:
+        for r in flow_rows(records[:2000]):
             assert parse_cache_hostname(r.hostname) == gt.labels[r.server_ip]
 
     def test_field_invariants(self):
-        records, _ = generate_trace(small_config(days=2))
+        records = flow_rows(generate_trace(small_config(days=2))[0])
         ttls = {r.server_ip: r.ttl for r in records}
         for r in records:
             assert r.min_rtt >= 0.1
@@ -102,7 +104,7 @@ class TestGenerateTrace:
     def test_node_death_cuts_flows(self):
         death = EventSpec("node_death", "AMS", start_day=3, end_day=5)
         records, _ = generate_trace(small_config(events=[death]))
-        for r in records:
+        for r in flow_rows(records):
             if parse_cache_hostname(r.hostname) == "AMS":
                 day = (r.start_time - DEFAULT_START_EPOCH) // DAY_SECONDS
                 assert day < 3
@@ -112,14 +114,14 @@ class TestGenerateTrace:
         records, _ = generate_trace(small_config(events=[birth]))
         fra_days = {
             int((r.start_time - DEFAULT_START_EPOCH) // DAY_SECONDS)
-            for r in records
+            for r in flow_rows(records)
             if parse_cache_hostname(r.hostname) == "FRA"
         }
         assert fra_days == {2, 3, 4}
 
     def test_path_shift_moves_median(self):
         shift = EventSpec("path_shift", "AMS", start_day=3, end_day=5, magnitude=80.0)
-        records, _ = generate_trace(small_config(events=[shift]))
+        records = flow_rows(generate_trace(small_config(events=[shift]))[0])
         before = [r.min_rtt for r in records
                   if parse_cache_hostname(r.hostname) == "AMS"
                   and (r.start_time - DEFAULT_START_EPOCH) < 3 * DAY_SECONDS]
@@ -136,7 +138,7 @@ class TestGenerateTrace:
         def fra_day(rs, day_lo, day_hi, attr):
             return [
                 getattr(r, attr)
-                for r in rs
+                for r in flow_rows(rs)
                 if parse_cache_hostname(r.hostname) == "FRA"
                 and day_lo * DAY_SECONDS <= (r.start_time - DEFAULT_START_EPOCH) < day_hi * DAY_SECONDS
             ]
@@ -158,7 +160,7 @@ class TestGenerateTrace:
         def daily_percentiles(records, label, day):
             rtts = [
                 r.min_rtt
-                for r in records
+                for r in flow_rows(records)
                 if parse_cache_hostname(r.hostname) == label
                 and day * DAY_SECONDS <= (r.start_time - DEFAULT_START_EPOCH) < (day + 1) * DAY_SECONDS
             ]
@@ -176,7 +178,7 @@ class TestGenerateTrace:
     def test_ground_truth_covers_emitters_only(self):
         birth = EventSpec("node_birth", "FRA", start_day=99, end_day=99)
         records, gt = generate_trace(small_config(events=[birth]))
-        assert {r.server_ip for r in records} == set(gt.labels)
+        assert set(records.server_ip.decode()) == set(gt.labels)
         assert "FRA" not in gt.labels.values()
 
     def test_cache_identities_unique_across_same_label_nodes(self):
@@ -199,16 +201,14 @@ class TestRankMatrix:
         assert (top_per_day == 1).all()
 
     def test_swapped_volumes_swap_ranks(self):
-        from edgewatch.ingest import FlowRecord, FlowTable
-
         def mk(day, ip, count):
             return [
-                FlowRecord(day * DAY_SECONDS + i, "u", ip, "h.example", 1.0, 10, 0, 0, 1.0)
+                Flow(day * DAY_SECONDS + i, "u", ip, "h.example", 1.0, 10, 0, 0, 1.0)
                 for i in range(count)
             ]
 
         records = mk(0, "a", 10) + mk(0, "b", 5) + mk(1, "a", 5) + mk(1, "b", 10)
-        matrix = rank_matrix(FlowTable.from_records(records))
+        matrix = rank_matrix(flow_table(records))
         row = {c: i for i, c in enumerate(matrix.cache_ids)}
         assert matrix.ranks[row["a"], 0] == 1 and matrix.ranks[row["b"], 0] == 2
         assert matrix.ranks[row["a"], 1] == 2 and matrix.ranks[row["b"], 1] == 1
@@ -223,13 +223,11 @@ class TestRankMatrix:
         assert len(set(top_cache_per_day)) > 1
 
     def test_ties_break_by_cache_id(self):
-        from edgewatch.ingest import FlowRecord, FlowTable
-
         records = [
-            FlowRecord(10.0, "u", "bbb", "h", 1.0, 10, 0, 0, 1.0),
-            FlowRecord(20.0, "u", "aaa", "h", 1.0, 10, 0, 0, 1.0),
+            Flow(10.0, "u", "bbb", "h", 1.0, 10, 0, 0, 1.0),
+            Flow(20.0, "u", "aaa", "h", 1.0, 10, 0, 0, 1.0),
         ]
-        matrix = rank_matrix(FlowTable.from_records(records))
+        matrix = rank_matrix(flow_table(records))
         row = {c: i for i, c in enumerate(matrix.cache_ids)}
         assert matrix.ranks[row["aaa"], 0] == 1
         assert matrix.ranks[row["bbb"], 0] == 2
