@@ -16,7 +16,7 @@ from .constellation import (
     constellation_distance,
     joint_bounds,
 )
-from .dbscan import Cluster, Clustering, ClusterParams, dbscan, region_query
+from .dbscan import Cluster, Clustering, ClusterParams, dbscan
 from .errors import ConfigError, InputError
 from .evaluation import (
     GroundTruth,

@@ -122,7 +122,6 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     records = read_flow_logs(args.input)
     result = run_timeline(config, records)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_timeline_csv(out_dir / "timeline.csv", result.entries)
     write_couplings_csv(out_dir / "couplings.csv", result)
     if args.dump_clusters:
@@ -160,7 +159,6 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
     entry = result.entries[args.entry]
     report = drilldown(entry, records, config)
     out_path = Path(args.out) if args.out else Path(config.output_dir) / f"drilldown_{args.entry:04d}.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_drilldown_csv(out_path, report)
     if not report.stars:
         print(f"entry {args.entry} is not flagged; empty report written to {out_path}")
@@ -215,9 +213,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
     if min(e_grid) < 0 or min(extra_list) < 0:
         raise ConfigError("calibrate needs --e-grid and --extra-stars >= 0")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with text_output(out) as fp:
+    with text_output(args.out) as fp:
         fp.write("stars,e,extra_stars,trials,mean_cd\n")
         for n in stars_list:
             for extra in extra_list:
@@ -226,7 +222,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
                         n, e, args.trials, extra, seed=args.seed, dim=args.dim
                     )
                     fp.write(f"{n},{e!r},{extra},{args.trials},{mean_cd!r}\n")
-    print(f"wrote calibration grid to {out}")
+    print(f"wrote calibration grid to {args.out}")
     return 0
 
 

@@ -25,7 +25,7 @@ class ClusterParams:
     min_pts: int = DEFAULT_MIN_PTS
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN too
             raise ValueError(f"epsilon must be positive: {self.epsilon}")
         if self.min_pts < 1:
             raise ValueError(f"min_pts must be >= 1: {self.min_pts}")
@@ -74,19 +74,45 @@ class Clustering:
         return len(self.clusters)
 
 
-def region_query(points: np.ndarray, index: int, epsilon: float) -> np.ndarray:
-    """Indices (own index included) within Euclidean distance <= epsilon.
+# Candidate pairs tested per block: bounds the neighborhood scan's working set
+# however many rows a band holds (all of them when coordinate 0 is constant).
+PAIR_BUDGET = 1 << 13
 
-    ``points`` is an (N, d) array; returned indices are ascending.
+
+def neighborhoods(points: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """All epsilon-neighborhoods (own index included) as one CSR ``(indptr, indices)``.
+
+    Row i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, ascending: the
+    rows j whose ``deltas = points[j] - points[i]`` give
+    ``einsum("ij,ij->i", deltas, deltas) <= epsilon**2``. A pair is tested only
+    when, in coordinate-0 order, the later row lies in a band above the
+    earlier one. The band drops no neighbor: ``dist2`` sums non-negative
+    terms, so a passing pair has ``dx * dx <= epsilon**2`` in floats and
+    ``|dx| < sqrt(nextafter(epsilon**2, inf))``, even where ``epsilon**2``
+    underflows; the band pads that by a relative 1e-9, more than rounding
+    takes away. ``dist2`` is symmetric bit for bit, so each pair is tested once.
     """
-    deltas = points - points[index]
-    dist2 = np.einsum("ij,ij->i", deltas, deltas)
-    return np.flatnonzero(dist2 <= epsilon * epsilon)
-
-
-def _neighborhoods(points: np.ndarray, epsilon: float) -> list[np.ndarray]:
-    """All epsilon-neighborhoods via an exhaustive O(N^2) scan."""
-    return [region_query(points, i, epsilon) for i in range(points.shape[0])]
+    n, dims = points.shape
+    eps2 = epsilon * epsilon
+    x = points[:, 0] if dims else np.zeros(n)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    half_width = np.sqrt(np.nextafter(eps2, np.inf)) * (1 + 1e-9)
+    # A NaN band edge (x is NaN, or -inf + inf) takes every later row.
+    widths = np.searchsorted(x, x + half_width, "right") - np.arange(n)
+    ends = np.cumsum(widths)
+    shift = np.arange(n) - (ends - widths)  # pair number -> partner's position in x
+    keys = [np.empty(0, dtype=np.intp)]
+    for first in range(0, int(widths.sum()), PAIR_BUDGET):
+        pair = np.arange(first, min(first + PAIR_BUDGET, ends[-1]))
+        at = np.searchsorted(ends, pair, "right")
+        row, col = order[at], order[pair + shift[at]]
+        deltas = points[col]
+        deltas -= points[row]
+        kept = np.einsum("ij,ij->i", deltas, deltas) <= eps2
+        keys += [(row * n + col)[kept], (col * n + row)[kept & (row != col)]]
+    keys = np.sort(np.concatenate(keys))
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
 
 def dbscan(points: np.ndarray, cache_ids: Sequence[str], params: ClusterParams) -> Clustering:
@@ -105,45 +131,38 @@ def dbscan(points: np.ndarray, cache_ids: Sequence[str], params: ClusterParams) 
         raise ValueError(f"{len(cache_ids)} cache ids for {n} points")
     if not n:
         return Clustering(clusters=(), noise=(), params=params)
-    neighborhoods = _neighborhoods(points, params.epsilon)
-    is_core = np.fromiter(
-        (len(nb) >= params.min_pts for nb in neighborhoods), dtype=bool, count=n
+    indptr, indices = neighborhoods(points, params.epsilon)
+    counts = np.diff(indptr)
+    is_core = counts >= params.min_pts
+    rows = np.repeat(np.arange(n), counts)
+
+    # Min-label hooking with pointer jumping: a core point's root ends as the
+    # smallest core index of its component. A core row holds itself.
+    core_idx = np.flatnonzero(is_core)
+    core_pair = is_core[rows] & is_core[indices]
+    segments = np.searchsorted(rows[core_pair], core_idx)
+    root, hooked = None, np.arange(n)
+    while not np.array_equal(root, hooked):
+        root, hooked = hooked, hooked.copy()
+        np.minimum.at(hooked, root[core_idx], np.minimum.reduceat(root[indices[core_pair]], segments))
+        while not np.array_equal(hooked, jumped := hooked[hooked]):
+            hooked = jumped
+    labels = np.full(n, -1, dtype=np.intp)
+    labels[core_idx] = (np.cumsum(is_core & (root == np.arange(n))) - 1)[root[core_idx]]
+
+    # A border point takes the cluster of the first core entry in its row.
+    border_pair = ~is_core[rows] & is_core[indices]
+    border_rows, first = np.unique(rows[border_pair], return_index=True)
+    labels[border_rows] = labels[indices[border_pair][first]]
+
+    ids = np.array(cache_ids, dtype=object)
+    by_label = np.argsort(labels, kind="stable")
+    noise, *groups = np.split(by_label, np.searchsorted(labels[by_label], np.arange(labels.max() + 1)))
+    return Clustering(
+        clusters=tuple(Cluster(tuple(ids[g]), frozenset(ids[g[is_core[g]]])) for g in groups),
+        noise=tuple(ids[noise]),
+        params=params,
     )
-
-    labels = np.full(n, -1, dtype=int)
-    n_clusters = 0
-    for seed in range(n):
-        if not is_core[seed] or labels[seed] != -1:
-            continue
-        cid = n_clusters
-        n_clusters += 1
-        labels[seed] = cid
-        queue = [seed]
-        while queue:
-            i = queue.pop()
-            for j in neighborhoods[i]:
-                if is_core[j] and labels[j] == -1:
-                    labels[j] = cid
-                    queue.append(j)
-
-    for i in range(n):
-        if is_core[i]:
-            continue
-        core_neighbors = neighborhoods[i][is_core[neighborhoods[i]]]
-        if core_neighbors.size:
-            labels[i] = labels[core_neighbors[0]]  # lowest index, already sorted
-
-    clusters = []
-    for cid in range(n_clusters):
-        member_idx = np.flatnonzero(labels == cid)
-        clusters.append(
-            Cluster(
-                members=tuple(cache_ids[i] for i in member_idx),
-                core=frozenset(cache_ids[i] for i in member_idx if is_core[i]),
-            )
-        )
-    noise = tuple(cache_ids[i] for i in range(n) if labels[i] == -1)
-    return Clustering(clusters=tuple(clusters), noise=noise, params=params)
 
 
 def write_clustering_csv(target: IO[str] | str | Path, clustering: Clustering) -> None:

@@ -198,6 +198,8 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndar
 
     Direction uniform on the sphere, radius scaled by u^(1/dim).
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1: {dim}")
     if radius == 0.0:
         return np.zeros(dim)
     direction = rng.standard_normal(dim)
@@ -232,7 +234,7 @@ def cd_calibration(
     """
     if n_stars < 1:
         raise ValueError("n_stars must be >= 1")
-    if e < 0 or trials < 1 or extra_stars < 0 or (dim is not None and dim < 1):
+    if e < 0 or trials < 1 or extra_stars < 0:
         raise ValueError("invalid calibration parameters")
     space_dim = n_stars if dim is None else dim
     total = 0.0

@@ -259,9 +259,10 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
     """Yield ``target`` if it is a stream, else the path opened for UTF-8 writing.
 
     Every writer takes a path or a stream through this, and writes LF line
-    endings on every platform.
+    endings on every platform. A path's missing parent directories are created.
     """
     if isinstance(target, (str, Path)):
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
         with open(target, "w", encoding="utf-8", newline="") as fp:
             yield fp
     else:

@@ -1,8 +1,10 @@
 """Independent reference implementations the tests check the package against.
 
 These deliberately take different routes from the library code: scipy's
-distance matrix and connected-components instead of the hand-rolled
-neighborhood scan and BFS, and a literal rank-interpolation percentile.
+distance matrix and connected-components instead of the band-limited
+neighborhood scan and label propagation, and a literal rank-interpolation
+percentile. ``region_query`` is the library's former all-rows scan, kept as
+the per-row oracle for its neighborhoods.
 The windowing and per-cache feature oracles are the per-record loops the
 library used before its columnar flow table, the astral-distance oracle is
 the per-star-pair norm loop it used before its distance matrix, and the
@@ -54,6 +56,16 @@ def reference_percentile(samples, q):
     lo = int(math.floor(h))
     hi = min(lo + 1, n - 1)
     return s[lo] + (h - lo) * (s[hi] - s[lo])
+
+
+def region_query(points: np.ndarray, index: int, epsilon: float) -> np.ndarray:
+    """Indices (own index included) within Euclidean distance <= epsilon, ascending.
+
+    Scans all N rows of the (N, d) ``points``.
+    """
+    deltas = points - points[index]
+    dist2 = np.einsum("ij,ij->i", deltas, deltas)
+    return np.flatnonzero(dist2 <= epsilon * epsilon)
 
 
 def reference_dbscan(points: np.ndarray, epsilon: float, min_pts: int):

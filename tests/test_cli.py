@@ -405,6 +405,25 @@ def test_unwritable_output_exit_1(trace_files, tmp_path, capsys, argv):
     assert err.startswith("input error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--config", "{ini}", "--out-trace", "{new}/t.tsv", "--out-ground-truth", "{new}/gt.tsv"],
+        ["rank", "--input", "{trace}", "--out", "{new}/rank.csv"],
+        ["sweep", "--input", "{trace}", "--ground-truth", "{gt}", "--window-days", "1",
+         "--eps-grid", "0.04", "--out", "{new}/sweep.csv"],
+    ],
+    ids=["synth", "rank", "sweep"],
+)
+def test_missing_output_directory_created(trace_files, tmp_path, argv):
+    _, ini, trace, gt = trace_files
+    argv = [a.format(ini=ini, trace=trace, gt=gt, new=tmp_path / "a" / "b") for a in argv]
+    assert main(argv) == 0
+    for arg in argv:
+        if arg.startswith(str(tmp_path)):
+            assert Path(arg).stat().st_size > 0, arg
+
+
 def test_parser_exposes_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

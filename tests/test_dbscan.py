@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from scipy.spatial.distance import cdist
 from edgewatch.dbscan import (
     BORDER,
     CORE,
+    PAIR_BUDGET,
     Clustering,
     ClusterParams,
     dbscan,
-    region_query,
+    neighborhoods,
     write_clustering_csv,
 )
 
-from reference_impls import clusters_as_sets, reference_dbscan
+from reference_impls import clusters_as_sets, reference_dbscan, region_query
 
 
 def dbscan_of(matrix, params):
@@ -37,6 +39,12 @@ def random_instance(rng, max_points=120, dim=4):
     matrix = np.vstack(points)
     rng.shuffle(matrix)
     return matrix
+
+
+def csr_rows(matrix, epsilon):
+    """The rows of ``neighborhoods(matrix, epsilon)`` as a list of index arrays."""
+    indptr, indices = neighborhoods(np.asarray(matrix, dtype=float), epsilon)
+    return [indices[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
 
 
 def assert_matches_reference(matrix, params):
@@ -69,6 +77,8 @@ class TestClusterParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterParams(epsilon=0.0)
+        with pytest.raises(ValueError):
+            ClusterParams(epsilon=float("nan"))
         with pytest.raises(ValueError):
             ClusterParams(min_pts=0)
 
@@ -220,6 +230,28 @@ class TestDbscan:
         rng.shuffle(matrix)
         assert_matches_reference(matrix, ClusterParams(epsilon=0.04, min_pts=5))
 
+    def test_band_of_every_row_stays_bounded(self):
+        # Coordinate 0 is constant (a metric that normalizes to 0 everywhere),
+        # so every row's band holds all 2,400 points; the other coordinates
+        # keep the true neighborhoods small. Blocks of PAIR_BUDGET pairs bound
+        # the working set: per pair two (d,) float rows and eight 8-byte index
+        # or distance values, 128 bytes at d = 4, plus 1 MiB for the per-point
+        # arrays and the kept pairs. Blocks of 64 whole rows would hold up to
+        # 64 * 2,400 pairs, over 15 MiB.
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(0, 1, (300, 3))
+        spread = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 3))
+        matrix = np.column_stack([np.zeros(2400), spread])
+        params = ClusterParams(epsilon=0.04, min_pts=5)
+        tracemalloc.start()
+        try:
+            dbscan_of(matrix, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PAIR_BUDGET * 8 * (2 * matrix.shape[1] + 8) + 2**20, peak
+        assert_matches_reference(matrix, params)
+
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         matrix = random_instance(rng)
@@ -231,24 +263,52 @@ class TestDbscan:
 
 
 class TestRegionQuery:
+    """Each CSR row of ``neighborhoods`` is one region query, all rows at once."""
+
     def test_zero_radius_self_only(self):
         matrix = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
             ClusterParams(epsilon=0.0)  # params reject 0, but the primitive allows it
-        assert list(region_query(matrix, 1, 0.0)) == [1]
+        assert [row.tolist() for row in csr_rows(matrix, 0.0)] == [[0], [1], [2]]
 
     def test_saturating_radius(self):
         matrix = np.random.default_rng(2).uniform(0, 1, (20, 3))
-        assert list(region_query(matrix, 4, 10.0)) == list(range(20))
+        assert all(row.tolist() == list(range(20)) for row in csr_rows(matrix, 10.0))
 
     def test_matches_pairwise_scan(self):
         rng = np.random.default_rng(3)
         matrix = rng.uniform(0, 1, (50, 6))
         eps = 0.6
         dist = cdist(matrix, matrix)
+        rows = csr_rows(matrix, eps)
         for i in range(50):
-            expected = np.flatnonzero(dist[i] <= eps)
-            assert np.array_equal(region_query(matrix, i, eps), expected)
+            assert np.array_equal(rows[i], np.flatnonzero(dist[i] <= eps))
+
+    @given(
+        eps=st.sampled_from([2.0**-5, 0.04, 0.1, 1.0, 3.0, 1e-170, 1e-310]),
+        offset=st.sampled_from([0.0, -7.5, 1e6, 2.0**52, -1e15]),
+        cells=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-1, 1), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1,
+            max_size=40,
+        ),
+        dims=st.integers(1, 3),
+        constant_x=st.booleans(),
+    )
+    def test_rows_equal_region_query(self, eps, offset, cells, dims, constant_x):
+        # Coordinate 0 is offset + k * eps moved by -1, 0 or +1 ulp: equal k
+        # tie, adjacent k sit eps or eps +- 1-2 ulp apart, and at a large
+        # offset x +- eps rounds. The other coordinates step by eps / 2, so
+        # some pairs lie exactly on the boundary. eps = 1e-170 and 1e-310
+        # make eps * eps underflow.
+        k, ulps, *rest = np.array(cells, dtype=float).T
+        x = np.full(k.size, offset) if constant_x else offset + k * eps
+        x = np.where(ulps == 0, x, np.nextafter(x, np.copysign(np.inf, ulps)))
+        matrix = np.column_stack([x, *rest][:dims]) * np.r_[1.0, [eps / 2] * (dims - 1)]
+        rows = csr_rows(matrix, eps)
+        for i in range(len(matrix)):
+            expected = region_query(matrix, i, eps)
+            assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected), i
 
 
 def test_clustering_csv_dump():

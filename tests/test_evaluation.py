@@ -215,6 +215,10 @@ class TestSampleInBall:
         rng = np.random.default_rng(0)
         assert np.array_equal(sample_in_ball(rng, 5, 0.0), np.zeros(5))
 
+    def test_dim_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            sample_in_ball(np.random.default_rng(0), 0, 0.1)
+
 
 class TestCdCalibration:
     def test_zero_displacement_zero_cd(self):
