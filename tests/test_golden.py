@@ -85,6 +85,7 @@ CLI_DIGESTS = {
     "sweep_percentiles.csv": "760105271c481e51470fbbff0b59d7f8f2fd43dfbc3e0023865541b8f3f38433",
     "sweep_mean_std.csv": "763f68a331a8cc6c7b07368fd25db97be6d9e765be2d0c820e4c50b59478ccaa",
     "calibrate.csv": "fe852d0f930ca9cb7648ce22343c4a0d217845648af321d6e4f72162bb9b2a7c",
+    "calibrate_dim.csv": "2c8456b197061b7fd99393018adfe177854a441e28ed8d261c3ff66e06d4b6c6",
     "rank.csv": "d64ba00e148038f12648f606ee5602bcb3304b5a4c58a43ea34e529bcf568843",
 }
 
@@ -111,6 +112,8 @@ def run_cli(root):
          "--feature-mode", "mean_std", "--out", str(root / "sweep_mean_std.csv")],
         ["calibrate", "--stars", "3,5", "--e-grid", "0.0,0.1,0.25", "--extra-stars", "0,1",
          "--trials", "4", "--seed", "3", "--out", str(root / "calibrate.csv")],
+        ["calibrate", "--stars", "2,9", "--e-grid", "0.0,0.05,0.3", "--extra-stars", "0,3",
+         "--dim", "6", "--trials", "3", "--seed", "11", "--out", str(root / "calibrate_dim.csv")],
         ["rank", "--input", str(trace), "--out", str(root / "rank.csv")],
     ]
     for argv in runs:
