@@ -10,7 +10,6 @@ from .constellation import (
     CDReport,
     Constellation,
     Coupling,
-    Star,
     astral_distance,
     build_constellation,
     constellation_distance,

@@ -32,6 +32,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 MAX_GRID = 10_000
+MAX_CALIBRATION_ELEMENTS = 1 << 24  # most elements of a calibration trial's positions or distances
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -213,6 +214,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
     if min(e_grid) < 0 or min(extra_list) < 0:
         raise ConfigError("calibrate needs --e-grid and --extra-stars >= 0")
+    largest = max(stars_list)
+    if (largest + max(extra_list)) * max(largest, args.dim or largest) > MAX_CALIBRATION_ELEMENTS:
+        raise ConfigError(f"--stars/--extra-stars/--dim: a matrix over {MAX_CALIBRATION_ELEMENTS} elements")
     with text_output(args.out) as fp:
         fp.write("stars,e,extra_stars,trials,mean_cd\n")
         for n in stars_list:

@@ -2,10 +2,11 @@
 
 Two snapshots normalize their features independently, so before comparing
 them the raw percentile space is re-normalized with joint per-metric bounds.
-Each cluster collapses to a single centroid ("star"); a star's astral
-distance is the Euclidean distance to the nearest star of the other
-constellation, and the Constellation Distance is the symmetric sum of all
-astral distances. Because it is a plain sum, the stars responsible for a
+Each cluster collapses to a single centroid ("star"): a constellation is a
+``positions`` matrix with one star per row, each star's ``members`` and the
+``bounds``. A star's astral distance is the Euclidean distance to the
+nearest star of the other constellation, and the Constellation Distance is
+the symmetric sum of all astral distances; the stars responsible for a
 change can be read directly off the coupling lists.
 """
 
@@ -19,30 +20,23 @@ import numpy as np
 from .dbscan import Clustering
 from .features import CacheFeatures, NormalizationBounds
 
-
-@dataclass(frozen=True)
-class Star:
-    """Cluster centroid in the jointly renormalized feature space.
-
-    ``members`` is empty only for synthetic stars (e.g. calibration
-    experiments); pipeline-built stars always carry their member caches.
-    """
-
-    position: np.ndarray
-    members: tuple[str, ...]
+CD_ELEMENT_BUDGET = 1 << 18  # most elements of one block of star-pair differences (2 MiB)
 
 
 @dataclass(frozen=True)
 class Constellation:
-    stars: tuple[Star, ...]
+    """Star i is row i of the float64 ``(n_stars, dim)`` ``positions``, with caches ``members[i]``."""
+
+    positions: np.ndarray
+    members: tuple[tuple[str, ...], ...] = ()  # () for synthetic constellations, e.g. calibration's
     bounds: NormalizationBounds | None = None
 
     @property
     def dimension(self) -> int | None:
-        return int(self.stars[0].position.size) if self.stars else None
+        return self.positions.shape[1] if len(self) else None
 
     def __len__(self) -> int:
-        return len(self.stars)
+        return len(self.positions)
 
 
 def joint_bounds(a: NormalizationBounds, b: NormalizationBounds) -> NormalizationBounds:
@@ -69,20 +63,20 @@ def build_constellation(
         if missing:
             raise ValueError(f"cluster {cid} members missing from raw features: {missing}")
         means.append(features.raw[[row[c] for c in cluster.members]].mean(axis=0))
-    positions = bounds.normalize(np.array(means)) if means else ()
-    stars = (Star(p, c.members) for p, c in zip(positions, clustering.clusters))
-    return Constellation(stars=tuple(stars), bounds=bounds)
+    positions = bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
+    return Constellation(positions, tuple(c.members for c in clustering.clusters), bounds)
 
 
-def astral_distance(star: Star, constellation: Constellation) -> tuple[float, int | None]:
-    """Distance from ``star`` to its closest star in ``constellation``.
+def astral_distance(position: np.ndarray, constellation: Constellation) -> tuple[float, int | None]:
+    """Distance from the star at ``position`` to its closest star in ``constellation``.
 
     Ties break toward the lowest star index. An empty constellation yields
     the sentinel sqrt(dim) (the diameter of the unit feature hypercube) with
     no nearest reference, so an all-noise snapshot registers as a maximal
     change instead of failing.
     """
-    (coupling,) = _couplings((star,), constellation.stars)
+    star = Constellation(np.reshape(position, (1, -1)), bounds=constellation.bounds)
+    (coupling,) = constellation_distance(star, constellation).couplings_ab
     return coupling.distance, coupling.nearest_index
 
 
@@ -109,18 +103,25 @@ class CDReport:
         return sorted(tagged, key=lambda t: (-t[1].distance, t[0], t[1].star_index))
 
 
-def _couplings(stars: tuple[Star, ...], other: tuple[Star, ...]) -> tuple[Coupling, ...]:
-    """Each star's coupling to its nearest star in ``other``, from one distance matrix.
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(len(a), len(b))`` Euclidean distances between the rows of ``a`` and of ``b``.
 
     ``np.vecdot`` is the dot routine ``np.linalg.norm`` runs on one vector, so each
-    distance equals the per-pair norm bit for bit; ``argmin`` keeps the lowest-index tie.
+    distance equals the per-pair norm bit for bit. Differences are taken for a block
+    of rows of ``a`` at a time, in one buffer of at most CD_ELEMENT_BUDGET elements.
     """
-    if not (stars and other):
-        return tuple(Coupling(i, None, math.sqrt(s.position.size)) for i, s in enumerate(stars))
-    d = np.stack([s.position for s in stars])[:, None] - np.stack([s.position for s in other])
-    distances = np.sqrt(np.vecdot(d, d))
-    nearest, nearest_distances = distances.argmin(axis=1).tolist(), distances.min(axis=1).tolist()
-    return tuple(map(Coupling, range(len(stars)), nearest, nearest_distances))
+    distances = np.empty((len(a), len(b)))
+    block = np.empty((min(len(a), max(1, CD_ELEMENT_BUDGET // max(1, b.size))), *b.shape))
+    for start in range(0, len(a), len(block)):
+        d = np.subtract(a[start : start + len(block), None], b, out=block[: len(a) - start])
+        distances[start : start + len(block)] = np.sqrt(np.vecdot(d, d))
+    return distances
+
+
+def _nearest(distances: np.ndarray, axis: int) -> tuple[Coupling, ...]:
+    """The coupling of each star along ``axis``'s other side; ``argmin`` keeps the lowest-index tie."""
+    nearest, nearest_distances = distances.argmin(axis).tolist(), distances.min(axis).tolist()
+    return tuple(map(Coupling, range(len(nearest)), nearest, nearest_distances))
 
 
 def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
@@ -128,14 +129,19 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
 
     Both constellations must have been built against the same joint bounds
     (callers go through joint_bounds); comparing constellations normalized
-    differently is a domain error.
+    differently is a domain error. Both sides read one distance matrix: b - a is bitwise -(a - b).
     """
     if a.bounds != b.bounds:
         raise ValueError("constellations were built with different bounds")
-    if a.stars and b.stars and a.dimension != b.dimension:
+    if not (len(a) and len(b)):
+        couplings_ab, couplings_ba = (
+            tuple(Coupling(i, None, math.sqrt(c.dimension)) for i in range(len(c))) for c in (a, b)
+        )
+    elif a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    couplings_ab = _couplings(a.stars, b.stars)
-    couplings_ba = _couplings(b.stars, a.stars)
+    else:
+        distances = _distances(a.positions, b.positions)
+        couplings_ab, couplings_ba = _nearest(distances, 1), _nearest(distances, 0)
     cd_value = sum(c.distance for c in couplings_ab) + sum(c.distance for c in couplings_ba)
     return CDReport(cd_value, couplings_ab, couplings_ba)
 
@@ -143,21 +149,11 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
 CD_REPORT_HEADER = "snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance".split(",")
 
 
-def write_cd_report_rows(
-    writer, report: CDReport, snapshot_n: int, snapshot_n1: int
-) -> None:
+def write_cd_report_rows(writer, report: CDReport, snapshot_n: int, snapshot_n1: int) -> None:
     """Append one CSV row per coupling, in the columns of CD_REPORT_HEADER."""
+    head = [snapshot_n, snapshot_n1, repr(report.cd_value)]
     for side, couplings in (("a", report.couplings_ab), ("b", report.couplings_ba)):
-        for c in couplings:
-            writer.writerow(
-                [
-                    snapshot_n,
-                    snapshot_n1,
-                    repr(report.cd_value),
-                    side,
-                    c.star_index,
-                    "" if c.nearest_index is None else c.nearest_index,
-                    repr(c.distance),
-                ]
-            )
-
+        writer.writerows(
+            [*head, side, c.star_index, "" if c.nearest_index is None else c.nearest_index, repr(c.distance)]
+            for c in couplings
+        )

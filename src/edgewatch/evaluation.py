@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,7 +10,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, Star, constellation_distance
+from .constellation import Constellation, constellation_distance
 from .dbscan import Clustering, ClusterParams, DEFAULT_MIN_PTS, dbscan
 from .errors import InputError
 from .features import (
@@ -122,11 +123,8 @@ def clustering_indices(clustering: Clustering, ground_truth: GroundTruth) -> Qua
     assigned, n_tp, n_fp = majority_vote_labels(clustering, ground_truth)
     n_x = clustering.n_points
     n_clusters = clustering.n_clusters
-    cluster_labels = set()
-    for cluster in clustering.clusters:
-        # Every member of a cluster carries the same majority label.
-        cluster_labels.add(assigned[cluster.members[0]])
-    n_labels = len(cluster_labels)
+    # Every member of a cluster carries the same majority label.
+    n_labels = len({assigned[cluster.members[0]] for cluster in clustering.clusters})
     return QualityIndices(
         tpr=n_tp / n_x if n_x else 0.0,
         fragmentation=n_clusters / n_labels if n_labels else None,
@@ -193,26 +191,31 @@ def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> N
             fp.write(f"{r.epsilon!r},{r.tpr!r},{frag},{r.pureness!r},{r.noise_count}\n")
 
 
-def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform sample from the ball of the given radius centered at the origin.
+def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    """``(n, dim)`` uniform samples from the ball of the given radius centered at the origin.
 
-    Direction uniform on the sphere, radius scaled by u^(1/dim).
+    Row by row, the direction is a nonzero standard-normal draw, then u scales
+    its length to radius * u^(1/dim). Radius 0 draws nothing.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1: {dim}")
     if radius == 0.0:
-        return np.zeros(dim)
-    direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return direction / norm * r
+        return np.zeros((n, dim))
+    directions, norms, scales = [], [], []
+    for _ in range(n):
+        norm = 0.0
+        while norm == 0.0:
+            direction = rng.standard_normal(dim)
+            norm = math.sqrt(direction.dot(direction))
+        directions.append(direction)
+        norms.append(norm)
+        scales.append(radius * rng.random() ** (1.0 / dim))
+    return np.reshape(directions, (n, dim)) / np.array(norms)[:, None] * np.array(scales)[:, None]
 
 
-def _synthetic_constellation(positions: np.ndarray) -> Constellation:
-    return Constellation(stars=tuple(Star(position=row, members=()) for row in positions))
+def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+    """One sample of ``ball_offsets``: a ``(dim,)`` vector."""
+    return ball_offsets(rng, 1, dim, radius)[0]
 
 
 def cd_calibration(
@@ -241,11 +244,7 @@ def cd_calibration(
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         base = rng.uniform(size=(n_stars, space_dim))
-        displaced = base + np.stack([sample_in_ball(rng, space_dim, e) for _ in range(n_stars)])
-        if extra_stars:
-            displaced = np.vstack([displaced, rng.uniform(size=(extra_stars, space_dim))])
-        report = constellation_distance(
-            _synthetic_constellation(base), _synthetic_constellation(displaced)
-        )
-        total += report.cd_value
+        offsets = ball_offsets(rng, n_stars, space_dim, e)
+        displaced = np.vstack([base + offsets, rng.uniform(size=(extra_stars, space_dim))])
+        total += constellation_distance(Constellation(base), Constellation(displaced)).cd_value
     return total / trials

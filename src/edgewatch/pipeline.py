@@ -223,7 +223,7 @@ def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
             report = constellation_distance(const_a, const_b)
             for side, coupling in report.contributors()[: config.top_stars]:
                 source, const = (prev, const_a) if side == "a" else (state, const_b)
-                members = const.stars[coupling.star_index].members
+                members = const.members[coupling.star_index]
                 contributors.append(
                     StarContribution(
                         side=side,

@@ -7,9 +7,10 @@ percentile. ``region_query`` is the library's former all-rows scan, kept as
 the per-row oracle for its neighborhoods.
 The windowing and per-cache feature oracles are the per-record loops the
 library used before its columnar flow table, the astral-distance oracle is
-the per-star-pair norm loop it used before its distance matrix, and the
+the per-star-pair norm loop it used before its distance matrix, the
 normalization and centroid oracles are the per-cache, per-metric loops it
-used before its feature matrix.
+used before its feature matrix, and the ball sampler is the one-vector-per-call
+sampler it used before drawing all of a constellation's offsets at once.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -189,6 +190,21 @@ def reference_astral_distance(position, others):
             best = d
             best_idx = idx
     return best, best_idx
+
+
+def sample_in_ball(rng, dim, radius):
+    """One uniform sample from the ball of the given radius about the origin:
+    a nonzero standard-normal direction over its ``np.linalg.norm``, times
+    radius * u^(1/dim); radius 0 draws nothing."""
+    if radius == 0.0:
+        return np.zeros(dim)
+    direction = rng.standard_normal(dim)
+    norm = np.linalg.norm(direction)
+    while norm == 0.0:
+        direction = rng.standard_normal(dim)
+        norm = np.linalg.norm(direction)
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return direction / norm * r
 
 
 def _reference_normalize(bounds, metric, values):

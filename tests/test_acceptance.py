@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from edgewatch.cli import main
-from edgewatch.constellation import Constellation, Star, constellation_distance
+from edgewatch.constellation import Constellation, constellation_distance
 from edgewatch.dbscan import ClusterParams, dbscan
 from edgewatch.evaluation import (
     GroundTruth,
@@ -148,11 +148,7 @@ def test_04_star_birth_growth():
 
 
 def _random_constellation(rng, n, dim):
-    return Constellation(
-        stars=tuple(
-            Star(position=rng.uniform(0, 1, dim), members=()) for _ in range(n)
-        )
-    )
+    return Constellation(rng.uniform(0, 1, (n, dim)))
 
 
 def test_05_metric_properties():
@@ -163,13 +159,8 @@ def test_05_metric_properties():
             dim = int(rng.integers(2, 11))
             a = _random_constellation(rng, int(rng.integers(1, 9)), dim)
             if trial % 3 == 0:
-                order = rng.permutation(len(a.stars))
-                b = Constellation(
-                    stars=tuple(
-                        Star(position=a.stars[i].position.copy(), members=())
-                        for i in order
-                    )
-                )
+                order = rng.permutation(len(a))
+                b = Constellation(a.positions[order])
                 equal_sets = True
             else:
                 b = _random_constellation(rng, int(rng.integers(1, 9)), dim)
@@ -186,23 +177,21 @@ def test_05_metric_properties():
 
             # Small-perturbation identity: displace each star by less than
             # half the minimum pairwise gap; CD must equal 2*sum(deltas).
-            positions = np.vstack([s.position for s in a.stars])
-            if len(a.stars) > 1:
+            positions = a.positions
+            if len(a) > 1:
                 d = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
-                min_gap = float(np.min(d[np.triu_indices(len(a.stars), k=1)]))
+                min_gap = float(np.min(d[np.triu_indices(len(a), k=1)]))
             else:
                 min_gap = 1.0
             if min_gap == 0.0:
                 continue
             deltas = []
             moved = []
-            for s in a.stars:
+            for position in a.positions:
                 v = sample_in_ball(rng, dim, 0.49 * min_gap)
                 deltas.append(float(np.linalg.norm(v)))
-                moved.append(s.position + v)
-            perturbed = Constellation(
-                stars=tuple(Star(position=p, members=()) for p in moved)
-            )
+                moved.append(position + v)
+            perturbed = Constellation(np.array(moved))
             report = constellation_distance(a, perturbed)
             expected = 2.0 * sum(deltas)
             if expected > 0:
@@ -229,7 +218,7 @@ def test_06_affine_commutation():
             )
             constellation = build_constellation(clustering, features, bounds)
             renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
-            diff = np.max(np.abs(constellation.stars[0].position - renorm_then_mean))
+            diff = np.max(np.abs(constellation.positions[0] - renorm_then_mean))
             assert diff <= 1e-12
 
 

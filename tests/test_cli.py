@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgewatch
+from edgewatch import cli
 from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
 from edgewatch.ingest import FLOW_LOG_HEADER
@@ -376,6 +377,32 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--stars", "100000"], ["--stars", "5", "--dim", "10000000000"],
+         ["--stars", "5", "--extra-stars", "10000000000"]],
+    )
+    def test_oversized_matrix_exit_2_before_allocating(self, tmp_path, capsys, flags):
+        out = tmp_path / "c.csv"
+        assert main(["calibrate", "--trials", "1", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--extra-stars", "1"], 0), (["--dim", "4"], 0), (["--dim", "5"], 2),
+            (["--dim", "1", "--extra-stars", "1"], 0), (["--dim", "1", "--extra-stars", "2"], 2),
+        ],
+    )
+    def test_matrix_cap_counts_positions_and_distances(self, tmp_path, monkeypatch, flags, code):
+        # 3 stars: positions are (3 + extra) x dim and distances 3 x (3 + extra).
+        monkeypatch.setattr(cli, "MAX_CALIBRATION_ELEMENTS", 12)
+        out = tmp_path / "c.csv"
+        assert main(["calibrate", "--stars", "3", "--trials", "1", *flags, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
 
 
 class TestRankCommand:

@@ -1,15 +1,18 @@
 import csv
 import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from edgewatch import constellation as constellation_module
 from edgewatch.constellation import (
+    CD_ELEMENT_BUDGET,
     CD_REPORT_HEADER,
     Constellation,
-    Star,
     astral_distance,
     build_constellation,
     constellation_distance,
@@ -27,11 +30,11 @@ def bounds_of(rtt, ttl=(0.0, 1.0)):
 
 
 def star_at(*coords):
-    return Star(position=np.asarray(coords, dtype=float), members=())
+    return np.asarray(coords, dtype=float)
 
 
 def constellation_at(*positions):
-    return Constellation(stars=tuple(star_at(*p) for p in positions))
+    return Constellation(np.array(positions, dtype=float))
 
 
 def cache_features(rows):
@@ -69,15 +72,21 @@ class TestBuildConstellation:
         features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 100.0))
         constellation = build_constellation(clustering_of(["a"]), features, bounds)
-        (star,) = constellation.stars
-        assert star.members == ("a",)
-        assert star.position == pytest.approx([0.25, 0.5, 0.5, 0.5])
+        (position,) = constellation.positions
+        assert constellation.members == (("a",),)
+        assert position == pytest.approx([0.25, 0.5, 0.5, 0.5])
 
     def test_symmetric_pair_midpoint(self):
         features = cache_features({"a": ([10.0, 10.0], [0.0, 0.0]), "b": ([30.0, 30.0], [0.0, 0.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 1.0))
         constellation = build_constellation(clustering_of(["a", "b"]), features, bounds)
-        assert constellation.stars[0].position[:2] == pytest.approx([0.5, 0.5])
+        assert constellation.positions[0][:2] == pytest.approx([0.5, 0.5])
+
+    def test_no_clusters_empty_matrix(self):
+        features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})
+        constellation = build_constellation(clustering_of(), features, None)
+        assert constellation.positions.shape == (0, 4) and constellation.positions.dtype == np.float64
+        assert (len(constellation), constellation.dimension, constellation.members) == (0, None, ())
 
     def test_missing_member_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +106,7 @@ class TestBuildConstellation:
             features = cache_features({f"c{i}": (raw[i, :k], raw[i, k:]) for i in range(members)})
             constellation = build_constellation(clustering_of(list(features.cache_ids)), features, bounds)
             renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
-            assert np.max(np.abs(constellation.stars[0].position - renorm_then_mean)) <= 1e-12
+            assert np.max(np.abs(constellation.positions[0] - renorm_then_mean)) <= 1e-12
 
     @given(st.data())
     def test_matches_per_cache_loop(self, data):
@@ -127,15 +136,15 @@ class TestBuildConstellation:
         clusters = [[c for c, lab in zip(ids, labels) if lab == k] for k in sorted(set(labels) - {-1})]
         partner = bounds_of(*(tuple(sorted(data.draw(st.tuples(value, value)))) for _ in range(2)))
         for b in (bounds, joint_bounds(bounds, partner)):
-            stars = build_constellation(clustering_of(*clusters), features, b).stars
+            positions = build_constellation(clustering_of(*clusters), features, b).positions
             expected = reference_centroids(clusters, per_cache, {"rtt": b.rtt, "ttl": b.ttl})
-            assert [s.position.tobytes() for s in stars] == [e.tobytes() for e in expected]
+            assert [p.tobytes() for p in positions] == [e.tobytes() for e in expected]
 
 
 class TestAstralDistance:
     def test_member_star_distance_zero(self):
         c = constellation_at((0.1, 0.2), (0.5, 0.9))
-        d, nearest = astral_distance(c.stars[1], c)
+        d, nearest = astral_distance(c.positions[1], c)
         assert d == 0.0
         assert nearest == 1
 
@@ -155,7 +164,7 @@ class TestAstralDistance:
 
     def test_empty_constellation_sentinel(self):
         star = star_at(*([0.2] * 10))
-        d, nearest = astral_distance(star, Constellation(stars=()))
+        d, nearest = astral_distance(star, Constellation(np.empty((0, 10))))
         assert d == pytest.approx(math.sqrt(10))
         assert nearest is None
 
@@ -184,8 +193,8 @@ class TestConstellationDistance:
         assert report.contributors()[0][1].star_index == 3
 
     def test_bounds_mismatch_rejected(self):
-        a = Constellation(stars=(star_at(0.0),), bounds=bounds_of((0, 1)))
-        b = Constellation(stars=(star_at(0.0),), bounds=bounds_of((0, 2)))
+        a = Constellation(np.zeros((1, 1)), bounds=bounds_of((0, 1)))
+        b = Constellation(np.zeros((1, 1)), bounds=bounds_of((0, 2)))
         with pytest.raises(ValueError):
             constellation_distance(a, b)
 
@@ -205,13 +214,14 @@ class TestConstellationDistance:
 
     def test_empty_side_uses_sentinel(self):
         a = constellation_at((0.0, 0.0), (1.0, 1.0))
-        b = Constellation(stars=())
+        b = Constellation(np.empty((0, 2)))
         report = constellation_distance(a, b)
         assert report.cd_value == pytest.approx(2 * math.sqrt(2))
         assert all(c.nearest_index is None for c in report.couplings_ab)
 
     def test_both_empty(self):
-        assert constellation_distance(Constellation(()), Constellation(())).cd_value == 0.0
+        empty = Constellation(np.empty((0, 2)))
+        assert constellation_distance(empty, empty).cd_value == 0.0
 
     @given(
         st.integers(1, 5),
@@ -231,31 +241,54 @@ class TestConstellationDistance:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 64),
-        st.integers(0, 6),
-        st.integers(0, 6),
+        st.lists(st.integers(0, 6), max_size=6),
+        st.lists(st.integers(0, 6), max_size=6),
         st.integers(0, 100),
+        st.sampled_from([1, 100, CD_ELEMENT_BUDGET]),
     )
-    def test_matches_per_pair_loop(self, seed, dim, na, nb, spread):
+    # Duplicated stars and x/-x about the origin tie in both directions; sizes differ.
+    @example(0, 3, [0, 3, 0, 6], [6, 3, 6], 0, CD_ELEMENT_BUDGET)
+    @example(1, 5, [], [2, 4, 4], 2, CD_ELEMENT_BUDGET)
+    @example(1, 5, [1, 1], [], 2, CD_ELEMENT_BUDGET)
+    @example(2, 1, [], [], 0, CD_ELEMENT_BUDGET)
+    def test_matches_per_pair_loop(self, seed, dim, picks_a, picks_b, spread, budget):
         # Stars are drawn with repeats from a pool holding x, -x and the origin,
         # so equal distances (ties) are common. Coordinates are scaled by
-        # 10**k, |k| <= spread <= 100, so squared distances stay finite.
+        # 10**k, |k| <= spread <= 100, so squared distances stay finite. A small
+        # element budget fills the distance matrix a row or a few rows at a time.
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(3, dim)) * 10.0 ** rng.integers(-spread, spread + 1, (3, dim))
         pool = np.vstack([base, -base, np.zeros((1, dim))])
-        a = constellation_at(*pool[rng.integers(0, len(pool), na)])
-        b = constellation_at(*pool[rng.integers(0, len(pool), nb)])
-        report = constellation_distance(a, b)
-        expected_cd = 0.0
-        for couplings, side, other in ((report.couplings_ab, a, b), (report.couplings_ba, b, a)):
-            others = [s.position for s in other.stars]
-            expected = [reference_astral_distance(s.position, others) for s in side.stars]
-            assert [(c.distance, c.nearest_index) for c in couplings] == expected
-            assert [astral_distance(s, other) for s in side.stars] == expected
-            assert [c.star_index for c in couplings] == list(range(len(side)))
-            assert all(type(c.distance) is float for c in couplings)
-            assert all(type(c.nearest_index) is (int if other.stars else type(None)) for c in couplings)
-            expected_cd += sum(d for d, _ in expected)
+        a = Constellation(pool[np.array(picks_a, dtype=int)])
+        b = Constellation(pool[np.array(picks_b, dtype=int)])
+        with mock.patch.object(constellation_module, "CD_ELEMENT_BUDGET", budget):
+            report = constellation_distance(a, b)
+            expected_cd = 0.0
+            for couplings, side, other in ((report.couplings_ab, a, b), (report.couplings_ba, b, a)):
+                others = list(other.positions)
+                expected = [reference_astral_distance(p, others) for p in side.positions]
+                assert [(c.distance, c.nearest_index) for c in couplings] == expected
+                assert [astral_distance(p, other) for p in side.positions] == expected
+                assert [c.star_index for c in couplings] == list(range(len(side)))
+                assert all(type(c.distance) is float for c in couplings)
+                assert all(type(c.nearest_index) is (int if len(other) else type(None)) for c in couplings)
+                expected_cd += sum(d for d, _ in expected)
         assert report.cd_value == expected_cd
+
+    def test_distance_matrix_working_set_bounded(self):
+        # One difference tensor of 300 x 300 stars in 32 dimensions is 23 MB;
+        # blocks keep it to one buffer of the element budget, next to the
+        # 0.7 MB distance matrix, plus 1 MiB for the couplings.
+        rng = np.random.default_rng(12)
+        a, b = Constellation(rng.uniform(size=(300, 32))), Constellation(rng.uniform(size=(300, 32)))
+        tracemalloc.start()
+        try:
+            report = constellation_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (CD_ELEMENT_BUDGET + 300 * 300) + 2**20, peak
+        assert len(report.couplings_ab) == len(report.couplings_ba) == 300
 
     def test_contributors_ranked_descending(self):
         rng = np.random.default_rng(17)

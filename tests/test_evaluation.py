@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from edgewatch.dbscan import Cluster, Clustering, ClusterParams
 from edgewatch.evaluation import (
     GroundTruth,
+    ball_offsets,
     cd_calibration,
     clustering_indices,
     epsilon_sweep,
@@ -17,6 +18,8 @@ from edgewatch.evaluation import (
 )
 from edgewatch.features import extract_cache_features
 from edgewatch.ingest import DAY_SECONDS, window_flows
+
+import reference_impls
 
 
 def clustering_of(clusters, noise=()):
@@ -202,6 +205,31 @@ class TestEpsilonSweep:
         assert lines[1].split(",")[2] == ""  # fragmentation undefined at eps ~ 0
 
 
+class ZeroFirstNormal:
+    """A generator whose first ``standard_normal`` draw returns zeros, after
+    consuming the wrapped generator's draw, so the sampler's retry runs."""
+
+    def __init__(self, rng):
+        self.rng, self.zero_draws = rng, 0
+
+    def standard_normal(self, size):
+        draw = self.rng.standard_normal(size)
+        if self.zero_draws:
+            return draw
+        self.zero_draws += 1
+        return np.zeros(size)
+
+    def random(self):
+        return self.rng.random()
+
+    def uniform(self):
+        return self.rng.uniform()
+
+
+def state_of(rng):
+    return (getattr(rng, "rng", rng).bit_generator.state, getattr(rng, "zero_draws", None))
+
+
 class TestSampleInBall:
     def test_within_radius(self):
         rng = np.random.default_rng(0)
@@ -218,6 +246,45 @@ class TestSampleInBall:
     def test_dim_below_one_rejected(self):
         with pytest.raises(ValueError):
             sample_in_ball(np.random.default_rng(0), 0, 0.1)
+        with pytest.raises(ValueError):
+            ball_offsets(np.random.default_rng(0), 3, 0, 0.1)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 8),
+        st.integers(1, 50),
+        st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0, 1e3),
+        st.booleans(),
+    )
+    def test_rows_equal_per_call_oracle(self, seed, n, dim, radius, zero_first):
+        # n rows are n successive oracle calls on the same stream, bit for bit,
+        # and leave the generator where the calls leave it.
+        def generator():
+            rng = np.random.default_rng(seed)
+            return ZeroFirstNormal(rng) if zero_first else rng
+
+        rng, oracle_rng = generator(), generator()
+        rows = ball_offsets(rng, n, dim, radius)
+        expected = [reference_impls.sample_in_ball(oracle_rng, dim, radius) for _ in range(n)]
+        assert rows.shape == (n, dim) and rows.dtype == np.float64
+        assert rows.tobytes() == b"".join(e.tobytes() for e in expected)
+        assert state_of(rng) == state_of(oracle_rng)
+        oracle = reference_impls.sample_in_ball(generator(), dim, radius)
+        assert sample_in_ball(generator(), dim, radius).tobytes() == oracle.tobytes()
+
+    def test_many_rows_equal_per_call_oracle(self):
+        # A length that is off by one ulp in about one row of a thousand (as
+        # ``norm ** 0.5`` is) still shows in this many rows.
+        for dim in (3, 10, 40):
+            rng, oracle_rng = np.random.default_rng([dim, 1]), np.random.default_rng([dim, 1])
+            rows = ball_offsets(rng, 4000, dim, 0.25)
+            expected = np.array([reference_impls.sample_in_ball(oracle_rng, dim, 0.25) for _ in range(4000)])
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_zero_direction_redrawn(self):
+        rng = ZeroFirstNormal(np.random.default_rng(3))
+        (row,) = ball_offsets(rng, 1, 4, 1.0)
+        assert rng.zero_draws == 1 and np.all(np.isfinite(row)) and np.any(row)
 
 
 class TestCdCalibration:
