@@ -23,7 +23,7 @@ from .features import CacheFeatures, NormalizationBounds
 CD_ELEMENT_BUDGET = 1 << 18  # most elements of one block of star-pair differences (2 MiB)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Star i is row i of the float64 ``(n_stars, dim)`` ``positions``, with caches ``members[i]``."""
 

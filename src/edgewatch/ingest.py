@@ -8,7 +8,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
@@ -48,34 +48,33 @@ class FlowLineError(ValueError):
         self.reason = reason
 
 
-# How each field is read: float() or int(), or str for a dictionary-encoded one.
-_CONVERTERS = (float, str, str, str, float, int, int, int, float)
+# One line as np.loadtxt converts it; a string (object) field is dictionary-encoded.
+_ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
 # Per string field's position, the name -> code dictionary of its Codes.
 _Index = dict[int, dict[str, int]]
 
 
 def _new_index() -> _Index:
-    return {i: {} for i, convert in enumerate(_CONVERTERS) if convert is str}
+    return {i: {} for i in range(len(_ROW)) if _ROW[i] == object}
 
 
 def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
-    """One array per field from one sequence per field: float()/int(), or codes in ``index``."""
+    """One array per field from one sequence per field: its numbers, or codes in ``index``."""
     arrays = []
-    for i, (convert, values) in enumerate(zip(_CONVERTERS, columns)):
+    for i, values in enumerate(columns):
         if i in index:  # new names take the next free codes, in order of first use
             new = dict.fromkeys(values)
             for name in new.keys() & index[i].keys():
                 del new[name]
             index[i].update(zip(new, count(len(index[i]))))
-            convert = index[i].__getitem__
-        dtype = np.float64 if convert is float else np.int64
-        arrays.append(np.fromiter(map(convert, values), dtype, len(values)))
+            values = np.fromiter(map(index[i].__getitem__, values), np.int64, len(values))
+        arrays.append(np.asarray(values, np.int64 if i in index else _ROW[i]))
     return arrays
 
 
 def _table(parts: list[list[np.ndarray]], index: _Index) -> FlowTable:
     """The table of the concatenated field arrays; ``index`` names the codes."""
-    columns = map(np.concatenate, zip(_arrays([()] * len(_CONVERTERS), index), *parts))
+    columns = map(np.concatenate, zip(_arrays([()] * len(_ROW), index), *parts))
     return FlowTable(*(Codes(c, np.array(list(index[i]), dtype=object)) if i in index else c
                        for i, c in enumerate(columns)))
 
@@ -200,18 +199,22 @@ def _parse_chunk(
     first_line: int, chunk: list[str], errors: list[FlowLineError] | None, index: _Index
 ) -> list[np.ndarray]:
     """The field arrays of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
-    width = len(FLOW_LOG_COLUMNS)
-    whole = np.fromiter(map(str.count, chunk, repeat("\t")), np.intp, len(chunk)) == width - 1
-    # A line's last field keeps its line break, which float() ignores.
-    flat = "\t".join(compress(chunk, whole)).split("\t")
-    try:
-        arrays = _arrays([flat[i::width] for i in range(width)], index)
-    except (ValueError, OverflowError):
-        arrays, recheck = None, range(len(chunk))
-    else:
-        rejected = _rejected(arrays, index)
-        arrays = [a[~rejected] for a in arrays]
-        recheck = np.union1d(np.flatnonzero(~whole), np.flatnonzero(whole)[rejected]).tolist()
+    text, arrays, recheck = "".join(chunk), None, range(len(chunk))
+    # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
+    # as whitespace where float() and int() refuse them, and reads some
+    # non-ASCII characters in an integer as digits: such chunks go line by line.
+    if text.isascii() and not text.isspace() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+        try:
+            converted = np.loadtxt(chunk, _ROW, delimiter="\t", comments=None, quotechar=None, ndmin=1)
+        except ValueError:  # a field that does not convert, or a wrong field count
+            pass
+        else:
+            arrays = _arrays([converted[name] for name in FLOW_LOG_COLUMNS], index)
+            rejected = _rejected(arrays, index)
+            arrays = [a[~rejected] for a in arrays]
+            if len(converted) < len(chunk):  # np.loadtxt skipped the blank lines
+                recheck = [i for i, line in enumerate(chunk) if line.rstrip("\r\n")]
+            recheck = list(compress(recheck, rejected))
     rows = []
     for i in recheck:
         if line := chunk[i].rstrip("\r\n"):
@@ -222,7 +225,7 @@ def _parse_chunk(
                     raise
                 errors.append(exc)
     # Rows the column checks reject never parse: only a chunk that failed to convert has rows.
-    return _arrays(list(zip(*rows)) or [()] * len(_CONVERTERS), index) if arrays is None else arrays
+    return _arrays(list(zip(*rows)) or [()] * len(_ROW), index) if arrays is None else arrays
 
 
 def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
@@ -231,10 +234,11 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     The first line must be exactly the fixed header, otherwise
     FlowLogFormatError is raised. Malformed data lines raise FlowLineError,
     unless ``errors`` is a list, in which case they are appended there and
-    skipped (skip-and-count mode). Chunks of about CHUNK_BYTES are converted
-    column-wise with float() and int(); the rows the column checks reject,
-    and every row of a chunk that fails to convert, go through the per-line
-    parser, which words each rejection.
+    skipped (skip-and-count mode). Each chunk of about CHUNK_BYTES of text is
+    converted by one np.loadtxt call; the rows the column checks reject, and
+    every line of a chunk it refuses, go through the per-line parser, which
+    words each rejection. Numbers are read exactly as float() and int() read
+    them.
     """
     header = source.readline()
     if not header:

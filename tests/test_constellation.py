@@ -67,6 +67,14 @@ class TestJointBounds:
         assert joint.rtt == (10.0, 100.0)
 
 
+def test_constellations_compare_by_identity():
+    a = Constellation(np.zeros((2, 3)))
+    b = Constellation(np.zeros((2, 3)))
+    assert a == a
+    assert a != b
+    assert len({a, b, a}) == 2
+
+
 class TestBuildConstellation:
     def test_singleton_cluster(self):
         features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})

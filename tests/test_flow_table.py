@@ -8,7 +8,9 @@ per-line parser applied line by line.
 import contextlib
 import io
 import math
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -118,6 +120,12 @@ TOKENS = [
     "", "nan", "inf", "-inf", "-1", "-0.0", "0", "255", "256", "1e400", " 7 ", "1_0", "+5", "0x1f",
     "٣", "abc", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
     "10" * 20, "\x00", " 1.5",
+    # Tokens np.loadtxt's converters may read where float() and int() refuse,
+    # or read differently: quotes, comments, whitespace float() does not strip
+    # (\x1c-\x1f), a character numpy 2.4's integer parser takes for a digit
+    # ("1\u01fe" reads as 472), hex, complex and Fortran forms.
+    '"7"', "#7", "7\x0b", "7\xa0", " 7", "7\x1c", "\x1f7", "３", "1\u01fe", "1.", ".5", "3.0", "1e",
+    "1e-400", "Infinity", "+nan", "nan(1)", "0x1p3", "1.5j", "1.5d0", "  ", "1\r2",
 ]
 ACTIONS = ["keep", "keep", "replace", "replace", "drop", "add", "blank", "space"]
 
@@ -138,14 +146,14 @@ def mutated_logs(draw):
         elif action == "add":
             fields.insert(i, draw(st.sampled_from(TOKENS)))
         lines.append({"blank": "", "space": " "}.get(action, "\t".join(fields)))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return FLOW_LOG_HEADER + newline + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
-def _line_by_line(text):
+def _line_by_line(text, newline=""):
     """(rows, [(line number, reason)]) of _parse_line applied to each data line."""
     records, errors = [], []
-    lines = io.StringIO(text, newline="")
+    lines = io.StringIO(text, newline=newline)
     next(lines)
     for number, raw in enumerate(lines, start=2):
         if line := raw.rstrip("\r\n"):
@@ -156,15 +164,20 @@ def _line_by_line(text):
     return records, errors
 
 
-def _check_against_line_parser(text):
-    expected_records, expected_errors = _line_by_line(text)
+def _bits(rows):
+    """The rows with each float as its bytes, as -0.0 == 0.0."""
+    return [tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in row) for row in rows]
+
+
+def _check_against_line_parser(text, newline=""):
+    expected_records, expected_errors = _line_by_line(text, newline)
     errors: list[FlowLineError] = []
-    table = parse_flow_log(io.StringIO(text, newline=""), errors=errors)
-    assert flow_rows(table) == expected_records
+    table = parse_flow_log(io.StringIO(text, newline=newline), errors=errors)
+    assert _bits(flow_rows(table)) == _bits(expected_records)
     assert [(e.line_number, e.reason) for e in errors] == expected_errors
     if expected_errors:
         with pytest.raises(FlowLineError) as exc:
-            parse_flow_log(io.StringIO(text, newline=""))
+            parse_flow_log(io.StringIO(text, newline=newline))
         assert (exc.value.line_number, exc.value.reason) == expected_errors[0]
     return expected_errors
 
@@ -174,7 +187,55 @@ def test_every_token_in_every_field_matches_line_parser(field):
     for token in TOKENS:
         fields = VALID_LINES[4].split("\t")
         fields[field] = token
-        _check_against_line_parser("\n".join([FLOW_LOG_HEADER, VALID_LINES[0], "\t".join(fields), ""]))
+        text = "\n".join([FLOW_LOG_HEADER, VALID_LINES[0], "\t".join(fields), ""])
+        # "" splits lines at \r as read_flow_log does; "\n" leaves a \r inside its line.
+        for newline in ("", "\n"):
+            _check_against_line_parser(text, newline)
+
+
+# Halfway and overflow/underflow boundary cases of correct rounding.
+ROUNDING_CASES = [
+    "9007199254740993", "9007199254740995", "-9007199254740993", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "2.4703282292062327e-324", "2.4703282292062328e-324",
+    "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308", "0.1", "-0",
+]
+decimals = st.one_of(
+    st.builds(
+        lambda sign, digits, point, exponent:
+            sign + (digits if point is None else f"{digits[:point]}.{digits[point:]}") + exponent,
+        st.sampled_from(["", "-", "+"]),
+        st.text("0123456789", min_size=1, max_size=40),
+        st.none() | st.integers(0, 40),
+        st.just("") | st.integers(-400, 400).map(lambda e: f"e{e}"),
+    ),
+    st.floats().map(repr),
+    st.sampled_from(ROUNDING_CASES),
+)
+
+
+@given(st.lists(st.tuples(decimals, decimals, decimals), min_size=1, max_size=8))
+def test_float_fields_convert_bit_for_bit_like_float(values):
+    lines = []
+    for start, rtt, throughput in values:
+        fields = VALID_LINES[0].split("\t")
+        fields[0], fields[4], fields[8] = start, rtt, throughput
+        lines.append("\t".join(fields))
+    _check_against_line_parser("\n".join([FLOW_LOG_HEADER, *lines, ""]))
+
+
+def test_chunk_of_blank_lines_parses_and_runs_silently(tmp_path):
+    text = "\n".join([FLOW_LOG_HEADER, *VALID_LINES[:3], *[""] * 200, *VALID_LINES[3:], ""])
+    path = tmp_path / "trace.tsv"
+    path.write_text(text, encoding="utf-8", newline="")
+    argv = ["timeline", "--input", str(path), "--window-days", "1", "--min-flow", "1",
+            "--out-dir", str(tmp_path / "out")]
+    err = io.StringIO()
+    with warnings.catch_warnings(), mock.patch.object(ingest, "CHUNK_BYTES", 64):
+        warnings.simplefilter("error")
+        assert _check_against_line_parser(text) == []
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert err.getvalue() == ""
 
 
 @given(mutated_logs(), st.sampled_from([64, 512, ingest.CHUNK_BYTES]))
