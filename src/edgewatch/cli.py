@@ -7,13 +7,12 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import count_steps, read_ini_section, text_output, write_flow_log
+from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, text_output, write_flow_log
 from .pipeline import (
     PipelineConfig,
     config_windows,
@@ -25,10 +24,6 @@ from .pipeline import (
     write_timeline_csv,
 )
 from .synth import generate_trace, load_synth_config, rank_matrix, write_rank_csv
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 MAX_GRID = 10_000
@@ -65,10 +60,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 # Flags named differently from their PipelineConfig field; every other flag
 # is the field name with dashes.
 _FLAG_NAMES = {"utc_offset_hours": "utc-offset", "output_dir": "out-dir"}
-_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
-_FIELD_PARSERS = {
-    f.name: _PARSE_BY_TYPE[get_type_hints(PipelineConfig)[f.name]] for f in fields(PipelineConfig)
-}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,28 +75,12 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_pipeline_ini(path: str) -> dict[str, str]:
-    section = read_ini_section(path, "pipeline")
-    for key in section:
-        if key not in _FIELD_PARSERS:
-            raise ConfigError(f"unknown pipeline option: {key}")
-    return dict(section)
-
-
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then command-line flags, then config-file values (which win)."""
-    texts = {name: getattr(args, name) for name in _FIELD_PARSERS}
+    texts = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.config:
-        texts.update(_load_pipeline_ini(args.config))
-    config = PipelineConfig()
-    for name, text in texts.items():
-        if text is None:
-            continue
-        try:
-            setattr(config, name, _FIELD_PARSERS[name](text))
-        except ValueError:
-            raise ConfigError(f"bad value for {name}: {text!r}") from None
-    return config.validate()
+        texts.update(read_ini_section(args.config, "pipeline"))
+    return config_from(PipelineConfig, texts, "pipeline config").validate()
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -212,8 +187,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate needs non-empty --stars and --extra-stars")
     if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
-    if min(e_grid) < 0 or min(extra_list) < 0:
-        raise ConfigError("calibrate needs --e-grid and --extra-stars >= 0")
+    if min(e_grid) < 0 or min(extra_list) < 0 or args.seed < 0:
+        raise ConfigError("calibrate needs --e-grid, --extra-stars and --seed >= 0")
     largest = max(stars_list)
     if (largest + max(extra_list)) * max(largest, args.dim or largest) > MAX_CALIBRATION_ELEMENTS:
         raise ConfigError(f"--stars/--extra-stars/--dim: a matrix over {MAX_CALIBRATION_ELEMENTS} elements")
@@ -231,8 +206,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.utc_offset):
-        raise ConfigError(f"--utc-offset must be finite, got {args.utc_offset}")
+    if not -24 <= args.utc_offset <= 24:
+        raise ConfigError(f"--utc-offset must lie in [-24, 24], got {args.utc_offset}")
     matrix = rank_matrix(read_flow_logs(args.input), args.utc_offset)
     write_rank_csv(args.out, matrix)
     print(f"wrote {len(matrix.cache_ids)}x{matrix.ranks.shape[1]} rank matrix to {args.out}")

@@ -6,12 +6,12 @@ import configparser
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import compress, count
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -274,8 +274,8 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
 
 
 def read_ini_section(path: str | Path, section: str) -> configparser.SectionProxy:
-    """``[section]`` of the UTF-8 INI file ``path``; any failure is a one-line ConfigError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    """``[section]`` of UTF-8 INI file ``path`` with literal ``%``; any failure is a one-line ConfigError."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fp:
             parser.read_file(fp)
@@ -284,6 +284,39 @@ def read_ini_section(path: str | Path, section: str) -> configparser.SectionProx
     if section not in parser:
         raise ConfigError(f"{path} has no [{section}] section")
     return parser[section]
+
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
+_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
+_Config = TypeVar("_Config")
+
+
+def config_from(
+    cls: type[_Config], texts: Mapping[str, str | None], where: str, keys: Mapping[str, str] = {}, **values
+) -> _Config:
+    """``cls(**values)`` with the fields ``texts`` gives (key -> text or None), each parsed by type hint.
+
+    A key is its field's name, or ``keys`` renames it. A key of no int, float, str or float-list field, a
+    text that does not parse and a missing field without default are each a one-line ConfigError.
+    """
+    hints = get_type_hints(cls)
+    for key, text in texts.items():
+        name = keys.get(key, None if key in keys.values() else key)
+        if hints.get(name) not in _PARSE_BY_TYPE:
+            raise ConfigError(f"{where}: unknown key {key}")
+        if text is not None:
+            try:
+                values[name] = _PARSE_BY_TYPE[hints[name]](text)
+            except ValueError:
+                raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
+    key_of = {name: key for key, name in keys.items()}
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING:
+            raise ConfigError(f"{where}: missing key {key_of.get(f.name, f.name)}")
+    return cls(**values)
 
 
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
@@ -347,19 +380,14 @@ def count_steps(fits: Callable[[int], bool], estimate: float, limit: int, what: 
 
 
 def window_flows(
-    table: FlowTable,
-    window_seconds: float,
-    step_seconds: float,
-    *,
-    utc_offset_hours: float = 0.0,
-    origin: float | None = None,
+    table: FlowTable, window_seconds: float, step_seconds: float, *, utc_offset_hours: float = 0.0
 ) -> list[Snapshot]:
     """Slice a table into sliding snapshots of width ``window_seconds``.
 
     Snapshot n covers [t0 + n*step, t0 + n*step + window); intervals are
-    half-open so a record exactly at a window's end is excluded. t0 defaults
-    to the midnight (in the given UTC offset) at or before the earliest
-    record; windows are generated while they fit inside coverage, which ends
+    half-open so a record exactly at a window's end is excluded. t0 is the
+    midnight (in the given UTC offset) at or before the earliest record;
+    windows are generated while they fit inside coverage, which ends
     at the first midnight boundary strictly after the latest record. Each
     snapshot is a range of the table's time order, so a record in several
     overlapping snapshots is not copied. More than MAX_WINDOWS windows raise
@@ -371,7 +399,7 @@ def window_flows(
         return []
     order = table.time_order
     times = table.start_time[order]
-    t0 = midnight_floor(times[0], utc_offset_hours) if origin is None else float(origin)
+    t0 = midnight_floor(times[0], utc_offset_hours)
     t_end = midnight_floor(times[-1], utc_offset_hours) + DAY_SECONDS
     n_windows = count_steps(lambda n: t0 + n * step_seconds + window_seconds <= t_end,
                             (t_end - t0 - window_seconds) / step_seconds + 1, MAX_WINDOWS, "windows")

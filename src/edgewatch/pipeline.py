@@ -83,6 +83,8 @@ class PipelineConfig:
             raise ConfigError("bad clustering parameters")
         if self.top_stars < 1:
             raise ConfigError("top_stars must be >= 1")
+        if not -24 <= self.utc_offset_hours <= 24:
+            raise ConfigError("utc_offset_hours must lie in [-24, 24]")
         try:
             _validate_percentiles(self.percentiles)
         except ValueError as exc:

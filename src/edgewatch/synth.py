@@ -15,7 +15,7 @@ CDN.
 
 from __future__ import annotations
 
-import configparser
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +26,7 @@ import numpy as np
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError, require_finite
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, Codes, FlowTable, read_ini_section, text_output, window_flows
+from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section, text_output, window_flows
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -309,53 +309,33 @@ def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix
 
 
 def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
-    n_days = matrix.ranks.shape[1]
     with text_output(target) as fp:
-        fp.write("cache_id," + ",".join(f"day_{d}" for d in range(n_days)) + "\n")
-        for i, cache_id in enumerate(matrix.cache_ids):
-            fp.write(cache_id + "," + ",".join(str(v) for v in matrix.ranks[i]) + "\n")
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["cache_id", *(f"day_{d}" for d in range(matrix.ranks.shape[1]))])
+        for cache_id, ranks in zip(matrix.cache_ids, matrix.ranks.tolist()):
+            writer.writerow([cache_id, *ranks])
+
+
+# INI key -> EdgeNodeSpec field
+_NODE_KEYS = {"caches": "cache_count", "rtt_median_ms": "rtt_median", "rtt_spread_ms": "rtt_spread",
+              "ttl": "ttl_value", "weight": "load_weight"}
 
 
 def load_synth_config(path: str | Path) -> SynthConfig:
     """Read the plain-text section/key-value config documented in the README."""
     trace = read_ini_section(path, "trace")
-    parser = trace.parser
-    nodes = []
-    events = []
-    try:
-        for section in parser.sections():
-            if section.startswith("node"):
-                s = parser[section]
-                label = s.get("label", section.split(None, 1)[1] if " " in section else "")
-                nodes.append(
-                    EdgeNodeSpec(
-                        label=label.upper(),
-                        cache_count=s.getint("caches"),
-                        rtt_median=s.getfloat("rtt_median_ms"),
-                        rtt_spread=s.getfloat("rtt_spread_ms", 1.5),
-                        ttl_value=s.getint("ttl"),
-                        load_weight=s.getfloat("weight", 1.0),
-                    )
-                )
-            elif section.startswith("event"):
-                s = parser[section]
-                events.append(
-                    EventSpec(
-                        kind=s.get("kind"),
-                        target=s.get("target", "").upper(),
-                        start_day=s.getint("start_day"),
-                        end_day=s.getint("end_day"),
-                        magnitude=s.getfloat("magnitude", 0.0),
-                    )
-                )
-        return SynthConfig(
-            nodes=tuple(nodes),
-            events=tuple(events),
-            days=trace.getint("days", 14),
-            flows_per_day=trace.getint("flows_per_day", 10_000),
-            rank_churn=trace.getfloat("rank_churn", 0.2),
-            seed=trace.getint("seed", 0),
-            start_epoch=trace.getfloat("start_epoch", DEFAULT_START_EPOCH),
-        )
-    except (ValueError, TypeError, configparser.Error) as exc:
-        raise ConfigError(f"bad synth config {path}: {exc}") from None
+    nodes, events = [], []
+    for name in trace.parser.sections():
+        kind, suffix = (*name.split(None, 1), "", "")[:2]
+        texts, where = dict(trace.parser[name]), f"{path} [{name}]"
+        if kind == "node":
+            texts = {"label": suffix, "rtt_spread_ms": "1.5", "weight": "1.0", **texts}
+            texts["label"] = texts["label"].upper()
+            nodes.append(config_from(EdgeNodeSpec, texts, where, _NODE_KEYS))
+        elif kind == "event":
+            if "target" in texts:
+                texts["target"] = texts["target"].upper()
+            events.append(config_from(EventSpec, texts, where))
+        elif name != "trace":
+            raise ConfigError(f"{path}: unknown section [{name}]")
+    return config_from(SynthConfig, trace, f"{path} [trace]", nodes=tuple(nodes), events=tuple(events))

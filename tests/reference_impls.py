@@ -116,7 +116,7 @@ def clusters_as_sets(labels: np.ndarray) -> set[frozenset[int]]:
     return {frozenset(v) for v in out.values()}
 
 
-def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hours=0.0, origin=None):
+def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hours=0.0):
     """The per-record bucket loop that windowed flow lists before the columnar table.
 
     Returns (window_start, window_end, {cache_id: [records in input order]})
@@ -129,7 +129,7 @@ def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hou
         return []
     t_min = min(r.start_time for r in records)
     t_max = max(r.start_time for r in records)
-    t0 = math.floor((t_min + shift) / day) * day - shift if origin is None else float(origin)
+    t0 = math.floor((t_min + shift) / day) * day - shift
     t_end = math.floor((t_max + shift) / day) * day - shift + day
     count = 0
     while t0 + count * step_seconds + window_seconds <= t_end:
@@ -137,8 +137,6 @@ def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hou
     buckets = [{} for _ in range(count)]
     for record in records:
         t = record.start_time
-        if t < t0:
-            continue
         lo = max(0, math.floor((t - t0 - window_seconds) / step_seconds))
         hi = min(count - 1, math.floor((t - t0) / step_seconds))
         for n in range(lo, hi + 1):

@@ -125,6 +125,13 @@ class TestTimelineCommand:
             [*sweep, "--eps-grid", "0:inf:1"],
             [*sweep, "--eps-grid", "0:0.1:0.05"],
             [*rank, "--utc-offset", "nan"],
+            # Offsets beyond a day overflowed in midnight_floor.
+            [*timeline, "--utc-offset", "1e308"],
+            [*timeline, "--utc-offset", "-24.5"],
+            [*rank, "--utc-offset", "1e308"],
+            [*rank, "--utc-offset", "1e305"],
+            [*rank, "--utc-offset", "inf"],
+            [*rank, "--utc-offset", "25"],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
@@ -213,6 +220,7 @@ class TestTimelineCommand:
             (timeline, b"[pipeline]\nepsilon = 0.1\n[pipeline\n"),
             (timeline, b"[pipeline]\nepsilon = 0.1\nepsilon = 0.2\n"),
             (timeline, b"[pipeline]\nepsilon = 0.1\xff\n"),
+            (timeline, b"[pipeline]\nepsilon = 0.1%\n"),
             (synth, b"[trace\ndays = 3\n"),
         ]
         # Non-finite synth values: each wrote an unreadable trace or died in numpy.
@@ -240,6 +248,30 @@ class TestTimelineCommand:
             assert main(argv) == 2, text
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
+        # Synth typos and missing keys: the error names the key or section.
+        node = "[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = 10\n"
+        kindless = "[event death]\ntarget = MIL\nstart_day = 0\nend_day = 1\n"
+        named = [
+            (f"[trace]\nflows_per_dya = 5\n{node}", "flows_per_dya"),
+            (f"[trace]\nnodes = 1\n{node}", "nodes"),
+            (f"[trace]\n{node}rtt_sprad_ms = 3\n", "rtt_sprad_ms"),
+            (f"[trace]\n{node.replace('caches', 'cache_count')}", "cache_count"),
+            (f"[trace]\n{node}{kindless}kind = node_death\nmagnitud = 1\n", "magnitud"),
+            (f"[trace]\n{node}[nodes]\ncaches = 5\n", "[nodes]"),
+            (f"[trace]\n{node}[eventful]\nkind = node_death\n", "[eventful]"),
+            ("[trace]\n[node MIL]\nttl = 50\nrtt_median_ms = 10\n", "caches"),
+            (f"[trace]\n{node}{kindless}", "kind"),
+        ]
+        for text, name in named:
+            ini.write_text(text)
+            assert main(synth) == 2, text
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1 and name in err, err
+        # '%' is a literal character, not an interpolation.
+        out = tmp_path / "out%x"
+        ini.write_text(f"[pipeline]\nwindow_days = 1\noutput_dir = {out}\n")
+        assert main(timeline) == 0
+        assert (out / "timeline.csv").is_file()
 
     def test_argparse_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -369,6 +401,7 @@ class TestCalibrateCommand:
         [
             ["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"],
             ["--dim", "0"], ["--e-grid", "nan"], ["--e-grid", "0:inf:1"], ["--e-grid", "0:1e9:1e-9"],
+            ["--seed", "-1"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
@@ -413,6 +446,12 @@ class TestRankCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("cache_id,day_0")
         assert len(lines) == 13
+
+    def test_utc_offset_bounds_are_inclusive(self, trace_files, tmp_path):
+        _, _, trace, _ = trace_files
+        rank = ["rank", "--input", str(trace), "--out", str(tmp_path / "r.csv")]
+        for offset in ("-24", "24"):
+            assert main([*rank, "--utc-offset", offset]) == 0
 
 
 @pytest.mark.parametrize(

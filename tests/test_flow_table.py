@@ -46,15 +46,14 @@ PERCENTILES = (20.0, 35.0, 50.0, 65.0, 80.0)
 
 @st.composite
 def windowed_traces(draw):
-    """Unsorted flows split over 1-3 files, with window/step in whole hours,
-    a UTC offset in quarter hours and, half the time, an origin before the
-    first flow. Many flows sit exactly on, or one ulp below, a window edge."""
+    """Unsorted flows split over 1-3 files, with window/step in whole hours
+    and a UTC offset in quarter hours. Many flows sit exactly on, or one ulp
+    below, a window edge."""
     window = draw(st.integers(1, 60)) * 3600.0
     step = draw(st.integers(1, 36)) * 3600.0
     offset = draw(st.integers(-48, 56)) * 0.25
     first = BASE + draw(st.integers(0, 86_399))
-    origin = draw(st.none() | st.integers(0, 2 * 86_400).map(lambda d: first - d))
-    t0 = midnight_floor(first, offset) if origin is None else origin
+    t0 = midnight_floor(first, offset)
     edge = st.builds(lambda n, w: t0 + n * step + w * window, st.integers(0, 30), st.integers(0, 1))
     time = st.one_of(
         st.floats(first, first + 3 * DAY_SECONDS),
@@ -74,7 +73,7 @@ def windowed_traces(draw):
     records += [r for flows in draw(st.lists(burst, max_size=20)) for r in flows]
     cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=2)))
     files = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
-    return files, window, step, offset, origin, draw(st.integers(1, 6))
+    return files, window, step, offset, draw(st.integers(1, 6))
 
 
 def _bytes(features):
@@ -88,12 +87,12 @@ def _bytes(features):
 
 @given(windowed_traces())
 def test_windows_and_features_match_per_record_code(trace):
-    files, window, step, offset, origin, min_flow = trace
+    files, window, step, offset, min_flow = trace
     records = [r for f in files for r in f]
     table = FlowTable.concat([flow_table(f) for f in files])
     assert flow_rows(table) == records
-    snaps = window_flows(table, window, step, utc_offset_hours=offset, origin=origin)
-    expected = reference_window_flows(records, window, step, offset, origin)
+    snaps = window_flows(table, window, step, utc_offset_hours=offset)
+    expected = reference_window_flows(records, window, step, offset)
     assert [(s.index, s.window_start, s.window_end) for s in snaps] == [
         (n, start, end) for n, (start, end, _) in enumerate(expected)
     ]

@@ -202,11 +202,6 @@ class TestWindowFlows:
         assert [set(s.records) for s in a] == [set(s.records) for s in b]
         assert [s.n_records for s in a] == [s.n_records for s in b]
 
-    def test_origin_override(self):
-        records = [flow(3.5 * DAY_SECONDS), flow(9.5 * DAY_SECONDS)]
-        snaps = windows(records, 7 * DAY_SECONDS, DAY_SECONDS, origin=2 * DAY_SECONDS)
-        assert snaps[0].window_start == 2 * DAY_SECONDS
-
     def test_midnight_alignment_with_offset(self):
         t = 5 * DAY_SECONDS + 3600.0
         records = [flow(t)]

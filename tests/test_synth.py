@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -241,6 +242,14 @@ class TestRankMatrix:
         assert lines[0] == "cache_id,day_0,day_1"
         assert len(lines) == 1 + len(matrix.cache_ids)
 
+    def test_csv_quotes_ids_with_commas_and_quotes(self):
+        ids = ["a,b", 'say "hi"', "plain"]
+        matrix = rank_matrix(flow_table([Flow(10.0, "u", c, "h", 1.0, 10, 0, 0, 1.0) for c in ids]))
+        buf = io.StringIO()
+        write_rank_csv(buf, matrix)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert rows == [["cache_id", "day_0"], ["a,b", "1"], ["plain", "2"], ['say "hi"', "3"]]
+
 
 SYNTH_INI = """
 [trace]
@@ -282,6 +291,31 @@ class TestConfigFile:
         assert config.events[0].kind == "node_death"
         records, gt = generate_trace(config)
         assert records and set(gt.labels.values()) == {"MIL", "AMS"}
+
+    def test_every_key_read_onto_its_field(self, tmp_path):
+        path = tmp_path / "synth.ini"
+        path.write_text(
+            "[trace]\ndays = 9\nflows_per_day = 321\nrank_churn = 0.45\nseed = 17\nstart_epoch = 86400.5\n"
+            "[node abc]\nlabel = mil\ncaches = 6\nrtt_median_ms = 12.5\nrtt_spread_ms = 2.25\nttl = 77\n"
+            "weight = 3.5\n[node tor]\ncaches = 5\nrtt_median_ms = 20\nttl = 60\n"
+            "[event e]\nkind = path_shift\ntarget = mil\nstart_day = 2\nend_day = 4\nmagnitude = 8.5\n"
+        )
+        config = load_synth_config(path)
+        expected = [
+            (config, {"days": 9, "flows_per_day": 321, "rank_churn": 0.45, "seed": 17, "start_epoch": 86400.5}),
+            (config.nodes[0], {"label": "MIL", "cache_count": 6, "rtt_median": 12.5, "rtt_spread": 2.25,
+                               "ttl_value": 77, "load_weight": 3.5}),
+            # The defaults of the two optional node keys, and the label from the section name.
+            (config.nodes[1], {"label": "TOR", "cache_count": 5, "rtt_median": 20.0, "rtt_spread": 1.5,
+                               "ttl_value": 60, "load_weight": 1.0}),
+            (config.events[0], {"kind": "path_shift", "target": "MIL", "start_day": 2, "end_day": 4,
+                                "magnitude": 8.5}),
+        ]
+        assert (len(config.nodes), len(config.events)) == (2, 1)
+        for spec, values in expected:
+            for name, value in values.items():
+                got = getattr(spec, name)
+                assert got == value and type(got) is type(value), (name, got)
 
     def test_missing_trace_section(self, tmp_path):
         path = tmp_path / "bad.ini"
