@@ -12,7 +12,7 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, text_output, write_flow_log
+from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, write_csv, write_flow_log
 from .pipeline import (
     PipelineConfig,
     config_windows,
@@ -79,7 +79,11 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then command-line flags, then config-file values (which win)."""
     texts = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.config:
-        texts.update(read_ini_section(args.config, "pipeline"))
+        section = read_ini_section(args.config, "pipeline")
+        extra = [name for name in section.parser.sections() if name != "pipeline"]
+        if extra:
+            raise ConfigError(f"{args.config}: unknown section [{extra[0]}]")
+        texts.update(section)
     return config_from(PipelineConfig, texts, "pipeline config").validate()
 
 
@@ -192,15 +196,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     largest = max(stars_list)
     if (largest + max(extra_list)) * max(largest, args.dim or largest) > MAX_CALIBRATION_ELEMENTS:
         raise ConfigError(f"--stars/--extra-stars/--dim: a matrix over {MAX_CALIBRATION_ELEMENTS} elements")
-    with text_output(args.out) as fp:
-        fp.write("stars,e,extra_stars,trials,mean_cd\n")
-        for n in stars_list:
-            for extra in extra_list:
-                for e in e_grid:
-                    mean_cd = cd_calibration(
-                        n, e, args.trials, extra, seed=args.seed, dim=args.dim
-                    )
-                    fp.write(f"{n},{e!r},{extra},{args.trials},{mean_cd!r}\n")
+    rows = (  # lazy: --out is opened before the first trial runs
+        [n, repr(e), extra, args.trials]
+        + [repr(cd_calibration(n, e, args.trials, extra, seed=args.seed, dim=args.dim))]
+        for n in stars_list
+        for extra in extra_list
+        for e in e_grid
+    )
+    write_csv(args.out, "stars,e,extra_stars,trials,mean_cd".split(","), rows)
     print(f"wrote calibration grid to {args.out}")
     return 0
 

@@ -149,11 +149,11 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
 CD_REPORT_HEADER = "snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance".split(",")
 
 
-def write_cd_report_rows(writer, report: CDReport, snapshot_n: int, snapshot_n1: int) -> None:
-    """Append one CSV row per coupling, in the columns of CD_REPORT_HEADER."""
+def cd_report_rows(report: CDReport, snapshot_n: int, snapshot_n1: int) -> list[list]:
+    """One CSV row per coupling, in the columns of CD_REPORT_HEADER."""
     head = [snapshot_n, snapshot_n1, repr(report.cd_value)]
-    for side, couplings in (("a", report.couplings_ab), ("b", report.couplings_ba)):
-        writer.writerows(
-            [*head, side, c.star_index, "" if c.nearest_index is None else c.nearest_index, repr(c.distance)]
-            for c in couplings
-        )
+    return [
+        [*head, side, c.star_index, "" if c.nearest_index is None else c.nearest_index, repr(c.distance)]
+        for side, couplings in (("a", report.couplings_ab), ("b", report.couplings_ba))
+        for c in couplings
+    ]

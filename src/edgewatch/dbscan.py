@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .ingest import text_output
+from .ingest import write_csv
 
 DEFAULT_EPSILON = 0.04
 DEFAULT_MIN_PTS = 5
@@ -169,8 +168,5 @@ def write_clustering_csv(target: IO[str] | str | Path, clustering: Clustering) -
     """CSV dump: cache_id,cluster_id,role with cluster_id=-1 for noise."""
     labels = clustering.labels()
     roles = clustering.roles()
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["cache_id", "cluster_id", "role"])
-        for cache_id in sorted(labels):
-            writer.writerow([cache_id, labels[cache_id], roles[cache_id]])
+    rows = ([cache_id, labels[cache_id], roles[cache_id]] for cache_id in sorted(labels))
+    write_csv(target, "cache_id,cluster_id,role".split(","), rows)

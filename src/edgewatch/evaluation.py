@@ -20,7 +20,7 @@ from .features import (
     extract_cache_features_mean_std,
     normalize_snapshot,
 )
-from .ingest import Snapshot, text_output
+from .ingest import Snapshot, text_output, write_csv
 
 
 @dataclass(frozen=True)
@@ -184,11 +184,17 @@ def epsilon_sweep(
 
 
 def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> None:
-    with text_output(target) as fp:
-        fp.write("epsilon,tpr,fragmentation,pureness,noise_count\n")
-        for r in rows:
-            frag = "" if r.fragmentation is None else repr(r.fragmentation)
-            fp.write(f"{r.epsilon!r},{r.tpr!r},{frag},{r.pureness!r},{r.noise_count}\n")
+    cells = (
+        [
+            repr(r.epsilon),
+            repr(r.tpr),
+            "" if r.fragmentation is None else repr(r.fragmentation),
+            repr(r.pureness),
+            r.noise_count,
+        ]
+        for r in rows
+    )
+    write_csv(target, "epsilon,tpr,fragmentation,pureness,noise_count".split(","), cells)
 
 
 def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -10,7 +9,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from .ingest import Snapshot, text_output
+from .ingest import Snapshot, write_csv
 
 METRICS = ("rtt", "ttl")
 DEFAULT_PERCENTILES = (20.0, 35.0, 50.0, 65.0, 80.0)
@@ -191,10 +190,10 @@ def write_feature_dump(
     shape = (-1, len(METRICS), features.raw.shape[1] // len(METRICS))
     raw = features.raw.reshape(shape).tolist()
     normalized = bounds.normalize(features.raw).reshape(shape).tolist()
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["cache_id", "metric", "percentile", "raw_value", "normalized_value"])
-        for cache_id, raw_blocks, norm_blocks in zip(features.cache_ids, raw, normalized):
-            for metric, raw_block, norm_block in zip(METRICS, raw_blocks, norm_blocks):
-                for q, rv, nv in zip(percentiles, raw_block, norm_block):
-                    writer.writerow([cache_id, metric, repr(float(q)), repr(rv), repr(nv)])
+    rows = (
+        [cache_id, metric, repr(float(q)), repr(rv), repr(nv)]
+        for cache_id, raw_blocks, norm_blocks in zip(features.cache_ids, raw, normalized)
+        for metric, raw_block, norm_block in zip(METRICS, raw_blocks, norm_blocks)
+        for q, rv, nv in zip(percentiles, raw_block, norm_block)
+    )
+    write_csv(target, "cache_id,metric,percentile,raw_value,normalized_value".split(","), rows)

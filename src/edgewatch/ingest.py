@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import math
 import re
 from contextlib import contextmanager
@@ -11,7 +12,7 @@ from functools import cached_property
 from itertools import compress, count
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -271,6 +272,14 @@ def text_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
             yield fp
     else:
         yield target
+
+
+def write_csv(target: IO[str] | str | Path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """``header``, then ``rows`` as they are drawn: comma-separated, minimal quoting, LF endings."""
+    with text_output(target) as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_ini_section(path: str | Path, section: str) -> configparser.SectionProxy:

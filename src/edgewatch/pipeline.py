@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,9 +14,9 @@ from .constellation import (
     CDReport,
     Constellation,
     build_constellation,
+    cd_report_rows,
     constellation_distance,
     joint_bounds,
-    write_cd_report_rows,
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError, require_finite
@@ -40,8 +39,8 @@ from .ingest import (
     Snapshot,
     parse_cache_hostname,
     read_flow_log,
-    text_output,
     window_flows,
+    write_csv,
 )
 
 log = logging.getLogger(__name__)
@@ -330,66 +329,54 @@ def drilldown(
 
 def write_timeline_csv(target: IO[str] | str | Path, entries: Sequence[TimelineEntry]) -> None:
     """timeline.csv: one row per snapshot with CD, noise count, flag, top stars."""
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(
-            ["snapshot", "window_start", "window_end", "cd", "noise_count", "flag", "top_stars"]
-        )
-        for e in entries:
-            tops = ";".join(
-                f"{c.side}{c.star_id}:{c.label or '-'}:{c.distance:.6f}" for c in e.contributors
-            )
-            writer.writerow(
-                [
-                    e.index,
-                    repr(e.window_start),
-                    repr(e.window_end),
-                    "" if e.cd_to_previous is None else repr(e.cd_to_previous),
-                    e.noise_count,
-                    e.flagged,
-                    tops,
-                ]
-            )
+    rows = (
+        [
+            e.index,
+            repr(e.window_start),
+            repr(e.window_end),
+            "" if e.cd_to_previous is None else repr(e.cd_to_previous),
+            e.noise_count,
+            e.flagged,
+            ";".join(f"{c.side}{c.star_id}:{c.label or '-'}:{c.distance:.6f}" for c in e.contributors),
+        ]
+        for e in entries
+    )
+    write_csv(target, "snapshot,window_start,window_end,cd,noise_count,flag,top_stars".split(","), rows)
 
 
 def write_couplings_csv(target: IO[str] | str | Path, result: TimelineResult) -> None:
     """couplings.csv: every astral coupling of every consecutive pair."""
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(CD_REPORT_HEADER)
-        for entry, report in zip(result.entries, result.reports):
-            if report is None:
-                continue
-            write_cd_report_rows(writer, report, entry.index - 1, entry.index)
+    rows = (
+        row
+        for entry, report in zip(result.entries, result.reports)
+        if report is not None
+        for row in cd_report_rows(report, entry.index - 1, entry.index)
+    )
+    write_csv(target, CD_REPORT_HEADER, rows)
 
 
 def write_drilldown_csv(target: IO[str] | str | Path, report: DrilldownReport) -> None:
     """Long-format CSV: entry,side,star_id,label,astral_distance,members,phase,kind,q,value."""
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(
-            ["entry", "side", "star_id", "label", "astral_distance", "members", "phase", "kind", "q", "value"]
+    rows = (
+        [
+            report.entry_index,
+            star.side,
+            star.star_id,
+            star.label or "-",
+            repr(star.distance),
+            star.member_count,
+            phase,
+            kind,
+            repr(float(q)),
+            repr(float(value)),
+        ]
+        for star in report.stars
+        for phase, kind, qs, values in (
+            ("before", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_before),
+            ("after", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_after),
+            ("before", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_before),
+            ("after", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_after),
         )
-        for star in report.stars:
-            blocks = (
-                ("before", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_before),
-                ("after", "throughput_decile", THROUGHPUT_DECILES, star.throughput_deciles_after),
-                ("before", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_before),
-                ("after", "rtt_percentile", report.rtt_percentile_ranks, star.rtt_percentiles_after),
-            )
-            for phase, kind, qs, values in blocks:
-                for q, value in zip(qs, values):
-                    writer.writerow(
-                        [
-                            report.entry_index,
-                            star.side,
-                            star.star_id,
-                            star.label or "-",
-                            repr(star.distance),
-                            star.member_count,
-                            phase,
-                            kind,
-                            repr(float(q)),
-                            repr(float(value)),
-                        ]
-                    )
+        for q, value in zip(qs, values)
+    )
+    write_csv(target, "entry,side,star_id,label,astral_distance,members,phase,kind,q,value".split(","), rows)

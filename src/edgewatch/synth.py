@@ -15,7 +15,6 @@ CDN.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ import numpy as np
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError, require_finite
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section, text_output, window_flows
+from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section, window_flows, write_csv
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -309,11 +308,9 @@ def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix
 
 
 def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
-    with text_output(target) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["cache_id", *(f"day_{d}" for d in range(matrix.ranks.shape[1]))])
-        for cache_id, ranks in zip(matrix.cache_ids, matrix.ranks.tolist()):
-            writer.writerow([cache_id, *ranks])
+    header = ["cache_id", *(f"day_{d}" for d in range(matrix.ranks.shape[1]))]
+    rows = ([cache_id, *ranks] for cache_id, ranks in zip(matrix.cache_ids, matrix.ranks.tolist()))
+    write_csv(target, header, rows)
 
 
 # INI key -> EdgeNodeSpec field

@@ -267,6 +267,13 @@ class TestTimelineCommand:
             assert main(synth) == 2, text
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1 and name in err, err
+        # A pipeline config has only [pipeline]: a misspelt section is not skipped.
+        for section in ("[pipelin]", "[trace]"):
+            ini.write_text(f"[pipeline]\n{section}\nepsilon = 0.5\n")
+            assert main(timeline) == 2, section
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert str(ini) in err and section in err, err
         # '%' is a literal character, not an interpolation.
         out = tmp_path / "out%x"
         ini.write_text(f"[pipeline]\nwindow_days = 1\noutput_dir = {out}\n")
@@ -436,6 +443,12 @@ class TestCalibrateCommand:
         out = tmp_path / "c.csv"
         assert main(["calibrate", "--stars", "3", "--trials", "1", *flags, "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+
+    def test_out_opened_before_first_trial(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cd_calibration", lambda *args, **kwargs: calls.append(args) or 0.0)
+        assert main(["calibrate", "--stars", "2", "--trials", "1", "--out", str(tmp_path)]) == 1
+        assert len(calls) == 0
 
 
 class TestRankCommand:

@@ -1,4 +1,3 @@
-import csv
 import io
 import math
 import tracemalloc
@@ -16,11 +15,12 @@ from edgewatch.constellation import (
     astral_distance,
     build_constellation,
     constellation_distance,
+    cd_report_rows,
     joint_bounds,
-    write_cd_report_rows,
 )
 from edgewatch.dbscan import Cluster, Clustering, ClusterParams
 from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_snapshot
+from edgewatch.ingest import write_csv
 
 from reference_impls import reference_astral_distance, reference_centroids, reference_normalize_snapshot
 
@@ -313,9 +313,7 @@ def test_cd_report_csv_format():
     b = constellation_at((0.3, 0.4))
     report = constellation_distance(a, b)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CD_REPORT_HEADER)
-    write_cd_report_rows(writer, report, 3, 4)
+    write_csv(buf, CD_REPORT_HEADER, cd_report_rows(report, 3, 4))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "snapshot_n,snapshot_n1,cd,side,star_id,nearest_star_id,astral_distance"
     assert len(lines) == 3

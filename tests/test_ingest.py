@@ -1,11 +1,14 @@
 import dataclasses
+import inspect
 import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import edgewatch
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
@@ -16,6 +19,7 @@ from edgewatch.ingest import (
     parse_cache_hostname,
     parse_flow_log,
     window_flows,
+    write_csv,
     write_flow_log,
 )
 
@@ -130,6 +134,22 @@ def test_format_rejects_embedded_tabs():
     table = dataclasses.replace(table, server_ip=Codes(table.server_ip.codes, np.array(["a\tb"], dtype=object)))
     with pytest.raises(ValueError):
         write_flow_log(io.StringIO(), table)
+
+
+def test_write_csv_is_the_only_csv_writer():
+    # One dialect for every CSV output: a second csv.writer would restate it.
+    package = Path(edgewatch.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    counts = {name: text.count("csv.writer(") for name, text in sources.items()}
+    assert {name: n for name, n in counts.items() if n} == {"ingest.py": 1}
+    assert inspect.getsource(write_csv).count("csv.writer(") == 1
+    assert [name for name, text in sources.items() if "import csv" in text] == ["ingest.py"]
+
+
+def test_write_csv_quotes_minimally_with_lf_endings():
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b"], iter([[1, "x,y"], ["", 'q"']]))
+    assert buf.getvalue() == 'a,b\n1,"x,y"\n,"q"""\n'
 
 
 class TestParseCacheHostname:
