@@ -55,6 +55,7 @@ from .pipeline import (
     TimelineResult,
     drilldown,
     run_timeline,
+    timeline_entry,
 )
 from .synth import (
     EdgeNodeSpec,

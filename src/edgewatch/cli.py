@@ -19,6 +19,7 @@ from .pipeline import (
     drilldown,
     read_flow_logs,
     run_timeline,
+    timeline_entry,
     write_couplings_csv,
     write_drilldown_csv,
     write_timeline_csv,
@@ -78,13 +79,14 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, then command-line flags, then config-file values (which win)."""
     texts = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    config = config_from(PipelineConfig, texts, "pipeline config")
     if args.config:
         section = read_ini_section(args.config, "pipeline")
         extra = [name for name in section.parser.sections() if name != "pipeline"]
         if extra:
             raise ConfigError(f"{args.config}: unknown section [{extra[0]}]")
-        texts.update(section)
-    return config_from(PipelineConfig, texts, "pipeline config").validate()
+        config = config_from(PipelineConfig, section, f"{args.config} [pipeline]", **vars(config))
+    return config.validate()
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -133,10 +135,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 def _cmd_drilldown(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args)
     records = read_flow_logs(args.input)
-    result = run_timeline(config, records)
-    if not 0 <= args.entry < len(result.entries):
-        raise InputError(f"entry {args.entry} out of range (0..{len(result.entries) - 1})")
-    entry = result.entries[args.entry]
+    entry = timeline_entry(config, records, args.entry)
     report = drilldown(entry, records, config)
     out_path = Path(args.out) if args.out else Path(config.output_dir) / f"drilldown_{args.entry:04d}.csv"
     write_drilldown_csv(out_path, report)

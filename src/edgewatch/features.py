@@ -102,9 +102,9 @@ def extract_cache_features(
 ) -> CacheFeatures:
     """Percentile vectors of RTT and TTL for every cache with enough flows.
 
-    Caches with fewer than ``min_flow`` flows are dropped (the caller can
-    count them as ``len(snapshot.records) - len(result)``). Rows are sorted
-    by cache_id so downstream clustering is deterministic.
+    Caches with fewer than ``min_flow`` flows are dropped (the caller can count
+    them as the window's distinct caches less ``len(result)``). Rows are
+    sorted by cache_id so downstream clustering is deterministic.
     """
     ps = _validate_percentiles(percentiles)
     return _summarize_caches(

@@ -78,13 +78,12 @@ class PipelineConfig:
             raise ConfigError("thresholds must be positive")
         if self.event_threshold > self.major_threshold:
             raise ConfigError("event_threshold must not exceed major_threshold")
-        if self.epsilon <= 0 or self.min_pts < 1:
-            raise ConfigError("bad clustering parameters")
         if self.top_stars < 1:
             raise ConfigError("top_stars must be >= 1")
         if not -24 <= self.utc_offset_hours <= 24:
             raise ConfigError("utc_offset_hours must lie in [-24, 24]")
         try:
+            ClusterParams(self.epsilon, self.min_pts)
             _validate_percentiles(self.percentiles)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -163,15 +162,18 @@ def _pair_constellations(
     return tuple(build_constellation(s.clustering, s.features, bounds) for s in (state_a, state_b))
 
 
-def _star_label(snapshot: Snapshot, members: Iterable[str], iata: np.ndarray) -> str | None:
-    """Vote over the members' labels, each the vote over its flows' hostname codes.
+def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> np.ndarray:
+    """Those of ``rows`` whose cache (server_ip) is one of ``members``, in order."""
+    is_member = np.isin(table.server_ip.names, members)
+    return rows[is_member[table.server_ip.codes[rows]]]
 
-    ``iata[h]`` is the airport code of the table's hostname h, or None.
-    """
+
+def _star_label(snapshot: Snapshot, members: Iterable[str], iata: np.ndarray) -> str | None:
+    """Vote over the members' labels, each the vote over its flows' airport codes (see _airport_codes)."""
     table = snapshot.table
-    caches, hosts = table.server_ip.codes[snapshot.rows], table.hostname.codes[snapshot.rows]
-    members = np.flatnonzero(np.isin(table.server_ip.names, members))
-    return majority_label(majority_label(iata[hosts[caches == c]].tolist()) for c in members)
+    rows = _member_rows(table, snapshot.rows, members)
+    caches, labels = table.server_ip.codes[rows], iata[table.hostname.codes[rows]]
+    return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))
 
 
 def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
@@ -198,6 +200,52 @@ def read_flow_logs(paths: Iterable[str | Path]) -> FlowTable:
     return FlowTable.concat(tables)
 
 
+def _timeline_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
+    snapshots = config_windows(config, records)
+    if len(snapshots) < 2:
+        raise InputError(f"only {len(snapshots)} snapshot(s); the timeline needs at least 2 "
+                         "(trace shorter than one window plus one step?)")
+    return snapshots
+
+
+def _airport_codes(records: FlowTable) -> np.ndarray:
+    """``iata[h]``: the airport code of the table's hostname h, or None."""
+    return np.array([parse_cache_hostname(h) for h in records.hostname.names.tolist()], dtype=object)
+
+
+def _entry(
+    states: Sequence[SnapshotState], config: PipelineConfig, iata: np.ndarray
+) -> tuple[TimelineEntry, CDReport | None]:
+    """The timeline entry of ``states[-1]``, and its CD report against ``states[-2]`` if given."""
+    *prev, state = states
+    report, contributors = None, []
+    if prev:
+        const_a, const_b = _pair_constellations(prev[0], state)
+        report = constellation_distance(const_a, const_b)
+        for side, coupling in report.contributors()[: config.top_stars]:
+            source, const = (prev[0], const_a) if side == "a" else (state, const_b)
+            members = const.members[coupling.star_index]
+            contributors.append(
+                StarContribution(
+                    side=side,
+                    star_id=coupling.star_index,
+                    label=_star_label(source.snapshot, members, iata),
+                    distance=coupling.distance,
+                    members=members,
+                )
+            )
+    cd = None if report is None else report.cd_value
+    return TimelineEntry(
+        index=state.snapshot.index,
+        window_start=state.snapshot.window_start,
+        window_end=state.snapshot.window_end,
+        cd_to_previous=cd,
+        noise_count=len(state.clustering.noise),
+        flagged=flag_for(cd, config),
+        contributors=tuple(contributors),
+    ), report
+
+
 def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
     """Slide the window over the trace and compare each consecutive pair.
 
@@ -205,49 +253,19 @@ def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
     zero qualifying caches still participates: its empty constellation makes
     every partner star couple at the sentinel distance.
     """
-    snapshots = config_windows(config, records)
-    if len(snapshots) < 2:
-        raise InputError(
-            f"only {len(snapshots)} snapshot(s); the timeline needs at least 2 "
-            "(trace shorter than one window plus one step?)"
-        )
-    states = tuple(analyze_snapshot(s, config) for s in snapshots)
-    iata = np.array([parse_cache_hostname(h) for h in records.hostname.names.tolist()], dtype=object)
+    states = tuple(analyze_snapshot(s, config) for s in _timeline_windows(config, records))
+    iata = _airport_codes(records)
+    entries, reports = zip(*(_entry(states[max(i - 1, 0) : i + 1], config, iata) for i in range(len(states))))
+    return TimelineResult(entries=entries, reports=reports, states=states)
 
-    entries: list[TimelineEntry] = []
-    reports: list[CDReport | None] = []
-    for i, state in enumerate(states):
-        report, contributors = None, []
-        if i > 0:
-            prev = states[i - 1]
-            const_a, const_b = _pair_constellations(prev, state)
-            report = constellation_distance(const_a, const_b)
-            for side, coupling in report.contributors()[: config.top_stars]:
-                source, const = (prev, const_a) if side == "a" else (state, const_b)
-                members = const.members[coupling.star_index]
-                contributors.append(
-                    StarContribution(
-                        side=side,
-                        star_id=coupling.star_index,
-                        label=_star_label(source.snapshot, members, iata),
-                        distance=coupling.distance,
-                        members=members,
-                    )
-                )
-        cd = None if report is None else report.cd_value
-        entries.append(
-            TimelineEntry(
-                index=i,
-                window_start=state.snapshot.window_start,
-                window_end=state.snapshot.window_end,
-                cd_to_previous=cd,
-                noise_count=len(state.clustering.noise),
-                flagged=flag_for(cd, config),
-                contributors=tuple(contributors),
-            )
-        )
-        reports.append(report)
-    return TimelineResult(entries=tuple(entries), reports=tuple(reports), states=states)
+
+def timeline_entry(config: PipelineConfig, records: FlowTable, index: int) -> TimelineEntry:
+    """``run_timeline(config, records).entries[index]``, analysing only windows index - 1 and index."""
+    snapshots = _timeline_windows(config, records)
+    if not 0 <= index < len(snapshots):
+        raise InputError(f"entry {index} out of range (0..{len(snapshots) - 1})")
+    states = [analyze_snapshot(s, config) for s in snapshots[max(index - 1, 0) : index + 1]]
+    return _entry(states, config, _airport_codes(records))[0]
 
 
 @dataclass(frozen=True)
@@ -272,54 +290,35 @@ class DrilldownReport:
     rtt_percentile_ranks: tuple[float, ...] = DEFAULT_PERCENTILES
 
 
-def drilldown(
-    entry: TimelineEntry,
-    records: FlowTable,
-    config: PipelineConfig,
-) -> DrilldownReport:
+def drilldown(entry: TimelineEntry, records: FlowTable, config: PipelineConfig) -> DrilldownReport:
     """Per-star member, throughput and RTT summary for a flagged entry.
 
-    "Before" is the previous window (one step earlier), "after" is the
-    entry's own window. Unflagged entries yield an empty report. Groups with
-    no flows in a phase (a dead node after its death) report NaN quantiles.
+    "Before" is snapshot ``entry.index - 1`` of ``config_windows``, "after"
+    is snapshot ``entry.index``. Unflagged entries yield an empty report; a
+    flagged entry 0 has no "before" and raises ValueError. Groups with no
+    flows in a phase (a dead node after its death) report NaN quantiles.
     """
-    step = config.step_days * DAY_SECONDS
-    windows = {
-        "before": (entry.window_start - step, entry.window_end - step),
-        "after": (entry.window_start, entry.window_end),
-    }
-    order = records.time_order
-    times = records.start_time[order]
-    phase_rows = {
-        phase: order[np.searchsorted(times, lo) : np.searchsorted(times, hi)]
-        for phase, (lo, hi) in windows.items()
-    }
     stars = []
-    for contrib in entry.contributors if entry.flagged != FLAG_NONE else ():
-        members = np.flatnonzero(np.isin(records.server_ip.names, contrib.members))
-        phase_thr: dict[str, tuple[float, ...]] = {}
-        phase_rtt: dict[str, tuple[float, ...]] = {}
-        for phase, rows in phase_rows.items():
-            flows = rows[np.isin(records.server_ip.codes[rows], members)]
-            phase_thr[phase] = tuple(
-                percentile_vector(records.avg_throughput[flows], THROUGHPUT_DECILES).tolist()
+    if entry.flagged != FLAG_NONE:
+        if entry.index < 1:
+            raise ValueError(f"flagged entry {entry.index} has no previous window")
+        windows = config_windows(config, records)[entry.index - 1 : entry.index + 1]
+        thr, rtt = records.avg_throughput, records.min_rtt
+        for contrib in entry.contributors:
+            before, after = (_member_rows(records, window.rows, contrib.members) for window in windows)
+            stars.append(
+                StarDrilldown(
+                    side=contrib.side,
+                    star_id=contrib.star_id,
+                    label=contrib.label,
+                    distance=contrib.distance,
+                    member_count=len(contrib.members),
+                    throughput_deciles_before=tuple(percentile_vector(thr[before], THROUGHPUT_DECILES).tolist()),
+                    throughput_deciles_after=tuple(percentile_vector(thr[after], THROUGHPUT_DECILES).tolist()),
+                    rtt_percentiles_before=tuple(percentile_vector(rtt[before], config.percentiles).tolist()),
+                    rtt_percentiles_after=tuple(percentile_vector(rtt[after], config.percentiles).tolist()),
+                )
             )
-            phase_rtt[phase] = tuple(
-                percentile_vector(records.min_rtt[flows], config.percentiles).tolist()
-            )
-        stars.append(
-            StarDrilldown(
-                side=contrib.side,
-                star_id=contrib.star_id,
-                label=contrib.label,
-                distance=contrib.distance,
-                member_count=len(contrib.members),
-                throughput_deciles_before=phase_thr["before"],
-                throughput_deciles_after=phase_thr["after"],
-                rtt_percentiles_before=phase_rtt["before"],
-                rtt_percentiles_after=phase_rtt["after"],
-            )
-        )
     return DrilldownReport(
         entry_index=entry.index,
         stars=tuple(stars),

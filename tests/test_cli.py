@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgewatch
-from edgewatch import cli
+from edgewatch import cli, pipeline
 from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
 from edgewatch.ingest import FLOW_LOG_HEADER
@@ -136,6 +136,9 @@ class TestTimelineCommand:
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, argv
+        # Clustering parameters are checked, and worded, by ClusterParams.
+        assert main([*timeline, "--epsilon", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: epsilon must be positive: -1.0\n"
 
     @pytest.mark.parametrize("name", ["malformed", "not_utf8", "directory"])
     def test_unreadable_input_exit_1(self, tmp_path, capsys, name):
@@ -267,13 +270,19 @@ class TestTimelineCommand:
             assert main(synth) == 2, text
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1 and name in err, err
-        # A pipeline config has only [pipeline]: a misspelt section is not skipped.
-        for section in ("[pipelin]", "[trace]"):
-            ini.write_text(f"[pipeline]\n{section}\nepsilon = 0.5\n")
-            assert main(timeline) == 2, section
+        # A pipeline config has only [pipeline]: a misspelt section is not
+        # skipped. Those errors, and a key or value read from the file, name it.
+        for text, name in (
+            ("[pipeline]\n[pipelin]\nepsilon = 0.5\n", "[pipelin]"),
+            ("[pipeline]\n[trace]\nepsilon = 0.5\n", "[trace]"),
+            ("[pipeline]\nfrobnicate = 3\n", "[pipeline]: unknown key frobnicate"),
+            ("[pipeline]\nepsilon = abc\n", "[pipeline]: bad value for epsilon: 'abc'"),
+        ):
+            ini.write_text(text)
+            assert main(timeline) == 2, text
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
-            assert str(ini) in err and section in err, err
+            assert str(ini) in err and name in err, err
         # '%' is a literal character, not an interpolation.
         out = tmp_path / "out%x"
         ini.write_text(f"[pipeline]\nwindow_days = 1\noutput_dir = {out}\n")
@@ -327,13 +336,34 @@ class TestDrilldownCommand:
         assert code == 0
         assert out.read_text().startswith("entry,side,star_id")
 
-    def test_entry_out_of_range_exit_1(self, trace_files, tmp_path):
+    def test_entry_out_of_range_exit_1(self, trace_files, tmp_path, capsys):
         _, _, trace, _ = trace_files
-        code = main([
-            "drilldown", "--input", str(trace), "--entry", "99",
-            "--window-days", "1", "--step-days", "1", "--out", str(tmp_path / "x.csv"),
-        ])
-        assert code == 1
+        drill = ["drilldown", "--input", str(trace), "--out", str(tmp_path / "x.csv"), "--step-days", "1"]
+        # The 5-day trace holds five 1-day windows but only one 5-day window.
+        for entry, days, reason in (
+            ("-1", "1", "entry -1 out of range (0..4)"),
+            ("99", "1", "entry 99 out of range (0..4)"),
+            ("1", "5", "only 1 snapshot(s)"),
+        ):
+            assert main([*drill, "--entry", entry, "--window-days", days]) == 1, entry
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {reason}") and err.count("\n") == 1, err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_analyses_only_the_entry_and_previous_window(self, trace_files, tmp_path, monkeypatch):
+        _, _, trace, _ = trace_files
+        analyze, analysed = pipeline.analyze_snapshot, []
+
+        def counting(snapshot, config):
+            analysed.append(snapshot.index)
+            return analyze(snapshot, config)
+
+        monkeypatch.setattr(pipeline, "analyze_snapshot", counting)
+        for entry, windows in ((0, [0]), (2, [1, 2]), (4, [3, 4])):
+            analysed.clear()
+            argv = ["drilldown", "--input", str(trace), "--entry", str(entry), "--window-days", "1"]
+            assert main([*argv, "--out", str(tmp_path / "dd.csv")]) == 0
+            assert analysed == windows
 
 
 class TestSweepCommand:

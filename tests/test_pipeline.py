@@ -14,9 +14,12 @@ from edgewatch.pipeline import (
     FLAG_MAJOR,
     FLAG_NONE,
     PipelineConfig,
+    StarContribution,
+    TimelineEntry,
     drilldown,
     flag_for,
     run_timeline,
+    timeline_entry,
     write_couplings_csv,
     write_timeline_csv,
 )
@@ -78,6 +81,16 @@ def cache_flows(day, cache, rtt, count=5):
     return [Flow(day * DAY_SECONDS + i, "u", cache, "h", rtt, 50, 0, 0, 1.0) for i in range(count)]
 
 
+def empty_middle_day():
+    """Six caches over three days; on day 1 each has 10 flows, below the default min_flow."""
+    return flow_table([
+        Flow(day * DAY_SECONDS + i, "u", f"c{j}", "h", 10.0, 50, 0, 0, 100.0)
+        for day, count in ((0, 60), (1, 10), (2, 60))
+        for j in range(6)
+        for i in range(count)
+    ])
+
+
 class TestRunTimeline:
     def test_too_few_snapshots(self):
         records = flow_table([Flow(100.0, "u", "a", "h", 1.0, 10, 0, 0, 1.0)])
@@ -127,17 +140,9 @@ class TestRunTimeline:
         assert constellation_distance(ka, kb).cd_value == result.entries[n].cd_to_previous
 
     def test_empty_snapshot_participates_with_sentinel(self, caplog):
-        def burst(day, count):
-            return [
-                Flow(day * DAY_SECONDS + i, "u", f"c{j}", "h", 10.0, 50, 0, 0, 100.0)
-                for j in range(6)
-                for i in range(count)
-            ]
-
-        records = flow_table(burst(0, 60) + burst(1, 10) + burst(2, 60))
         config = PipelineConfig(window_days=1, step_days=1)
         with caplog.at_level(logging.WARNING):
-            result = run_timeline(config, records)
+            result = run_timeline(config, empty_middle_day())
         assert "no caches above min_flow" in caplog.text
         assert len(result.entries) == 3
         # One star against an empty constellation, both directions.
@@ -229,6 +234,17 @@ class TestRunTimeline:
         assert constellation_distance(const_a, const_b).cd_value == 0.0
 
 
+class TestTimelineEntry:
+    def test_equals_the_timeline_entry(self, event_timeline):
+        result, records, config, _ = event_timeline
+        assert [timeline_entry(config, records, i) for i in range(len(result.entries))] == list(result.entries)
+
+    def test_equals_the_timeline_entry_around_an_empty_window(self):
+        records, config = empty_middle_day(), PipelineConfig(window_days=1, step_days=1)
+        result = run_timeline(config, records)
+        assert [timeline_entry(config, records, i) for i in range(3)] == list(result.entries)
+
+
 def stable_three_nodes(events=(), days=6, seed=3):
     nodes = (
         EdgeNodeSpec("MIL", 6, 15.0, 1.5, 52, 1.0),
@@ -268,6 +284,14 @@ class TestDrilldown:
         median_idx = list(config.percentiles).index(50.0)
         jump = top.rtt_percentiles_after[median_idx] - top.rtt_percentiles_before[median_idx]
         assert jump == pytest.approx(80.0, abs=3.0)
+
+    def test_flagged_entry_zero_has_no_previous_window(self, event_timeline):
+        # Snapshot -1 would be the last window: entry 0 has nothing to compare with.
+        _, records, config, _ = event_timeline
+        star = StarContribution(side="a", star_id=0, label="AMS", distance=20.0, members=("10.0.0.1",))
+        entry = TimelineEntry(0, 0.0, DAY_SECONDS, 20.0, 0, FLAG_EVENT, (star,))
+        with pytest.raises(ValueError, match="no previous window"):
+            drilldown(entry, records, config)
 
     def test_congestion_drilldown_shows_throughput_degradation(self):
         factor = 4.0
