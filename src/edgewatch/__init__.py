@@ -15,7 +15,7 @@ from .constellation import (
     constellation_distance,
     joint_bounds,
 )
-from .dbscan import Cluster, Clustering, ClusterParams, dbscan
+from .dbscan import Clustering, ClusterParams, dbscan
 from .errors import ConfigError, InputError
 from .evaluation import (
     GroundTruth,

@@ -54,17 +54,14 @@ def build_constellation(
     The renormalization is affine, so the mean of renormalized raw rows is
     computed as renorm(mean of raw rows); the equivalence is asserted by a
     property test rather than assumed. Noise caches contribute nothing, and
-    ``bounds`` may be None only for a clustering without clusters.
+    ``bounds`` may be None only for a clustering without clusters. The
+    clustering must be over ``features``' caches, row for row.
     """
-    row = dict(zip(features.cache_ids, range(len(features))))
-    means = []
-    for cid, cluster in enumerate(clustering.clusters):
-        missing = [c for c in cluster.members if c not in row]
-        if missing:
-            raise ValueError(f"cluster {cid} members missing from raw features: {missing}")
-        means.append(features.raw[[row[c] for c in cluster.members]].mean(axis=0))
+    if clustering.cache_ids != features.cache_ids:
+        raise ValueError("clustering and features are over different caches")
+    means = [features.raw[rows].mean(axis=0) for rows in clustering.cluster_rows]
     positions = bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
-    return Constellation(positions, tuple(c.members for c in clustering.clusters), bounds)
+    return Constellation(positions, clustering.members, bounds)
 
 
 def astral_distance(position: np.ndarray, constellation: Constellation) -> tuple[float, int | None]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -30,47 +31,42 @@ class ClusterParams:
             raise ValueError(f"min_pts must be >= 1: {self.min_pts}")
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """One cluster: members in input order, with the core subset annotated."""
-
-    members: tuple[str, ...]
-    core: frozenset[str]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
-    """Partition of the input caches into clusters plus a noise set."""
+    """Row i of ``labels`` is cache ``cache_ids[i]``'s cluster, -1 for noise; ``is_core`` marks core rows.
 
-    clusters: tuple[Cluster, ...]
-    noise: tuple[str, ...]
-    params: ClusterParams
+    Clusters are numbered 0..k-1 by their smallest core row, as ``dbscan`` numbers them.
+    """
 
-    def labels(self) -> dict[str, int]:
-        """cache_id -> cluster index, with -1 for noise."""
-        out = {c: -1 for c in self.noise}
-        for idx, cluster in enumerate(self.clusters):
-            for c in cluster.members:
-                out[c] = idx
-        return out
+    cache_ids: tuple[str, ...]
+    labels: np.ndarray  # intp
+    is_core: np.ndarray  # bool
 
-    def roles(self) -> dict[str, str]:
-        out = {c: NOISE for c in self.noise}
-        for cluster in self.clusters:
-            for c in cluster.members:
-                out[c] = CORE if c in cluster.core else BORDER
-        return out
+    @cached_property
+    def _groups(self) -> list[np.ndarray]:
+        """The noise rows, then each cluster's rows, each ascending: one stable sort of ``labels``."""
+        by_label = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[by_label], np.arange(self.labels.max(initial=-1) + 1))
+        return np.split(by_label, starts)
 
     @property
-    def n_points(self) -> int:
-        return len(self.noise) + sum(len(c) for c in self.clusters)
+    def cluster_rows(self) -> list[np.ndarray]:
+        """Cluster k's rows, ascending, at index k."""
+        return self._groups[1:]
+
+    @cached_property
+    def members(self) -> tuple[tuple[str, ...], ...]:
+        """Cluster k's cache ids, in row order, at index k."""
+        ids = np.array(self.cache_ids, dtype=object)
+        return tuple(tuple(ids[rows]) for rows in self.cluster_rows)
+
+    @property
+    def noise(self) -> tuple[str, ...]:
+        return tuple(self.cache_ids[i] for i in self._groups[0].tolist())
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self._groups) - 1
 
 
 # Candidate pairs tested per block: bounds the neighborhood scan's working set
@@ -121,15 +117,14 @@ def dbscan(points: np.ndarray, cache_ids: Sequence[str], params: ClusterParams) 
     A point is core iff its epsilon-neighborhood (itself included) holds at
     least ``min_pts`` points. Core points within epsilon of each other are
     density-connected into one cluster; a non-core point joins the cluster of
-    its lowest-index core neighbor (the deterministic border tie-break) or
-    falls into the noise set. Clusters are ordered by their smallest core
-    index and members keep input order.
+    its lowest-index core neighbor (the deterministic border tie-break) or is
+    noise. The result holds the intp ``labels`` (-1 for noise, clusters
+    numbered 0..k-1 by their smallest core row) and the bool ``is_core`` mask,
+    row for row with ``cache_ids``.
     """
     n = len(points)
     if len(cache_ids) != n:
         raise ValueError(f"{len(cache_ids)} cache ids for {n} points")
-    if not n:
-        return Clustering(clusters=(), noise=(), params=params)
     indptr, indices = neighborhoods(points, params.epsilon)
     counts = np.diff(indptr)
     is_core = counts >= params.min_pts
@@ -153,20 +148,12 @@ def dbscan(points: np.ndarray, cache_ids: Sequence[str], params: ClusterParams) 
     border_pair = ~is_core[rows] & is_core[indices]
     border_rows, first = np.unique(rows[border_pair], return_index=True)
     labels[border_rows] = labels[indices[border_pair][first]]
-
-    ids = np.array(cache_ids, dtype=object)
-    by_label = np.argsort(labels, kind="stable")
-    noise, *groups = np.split(by_label, np.searchsorted(labels[by_label], np.arange(labels.max() + 1)))
-    return Clustering(
-        clusters=tuple(Cluster(tuple(ids[g]), frozenset(ids[g[is_core[g]]])) for g in groups),
-        noise=tuple(ids[noise]),
-        params=params,
-    )
+    return Clustering(tuple(cache_ids), labels, is_core)
 
 
 def write_clustering_csv(target: IO[str] | str | Path, clustering: Clustering) -> None:
-    """CSV dump: cache_id,cluster_id,role with cluster_id=-1 for noise."""
-    labels = clustering.labels()
-    roles = clustering.roles()
-    rows = ([cache_id, labels[cache_id], roles[cache_id]] for cache_id in sorted(labels))
+    """CSV dump: cache_id,cluster_id,role with cluster_id=-1 for noise, by cache_id."""
+    labels = clustering.labels
+    roles = np.where(clustering.is_core, CORE, np.where(labels < 0, NOISE, BORDER))
+    rows = sorted(zip(clustering.cache_ids, labels.tolist(), roles.tolist()))
     write_csv(target, "cache_id,cluster_id,role".split(","), rows)

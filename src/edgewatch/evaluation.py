@@ -30,6 +30,8 @@ class GroundTruth:
     labels: dict[str, str]
 
     def __post_init__(self):
+        if not self.labels:
+            raise ValueError("no ground-truth labels")
         bad = [c for c, lab in self.labels.items() if not lab]
         if bad:
             raise ValueError(f"empty ground-truth labels for: {bad[:5]}")
@@ -105,12 +107,12 @@ def majority_vote_labels(
     assigned: dict[str, str] = {}
     n_tp = 0
     n_fp = 0
-    for cluster in clustering.clusters:
-        missing = [c for c in cluster.members if c not in ground_truth.labels]
+    for members in clustering.members:
+        missing = [c for c in members if c not in ground_truth.labels]
         if missing:
             raise ValueError(f"clustered caches without a GT label: {missing[:5]}")
-        winner = majority_label(ground_truth.labels[c] for c in cluster.members)
-        for c in cluster.members:
+        winner = majority_label(ground_truth.labels[c] for c in members)
+        for c in members:
             assigned[c] = winner
             if ground_truth.labels[c] == winner:
                 n_tp += 1
@@ -121,10 +123,10 @@ def majority_vote_labels(
 
 def clustering_indices(clustering: Clustering, ground_truth: GroundTruth) -> QualityIndices:
     assigned, n_tp, n_fp = majority_vote_labels(clustering, ground_truth)
-    n_x = clustering.n_points
+    n_x = len(clustering.cache_ids)
     n_clusters = clustering.n_clusters
     # Every member of a cluster carries the same majority label.
-    n_labels = len({assigned[cluster.members[0]] for cluster in clustering.clusters})
+    n_labels = len({assigned[members[0]] for members in clustering.members})
     return QualityIndices(
         tpr=n_tp / n_x if n_x else 0.0,
         fragmentation=n_clusters / n_labels if n_labels else None,

@@ -37,6 +37,7 @@ THROUGHPUT_LOG_SIGMA = 0.25
 CHURN_LOG_SIGMA = 4.0  # rank_churn=1 -> sigma 4 on per-cache daily log-weights
 MIN_RTT_FLOOR_MS = 0.1
 MAX_FLOWS = 100_000_000  # days * flows_per_day; the generator holds them all in memory
+MAX_CACHES = 1_000_000  # summed over nodes; the generator names every cache up front
 
 _STREAM_NODE_ALLOC = 1
 _STREAM_CACHE_ALLOC = 2
@@ -125,6 +126,8 @@ class SynthConfig:
             raise ConfigError(f"flows_per_day must be >= 1: {self.flows_per_day}")
         if self.days * self.flows_per_day > MAX_FLOWS:
             raise ConfigError(f"days * flows_per_day is more than {MAX_FLOWS} flows")
+        if sum(n.cache_count for n in self.nodes) > MAX_CACHES:
+            raise ConfigError(f"the nodes hold more than {MAX_CACHES} caches")
         if not 0.0 <= self.rank_churn <= 1.0:
             raise ConfigError(f"rank_churn must lie in [0, 1]: {self.rank_churn}")
         if self.seed < 0:

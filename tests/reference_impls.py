@@ -108,14 +108,6 @@ def reference_dbscan(points: np.ndarray, epsilon: float, min_pts: int):
     return labels, core
 
 
-def clusters_as_sets(labels: np.ndarray) -> set[frozenset[int]]:
-    out: dict[int, set[int]] = {}
-    for i, lab in enumerate(labels):
-        if lab >= 0:
-            out.setdefault(int(lab), set()).add(i)
-    return {frozenset(v) for v in out.values()}
-
-
 def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hours=0.0):
     """The per-record bucket loop that windowed flow lists before the columnar table.
 

@@ -26,7 +26,7 @@ from edgewatch.features import (
     percentile,
 )
 from edgewatch.constellation import build_constellation
-from edgewatch.dbscan import Cluster, Clustering
+from edgewatch.dbscan import Clustering
 from edgewatch.ingest import DAY_SECONDS, window_flows
 from edgewatch.pipeline import PipelineConfig, drilldown, run_timeline
 from edgewatch.synth import generate_trace
@@ -37,7 +37,7 @@ from conftest import (
     event_trace_config,
     six_node_config,
 )
-from reference_impls import clusters_as_sets, reference_dbscan, reference_percentile
+from reference_impls import reference_dbscan, reference_percentile
 
 
 @contextmanager
@@ -79,18 +79,9 @@ def test_01_dbscan_matches_bruteforce_reference():
             clustering = dbscan(matrix, ids, ClusterParams(epsilon=eps, min_pts=min_pts))
 
             ref_labels, ref_core = reference_dbscan(matrix, eps, min_pts)
-            ours = np.full(matrix.shape[0], -1, dtype=int)
-            for idx, cluster in enumerate(clustering.clusters):
-                for cache_id in cluster.members:
-                    ours[int(cache_id[1:])] = idx
-            our_core = np.zeros(matrix.shape[0], dtype=bool)
-            for cluster in clustering.clusters:
-                for cache_id in cluster.core:
-                    our_core[int(cache_id[1:])] = True
-
-            assert np.array_equal(our_core, ref_core)
-            assert np.array_equal(ours == -1, ref_labels == -1)
-            assert clusters_as_sets(ours) == clusters_as_sets(ref_labels)
+            # Both number clusters by their smallest core row: labels agree point by point.
+            assert np.array_equal(clustering.is_core, ref_core)
+            assert np.array_equal(clustering.labels, ref_labels)
         assert time.perf_counter() - start < 10.0
 
 
@@ -210,11 +201,7 @@ def test_06_affine_commutation():
             bounds = NormalizationBounds((lo_r, hi_r + 1e-9), (lo_t, hi_t + 1e-9))
             ids = tuple(f"c{i}" for i in range(members))
             features = CacheFeatures(ids, np.full(members, 100), raw)
-            clustering = Clustering(
-                clusters=(Cluster(members=ids, core=frozenset(ids)),),
-                noise=(),
-                params=ClusterParams(),
-            )
+            clustering = Clustering(ids, np.zeros(members, dtype=np.intp), np.ones(members, dtype=bool))
             constellation = build_constellation(clustering, features, bounds)
             renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
             diff = np.max(np.abs(constellation.positions[0] - renorm_then_mean))
@@ -280,23 +267,13 @@ def test_08_index_formula_identities():
                 assignment = np.full(n, -1)  # degenerate: everything noise
             else:
                 assignment = rng.integers(-1, 6, n)
-            grouped: dict[int, list[str]] = {}
-            noise = []
-            for c, a in zip(caches, assignment):
-                if a < 0:
-                    noise.append(c)
-                else:
-                    grouped.setdefault(int(a), []).append(c)
-            clustering = Clustering(
-                clusters=tuple(
-                    Cluster(members=tuple(m), core=frozenset(m)) for m in grouped.values()
-                ),
-                noise=tuple(noise),
-                params=ClusterParams(),
-            )
+            # All-core, numbered 0..k-1 by first row, as dbscan numbers clusters.
+            labels = np.full(n, -1, dtype=np.intp)
+            for k, a in enumerate(dict.fromkeys(assignment[assignment >= 0].tolist())):
+                labels[assignment == a] = k
+            clustering = Clustering(tuple(caches), labels, labels >= 0)
             q = clustering_indices(clustering, ground_truth)
-            n_x = clustering.n_points
-            assert q.tpr == (q.n_tp / n_x if n_x else 0.0)
+            assert q.tpr == (q.n_tp / n if n else 0.0)
             assert q.pureness == q.n_labels / ground_truth.n_gt_labels
             if q.n_labels == 0:
                 assert q.fragmentation is None

@@ -243,9 +243,14 @@ class TestTimelineCommand:
                 ("", "10", death),
             )
         ]
-        # More than synth.MAX_FLOWS flows.
+        # More than synth.MAX_FLOWS flows, and more than synth.MAX_CACHES caches.
         cases.append((synth, b"[trace]\ndays = 100000000000\nflows_per_day = 1000000000000\n"
                              b"[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = 10\n"))
+        cases += [
+            (synth, f"[trace]\ndays = 2\n[node MIL]\ncaches = {mil}\nttl = 50\nrtt_median_ms = 10\n"
+                    f"[node FRA]\ncaches = 1000000\nttl = 60\nrtt_median_ms = 90\n".encode())
+            for mil in (5, 1_000_000_000)
+        ]
         for argv, text in cases:
             ini.write_bytes(text)
             assert main(argv) == 2, text
@@ -373,14 +378,19 @@ class TestSweepCommand:
         bad.write_text("only-one-column\n")
         not_utf8 = tmp_path / "latin1_gt.tsv"
         not_utf8.write_bytes(b"c1\tM\xefL\n")
-        for path in (bad, not_utf8, tmp_path):
+        # An empty file. --min-pts 100000 makes every cache noise, so no clustered cache
+        # can lack a label and only the empty-file check stops the sweep.
+        empty = tmp_path / "empty_gt.tsv"
+        empty.write_text("")
+        for path in (bad, not_utf8, tmp_path, empty):
             code = main([
                 "sweep", "--input", str(trace), "--ground-truth", str(path), "--window-days", "1",
-                "--eps-grid", "0.04", "--out", str(tmp_path / "s.csv"),
+                "--eps-grid", "0.04", "--min-pts", "100000", "--out", str(tmp_path / "s.csv"),
             ])
             assert code == 1, path
             err = capsys.readouterr().err
             assert err.startswith(f"input error: {path}") and err.count("\n") == 1, err
+        assert err == f"input error: {empty}: no ground-truth labels\n"
 
     def test_ground_truth_missing_a_cache_exit_1(self, trace_files, tmp_path, capsys):
         _, _, trace, gt = trace_files

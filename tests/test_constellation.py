@@ -18,7 +18,7 @@ from edgewatch.constellation import (
     cd_report_rows,
     joint_bounds,
 )
-from edgewatch.dbscan import Cluster, Clustering, ClusterParams
+from edgewatch.dbscan import Clustering
 from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_snapshot
 from edgewatch.ingest import write_csv
 
@@ -43,14 +43,12 @@ def cache_features(rows):
     return CacheFeatures(tuple(rows), np.full(len(rows), 100), raw)
 
 
-def clustering_of(*clusters):
-    return Clustering(
-        clusters=tuple(
-            Cluster(members=tuple(members), core=frozenset(members)) for members in clusters
-        ),
-        noise=(),
-        params=ClusterParams(),
-    )
+def clustering_of(features, *clusters):
+    """All-core clustering of the features' caches: ``clusters[k]`` is cluster k, the other caches are noise."""
+    labels = np.full(len(features), -1, dtype=np.intp)
+    for k, members in enumerate(clusters):
+        labels[[features.cache_ids.index(c) for c in members]] = k
+    return Clustering(features.cache_ids, labels, labels >= 0)
 
 
 class TestJointBounds:
@@ -79,7 +77,7 @@ class TestBuildConstellation:
     def test_singleton_cluster(self):
         features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 100.0))
-        constellation = build_constellation(clustering_of(["a"]), features, bounds)
+        constellation = build_constellation(clustering_of(features, ["a"]), features, bounds)
         (position,) = constellation.positions
         assert constellation.members == (("a",),)
         assert position == pytest.approx([0.25, 0.5, 0.5, 0.5])
@@ -87,19 +85,22 @@ class TestBuildConstellation:
     def test_symmetric_pair_midpoint(self):
         features = cache_features({"a": ([10.0, 10.0], [0.0, 0.0]), "b": ([30.0, 30.0], [0.0, 0.0])})
         bounds = bounds_of((0.0, 40.0), (0.0, 1.0))
-        constellation = build_constellation(clustering_of(["a", "b"]), features, bounds)
+        constellation = build_constellation(clustering_of(features, ["a", "b"]), features, bounds)
         assert constellation.positions[0][:2] == pytest.approx([0.5, 0.5])
 
     def test_no_clusters_empty_matrix(self):
         features = cache_features({"a": ([10.0, 20.0], [50.0, 50.0])})
-        constellation = build_constellation(clustering_of(), features, None)
+        constellation = build_constellation(clustering_of(features), features, None)
         assert constellation.positions.shape == (0, 4) and constellation.positions.dtype == np.float64
         assert (len(constellation), constellation.dimension, constellation.members) == (0, None, ())
 
-    def test_missing_member_rejected(self):
-        with pytest.raises(ValueError):
-            features = cache_features({"a": ([1], [1])})
-            build_constellation(clustering_of(["a", "ghost"]), features, bounds_of((0, 1)))
+    def test_clustering_over_other_caches_rejected(self):
+        features = cache_features({"a": ([1], [1]), "b": ([2], [2])})
+        for cache_ids in (("a", "ghost"), ("a",), ("a", "b", "c"), ("b", "a")):
+            n = len(cache_ids)
+            clustering = Clustering(cache_ids, np.zeros(n, dtype=np.intp), np.ones(n, dtype=bool))
+            with pytest.raises(ValueError, match="different caches"):
+                build_constellation(clustering, features, bounds_of((0, 2)))
 
     def test_affine_commutation(self):
         # mean-then-renorm equals renorm-then-mean because renorm is affine.
@@ -112,7 +113,7 @@ class TestBuildConstellation:
             lo_t, hi_t = sorted(rng.uniform(-100, 100, 2))
             bounds = bounds_of((lo_r, hi_r + 1e-6), (lo_t, hi_t + 1e-6))
             features = cache_features({f"c{i}": (raw[i, :k], raw[i, k:]) for i in range(members)})
-            constellation = build_constellation(clustering_of(list(features.cache_ids)), features, bounds)
+            constellation = build_constellation(clustering_of(features, features.cache_ids), features, bounds)
             renorm_then_mean = np.mean([bounds.normalize(raw[i]) for i in range(members)], axis=0)
             assert np.max(np.abs(constellation.positions[0] - renorm_then_mean)) <= 1e-12
 
@@ -139,12 +140,13 @@ class TestBuildConstellation:
         assert (bounds.rtt, bounds.ttl) == (ref_bounds["rtt"], ref_bounds["ttl"])
         assert points.tobytes() == np.stack([ref_vectors[c] for c in ids]).tobytes()
 
-        # Members keep row order, as dbscan gives them; label -1 is noise.
+        # Members keep row order and clusters are numbered by their first row,
+        # as dbscan gives them; label -1 is noise.
         labels = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
-        clusters = [[c for c, lab in zip(ids, labels) if lab == k] for k in sorted(set(labels) - {-1})]
+        clusters = [[c for c, lab in zip(ids, labels) if lab == k] for k in dict.fromkeys(labels) if k >= 0]
         partner = bounds_of(*(tuple(sorted(data.draw(st.tuples(value, value)))) for _ in range(2)))
         for b in (bounds, joint_bounds(bounds, partner)):
-            positions = build_constellation(clustering_of(*clusters), features, b).positions
+            positions = build_constellation(clustering_of(features, *clusters), features, b).positions
             expected = reference_centroids(clusters, per_cache, {"rtt": b.rtt, "ttl": b.ttl})
             assert [p.tobytes() for p in positions] == [e.tobytes() for e in expected]
 

@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
 from edgewatch.dbscan import (
-    BORDER,
-    CORE,
     PAIR_BUDGET,
     Clustering,
     ClusterParams,
@@ -17,7 +15,7 @@ from edgewatch.dbscan import (
     write_clustering_csv,
 )
 
-from reference_impls import clusters_as_sets, reference_dbscan, region_query
+from reference_impls import reference_dbscan, region_query
 
 
 def dbscan_of(matrix, params):
@@ -50,27 +48,9 @@ def csr_rows(matrix, epsilon):
 def assert_matches_reference(matrix, params):
     clustering = dbscan_of(matrix, params)
     ref_labels, ref_core = reference_dbscan(matrix, params.epsilon, params.min_pts)
-
-    ours = np.full(matrix.shape[0], -1, dtype=int)
-    for idx, cluster in enumerate(clustering.clusters):
-        for cache_id in cluster.members:
-            ours[int(cache_id[1:])] = idx
-    roles = clustering.roles()
-    our_core = np.array([roles.get(f"p{i:03d}") == CORE for i in range(matrix.shape[0])])
-
-    assert np.array_equal(our_core, ref_core)
-    assert clusters_as_sets(ours) == clusters_as_sets(ref_labels)
-    assert np.array_equal(ours == -1, ref_labels == -1)
-    # Border attachment must agree point by point, not only up to relabeling.
-    pairs = {}
-    for i in range(matrix.shape[0]):
-        if ours[i] >= 0:
-            pairs.setdefault(ours[i], set()).add(i)
-    ref_pairs = {}
-    for i in range(matrix.shape[0]):
-        if ref_labels[i] >= 0:
-            ref_pairs.setdefault(ref_labels[i], set()).add(i)
-    assert {frozenset(v) for v in pairs.values()} == {frozenset(v) for v in ref_pairs.values()}
+    # Both number clusters by their smallest core row, so labels agree point by point.
+    assert np.array_equal(clustering.is_core, ref_core)
+    assert np.array_equal(clustering.labels, ref_labels)
 
 
 class TestClusterParams:
@@ -102,21 +82,21 @@ class TestDbscan:
 
     def test_isolated_point_is_noise(self):
         clustering = dbscan_of([[0.0, 0.0]], ClusterParams(epsilon=1.0, min_pts=5))
-        assert clustering.clusters == ()
+        assert clustering.members == ()
         assert clustering.noise == ("p000",)
+        assert clustering.labels.tolist() == [-1] and clustering.is_core.tolist() == [False]
 
     def test_identical_points_one_cluster_all_core(self):
         matrix = np.zeros((6, 4))
         clustering = dbscan_of(matrix, ClusterParams(epsilon=0.01, min_pts=5))
         assert clustering.n_clusters == 1
-        (cluster,) = clustering.clusters
-        assert len(cluster.core) == 6
-        assert cluster.core == frozenset(cluster.members)
+        assert clustering.members == (clustering.cache_ids,)
+        assert clustering.is_core.tolist() == [True] * 6
 
     def test_empty_input(self):
         clustering = dbscan(np.empty((0, 3)), (), ClusterParams())
-        assert clustering.clusters == ()
-        assert clustering.noise == ()
+        assert (clustering.members, clustering.noise, clustering.n_clusters) == ((), (), 0)
+        assert clustering.labels.shape == clustering.is_core.shape == (0,)
 
     def test_ids_must_match_rows(self):
         with pytest.raises(ValueError):
@@ -130,19 +110,38 @@ class TestDbscan:
                 epsilon=float(rng.uniform(0.02, 0.4)), min_pts=int(rng.integers(2, 8))
             )
             clustering = dbscan_of(matrix, params)
-            labels = clustering.labels()
+            labels = clustering.labels
             assert len(labels) == matrix.shape[0]
-            for cluster in clustering.clusters:
-                assert cluster.core, "cluster without a core point"
+            for k in range(clustering.n_clusters):
+                assert clustering.is_core[labels == k].any(), "cluster without a core point"
             # No noise point may have a core point within epsilon.
-            roles = clustering.roles()
-            core_rows = np.array(
-                [int(cid[1:]) for cid, role in roles.items() if role == CORE], dtype=int
-            )
-            for cache_id in clustering.noise:
+            core_rows = np.flatnonzero(clustering.is_core)
+            for row in np.flatnonzero(labels == -1):
                 if core_rows.size:
-                    d = np.linalg.norm(matrix[core_rows] - matrix[int(cache_id[1:])], axis=1)
+                    d = np.linalg.norm(matrix[core_rows] - matrix[row], axis=1)
                     assert (d > params.epsilon).all()
+
+    def test_numbering_and_partition(self):
+        # Cluster k's smallest core row increases with k; members and noise
+        # partition cache_ids, each in row order.
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            matrix = random_instance(rng)
+            params = ClusterParams(
+                epsilon=float(rng.uniform(0.02, 0.4)), min_pts=int(rng.integers(2, 8))
+            )
+            clustering = dbscan_of(matrix, params)
+            labels, is_core, ids = clustering.labels, clustering.is_core, clustering.cache_ids
+            assert labels.dtype == np.intp and is_core.dtype == bool
+            assert set(labels.tolist()) <= set(range(-1, clustering.n_clusters))
+            first_core = [np.flatnonzero(is_core & (labels == k))[0] for k in range(clustering.n_clusters)]
+            assert first_core == sorted(set(first_core))
+            assert not is_core[labels == -1].any()
+            assert clustering.members == tuple(
+                tuple(c for c, lab in zip(ids, labels) if lab == k) for k in range(clustering.n_clusters)
+            )
+            assert clustering.noise == tuple(c for c, lab in zip(ids, labels) if lab == -1)
+            assert sorted(clustering.noise + sum(clustering.members, ())) == sorted(ids)
 
     def test_core_partition_permutation_invariant(self):
         rng = np.random.default_rng(9)
@@ -154,20 +153,20 @@ class TestDbscan:
         shuffled = dbscan(matrix[perm], [f"p{i:03d}" for i in perm], params)
 
         def core_partition(clustering: Clustering):
-            return {frozenset(c.core) for c in clustering.clusters}
+            ids = np.array(clustering.cache_ids)
+            core_labels = np.where(clustering.is_core, clustering.labels, -1)
+            return {frozenset(ids[core_labels == k].tolist()) for k in range(clustering.n_clusters)}
 
-        assert {c for cl in base.clusters for c in cl.core} == {
-            c for cl in shuffled.clusters for c in cl.core
-        }
+        assert set().union(*core_partition(base)) == set().union(*core_partition(shuffled))
         assert core_partition(base) == core_partition(shuffled)
 
     def test_core_set_monotone_in_epsilon(self):
         rng = np.random.default_rng(13)
         matrix = random_instance(rng)
-        previous: set[str] = set()
+        previous: set[int] = set()
         for eps in (0.02, 0.05, 0.1, 0.2, 0.5):
             clustering = dbscan_of(matrix, ClusterParams(epsilon=eps, min_pts=4))
-            cores = {c for cl in clustering.clusters for c in cl.core}
+            cores = set(np.flatnonzero(clustering.is_core).tolist())
             assert previous <= cores
             previous = cores
 
@@ -188,11 +187,11 @@ class TestDbscan:
         ]
         params = ClusterParams(epsilon=0.7005, min_pts=4)
         clustering = dbscan_of(points, params)
-        labels = clustering.labels()
+        labels = clustering.labels
         assert clustering.n_clusters == 2
-        assert clustering.roles()["p008"] == BORDER
-        assert labels["p008"] == labels["p000"]
-        assert labels["p008"] != labels["p004"]
+        assert clustering.is_core[[0, 4]].all() and not clustering.is_core[8]
+        assert labels[8] == labels[0]
+        assert labels[8] != labels[4]
 
     @given(
         exponent=st.integers(-6, 2),
@@ -206,11 +205,11 @@ class TestDbscan:
         occupied = set(cells)
         matrix = np.array(cells, dtype=float) * 2.0**exponent
         params = ClusterParams(epsilon=2.0**exponent, min_pts=min_pts)
-        roles = dbscan_of(matrix, params).roles()
+        is_core = dbscan_of(matrix, params).is_core
         for i, cell in enumerate(cells):
             steps = [(*cell[:a], cell[a] + d, *cell[a + 1 :]) for a in range(3) for d in (-1, 1)]
             neighborhood = 1 + sum(step in occupied for step in steps)
-            assert (roles[f"p{i:03d}"] == CORE) == (neighborhood >= min_pts)
+            assert is_core[i] == (neighborhood >= min_pts)
         assert_matches_reference(matrix, params)
 
     def test_matches_reference_randomized(self):
@@ -258,8 +257,8 @@ class TestDbscan:
         params = ClusterParams(epsilon=0.12, min_pts=4)
         a = dbscan_of(matrix, params)
         b = dbscan_of(matrix, params)
-        assert a.labels() == b.labels()
-        assert a.roles() == b.roles()
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.is_core, b.is_core)
 
 
 class TestRegionQuery:
@@ -312,11 +311,17 @@ class TestRegionQuery:
 
 
 def test_clustering_csv_dump():
-    matrix = [[0.0, 0.0], [0.01, 0.0], [0.0, 0.01], [9.0, 9.0]]
+    # p004 reaches only p000 (2 neighbors incl. itself < min_pts=3): a border point.
+    matrix = [[0.0, 0.0], [0.01, 0.0], [0.0, 0.01], [9.0, 9.0], [-0.04, -0.025]]
     clustering = dbscan_of(matrix, ClusterParams(epsilon=0.05, min_pts=3))
     buf = io.StringIO()
     write_clustering_csv(buf, clustering)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "cache_id,cluster_id,role"
-    assert "p000,0,core" in lines
-    assert "p003,-1,noise" in lines
+    assert lines == [
+        "cache_id,cluster_id,role",
+        "p000,0,core",
+        "p001,0,core",
+        "p002,0,core",
+        "p003,-1,noise",
+        "p004,0,border",
+    ]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from edgewatch.dbscan import Cluster, Clustering, ClusterParams
+from edgewatch.dbscan import Clustering
 from edgewatch.evaluation import (
     GroundTruth,
     ball_offsets,
@@ -23,13 +23,11 @@ import reference_impls
 
 
 def clustering_of(clusters, noise=()):
-    return Clustering(
-        clusters=tuple(
-            Cluster(members=tuple(members), core=frozenset(members)) for members in clusters
-        ),
-        noise=tuple(noise),
-        params=ClusterParams(),
-    )
+    """All-core clustering whose rows are cluster 0's members, cluster 1's, ..., then the noise caches."""
+    cache_ids = (*(c for members in clusters for c in members), *noise)
+    sizes = [len(members) for members in clusters]
+    labels = np.r_[np.repeat(np.arange(len(clusters)), sizes), np.full(len(noise), -1)]
+    return Clustering(cache_ids, labels, labels >= 0)
 
 
 class TestGroundTruth:
@@ -135,7 +133,7 @@ class TestClusteringIndices:
                 clusters.setdefault(int(a), []).append(c)
         clustering = clustering_of(list(clusters.values()), noise=noise)
         q = clustering_indices(clustering, gt)
-        n_x = clustering.n_points
+        n_x = len(caches)
         assert q.tpr == (q.n_tp / n_x if n_x else 0.0)
         assert q.n_tp + q.n_fp == n_x - q.noise_count
         if q.n_labels:

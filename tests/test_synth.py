@@ -9,6 +9,7 @@ from edgewatch.features import percentile
 from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, parse_flow_log, write_flow_log
 from edgewatch.synth import (
     DEFAULT_START_EPOCH,
+    MAX_CACHES,
     EdgeNodeSpec,
     EventSpec,
     SynthConfig,
@@ -70,6 +71,13 @@ class TestSpecValidation:
             small_config(churn=1.5)
         with pytest.raises(ConfigError):
             small_config(events=[EventSpec("node_death", "ZZZ", 0, 1)])
+
+    def test_cache_count_cap(self):
+        # The cap counts caches over all nodes; exactly MAX_CACHES is allowed.
+        halves = [EdgeNodeSpec(label, MAX_CACHES // 2, 10.0, 1.0, 50, 1.0) for label in ("MIL", "FRA")]
+        assert SynthConfig(nodes=tuple(halves)).nodes == tuple(halves)
+        with pytest.raises(ConfigError, match=f"more than {MAX_CACHES} caches"):
+            SynthConfig(nodes=(*halves, EdgeNodeSpec("AMS", 5, 10.0, 1.0, 50, 1.0)))
 
 
 class TestGenerateTrace:
