@@ -49,24 +49,22 @@ class FlowLineError(ValueError):
         self.reason = reason
 
 
-# One line as np.loadtxt converts it; a string (object) field is dictionary-encoded.
+# One line as np.loadtxt converts it; server_ip and hostname are dictionary-encoded.
 _ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
-# Per string field's position, the name -> code dictionary of its Codes.
+# Per encoded field's position, the name -> code dictionary of its Codes.
 _Index = dict[int, dict[str, int]]
 
 
 def _new_index() -> _Index:
-    return {i: {} for i in range(len(_ROW)) if _ROW[i] == object}
+    return {FLOW_LOG_COLUMNS.index(name): {} for name in ("server_ip", "hostname")}
 
 
 def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
-    """One array per field from one sequence per field: its numbers, or codes in ``index``."""
+    """One array per field from one sequence per field: its values, or codes in ``index``."""
     arrays = []
     for i, values in enumerate(columns):
         if i in index:  # new names take the next free codes, in order of first use
-            new = dict.fromkeys(values)
-            for name in new.keys() & index[i].keys():
-                del new[name]
+            new = [name for name in dict.fromkeys(values) if name not in index[i]]
             index[i].update(zip(new, count(len(index[i]))))
             values = np.fromiter(map(index[i].__getitem__, values), np.int64, len(values))
         arrays.append(np.asarray(values, np.int64 if i in index else _ROW[i]))
@@ -98,14 +96,13 @@ class Codes:
 class FlowTable:
     """Flows as columns, one row per flow in input order.
 
-    The fields are the flow-log columns in order: numeric ones are numpy
-    arrays (int64 for ``ttl`` and the byte counts, float64 otherwise), string
-    ones are Codes. ``server_ip`` is the cache's unique identity downstream.
-    Indexing with a slice, mask or index array yields a table of those rows.
+    The fields are the flow-log columns in order: int64 (``ttl``, byte counts) and float64 numpy arrays,
+    ``server_ip`` (the cache's identity downstream) and ``hostname`` as Codes, and ``client_id``, which
+    no stage reads, as an object array of str. A slice, mask or index array selects a table of those rows.
     """
 
     start_time: np.ndarray
-    client_id: Codes
+    client_id: np.ndarray
     server_ip: Codes
     hostname: Codes
     min_rtt: np.ndarray
@@ -309,7 +306,8 @@ def config_from(
     """``cls(**values)`` with the fields ``texts`` gives (key -> text or None), each parsed by type hint.
 
     A key is its field's name, or ``keys`` renames it. A key of no int, float, str or float-list field, a
-    text that does not parse and a missing field without default are each a one-line ConfigError.
+    text that does not parse, a missing field without default and a ConfigError from ``cls`` itself are
+    each a one-line ConfigError that starts with ``where``.
     """
     hints = get_type_hints(cls)
     for key, text in texts.items():
@@ -325,15 +323,19 @@ def config_from(
     for f in fields(cls):
         if f.name not in values and f.default is MISSING:
             raise ConfigError(f"{where}: missing key {key_of.get(f.name, f.name)}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # the class's own checks
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
     """Write a table in the TSV format; floats use repr so parsing round-trips."""
-    for codes in (table.client_id, table.server_ip, table.hostname):
-        for field in codes.names[np.unique(codes.codes)].tolist():
-            if "\t" in field or "\n" in field or "\r" in field:
-                raise ValueError(f"field not serializable to TSV: {field!r}")
+    names = (c.names[np.unique(c.codes)].tolist() for c in (table.server_ip, table.hostname))
+    for values in (table.client_id.tolist(), *names):
+        if any(map("".join(values).__contains__, "\t\n\r")):  # one scan of the joined text each
+            field = next(v for v in values if any(map(v.__contains__, "\t\n\r")))
+            raise ValueError(f"field not serializable to TSV: {field!r}")
     line = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
     with text_output(target) as fp:
         fp.write(FLOW_LOG_HEADER + "\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -182,12 +182,6 @@ def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> flo
     return factor
 
 
-def _coded(keys: np.ndarray, name: Callable[[int], str]) -> Codes:
-    """Dictionary-encode integer keys, naming each distinct key with ``name``."""
-    distinct, codes = np.unique(keys, return_inverse=True)
-    return Codes(codes.ravel(), np.array([name(k) for k in distinct.tolist()], dtype=object))
-
-
 def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     """Draw the whole trace day by day; identical config+seed gives identical output.
 
@@ -274,10 +268,11 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         for column in columns:
             column[day_begin:end] = column[order]
     start, cache, client, *numbers = (column[:end] for column in columns)
-    servers, hostnames = zip(*(identity for node in identities for identity in node))
+    seen, codes = np.unique(cache, return_inverse=True)  # names only the caches that have flows
+    servers, hostnames = np.array([i for node in identities for i in node], dtype=object)[seen].T
+    client_ids = np.fromiter(map("u{:06d}".format, client.tolist()), object, len(client))
     return FlowTable(
-        start, _coded(client, "u{:06d}".format), _coded(cache, servers.__getitem__),
-        _coded(cache, hostnames.__getitem__), *numbers,
+        start, client_ids, Codes(codes, servers), Codes(codes, hostnames), *numbers
     ), GroundTruth(gt_labels)
 
 

@@ -275,6 +275,17 @@ class TestTimelineCommand:
             assert main(synth) == 2, text
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1 and name in err, err
+        # A check of the config classes themselves names the file and section too.
+        for text, message in (
+            (f"[trace]\nseed = -1\n{node}", "[trace]: seed must be non-negative: -1"),
+            ("[trace]\n[node AMS]\ncaches = 5\nttl = 500\nrtt_median_ms = 10\n",
+             "[node AMS]: ttl_value out of [0, 255]: 500"),
+            (f"[trace]\ndays = 100000000000\nflows_per_day = 1000000000000\n{node}",
+             "[trace]: days * flows_per_day is more than 100000000 flows"),
+        ):
+            ini.write_text(text)
+            assert main(synth) == 2, text
+            assert capsys.readouterr().err == f"config error: {ini} {message}\n"
         # A pipeline config has only [pipeline]: a misspelt section is not
         # skipped. Those errors, and a key or value read from the file, name it.
         for text, name in (

@@ -275,6 +275,37 @@ class TestFlowTable:
         assert table.server_ip.codes.tolist() == [0, 1, 1]
         assert table.ttl.dtype == np.int64 and table.min_rtt.dtype == np.float64
 
+    def test_client_id_is_a_str_column_on_every_parse_path(self):
+        # client_id is carried as read, never encoded, whichever way its chunk was converted.
+        def client_ids(table):
+            column = table.client_id
+            assert type(column) is np.ndarray and column.dtype == object and column.shape == (len(table),)
+            assert {type(v) for v in column.tolist()} <= {str}
+            return column.tolist()
+
+        def parse(lines, errors=None):
+            text = "".join([FLOW_LOG_HEADER + "\n", *(line + "\n" for line in lines)])
+            with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+                table = parse_flow_log(io.StringIO(text), errors=errors)
+            return table, loadtxt.call_count
+
+        line = "5.0\t{}\tb\t{}\t1.5\t10\t1\t2\t3.0"
+        plain = [line.format(f"u{i}", "hb") for i in range(3)]
+        table, calls = parse(plain)
+        assert calls == 1 and client_ids(table) == ["u0", "u1", "u2"]
+        # A non-ASCII hostname sends the whole chunk line by line.
+        table, calls = parse([*plain, line.format("ü9", "hé")])
+        assert calls == 0 and client_ids(table) == ["u0", "u1", "u2", "ü9"]
+        # A wrong field count fails np.loadtxt; a ttl out of range is rejected by the column checks.
+        for bad in ("5.0\tu8\tb", line.format("u8", "hb").replace("\t10\t", "\t300\t")):
+            errors = []
+            table, calls = parse([plain[0], bad, plain[2]], errors)
+            assert calls == 1 and len(errors) == 1 and client_ids(table) == ["u0", "u2"]
+        both = FlowTable.concat([table, flow_table(self.RECORDS)])
+        assert client_ids(both) == ["u0", "u2", "u1", "u2", "u1"]
+        assert client_ids(both[np.array([False, True, True, False, True])]) == ["u2", "u1", "u1"]
+        assert client_ids(both[1:1]) == []
+
     def test_concat_merges_dictionaries(self):
         parts = [flow_table(self.RECORDS[:2]), flow_table(self.RECORDS[2:])]
         table = FlowTable.concat(parts)

@@ -6,12 +6,14 @@ digests in its own change and says why in CHANGES.md.
 """
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from edgewatch.cli import main
 from edgewatch.features import extract_cache_features_mean_std
+from edgewatch.ingest import read_flow_log, write_flow_log
 from edgewatch.pipeline import (
     PipelineConfig,
     drilldown,
@@ -133,6 +135,14 @@ def test_cli_outputs_match_golden(cli_outputs):
     )
     assert written == sorted([*CLI_DIGESTS, "synth.ini"])
     assert digests(cli_outputs, CLI_DIGESTS) == CLI_DIGESTS
+
+
+def test_synth_trace_round_trips_byte_for_byte(cli_outputs):
+    # Parsing the golden trace and writing it back carries every column, client_id too.
+    path = cli_outputs / "synth" / "trace.tsv"
+    buf = io.StringIO()
+    write_flow_log(buf, read_flow_log(path))
+    assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
 
 def write_event_outputs(root, result, records, config):

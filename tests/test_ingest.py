@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import io
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,10 +131,14 @@ def test_tsv_round_trip(records):
 
 
 def test_format_rejects_embedded_tabs():
-    table = flow_table([flow(0.0)])
-    table = dataclasses.replace(table, server_ip=Codes(table.server_ip.codes, np.array(["a\tb"], dtype=object)))
-    with pytest.raises(ValueError):
-        write_flow_log(io.StringIO(), table)
+    table = flow_table([flow(0.0), flow(1.0)])
+    bad_server = Codes(table.server_ip.codes, np.array(["a\tb"], dtype=object))
+    with pytest.raises(ValueError, match=re.escape(repr("a\tb"))):
+        write_flow_log(io.StringIO(), dataclasses.replace(table, server_ip=bad_server))
+    for bad in ("a\tb", "a\nb", "a\rb", "\r"):
+        clients = np.array(["u0", bad], dtype=object)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_flow_log(io.StringIO(), dataclasses.replace(table, client_id=clients))
 
 
 def test_write_csv_is_the_only_csv_writer():
