@@ -10,7 +10,6 @@ from .constellation import (
     CDReport,
     Constellation,
     Coupling,
-    astral_distance,
     build_constellation,
     constellation_distance,
     joint_bounds,
@@ -24,7 +23,6 @@ from .evaluation import (
     clustering_indices,
     epsilon_sweep,
     majority_vote_labels,
-    sample_in_ball,
 )
 from .features import (
     CacheFeatures,
@@ -34,7 +32,6 @@ from .features import (
     extract_cache_features,
     extract_cache_features_mean_std,
     normalize_snapshot,
-    percentile,
 )
 from .ingest import (
     Codes,

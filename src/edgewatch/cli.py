@@ -193,6 +193,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if min(e_grid) < 0 or min(extra_list) < 0 or args.seed < 0:
         raise ConfigError("calibrate needs --e-grid, --extra-stars and --seed >= 0")
     largest = max(stars_list)
+    reach = math.sqrt(args.dim or largest) + max(e_grid)  # bounds every star difference's length
+    if not math.isfinite(reach * reach):
+        raise ConfigError(f"--e-grid {max(e_grid)!r} is too large: squared star distances overflow")
     if (largest + max(extra_list)) * max(largest, args.dim or largest) > MAX_CALIBRATION_ELEMENTS:
         raise ConfigError(f"--stars/--extra-stars/--dim: a matrix over {MAX_CALIBRATION_ELEMENTS} elements")
     rows = (  # lazy: --out is opened before the first trial runs

@@ -64,19 +64,6 @@ def build_constellation(
     return Constellation(positions, clustering.members, bounds)
 
 
-def astral_distance(position: np.ndarray, constellation: Constellation) -> tuple[float, int | None]:
-    """Distance from the star at ``position`` to its closest star in ``constellation``.
-
-    Ties break toward the lowest star index. An empty constellation yields
-    the sentinel sqrt(dim) (the diameter of the unit feature hypercube) with
-    no nearest reference, so an all-noise snapshot registers as a maximal
-    change instead of failing.
-    """
-    star = Constellation(np.reshape(position, (1, -1)), bounds=constellation.bounds)
-    (coupling,) = constellation_distance(star, constellation).couplings_ab
-    return coupling.distance, coupling.nearest_index
-
-
 @dataclass(frozen=True)
 class Coupling:
     """Nearest-neighbor coupling of one star against the other constellation."""
@@ -127,6 +114,8 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
     Both constellations must have been built against the same joint bounds
     (callers go through joint_bounds); comparing constellations normalized
     differently is a domain error. Both sides read one distance matrix: b - a is bitwise -(a - b).
+    Ties couple to the lowest star index. Against an empty constellation a star has no nearest star and
+    the sentinel distance sqrt(dim), the unit hypercube's diameter: an all-noise snapshot is a maximal change.
     """
     if a.bounds != b.bounds:
         raise ValueError("constellations were built with different bounds")

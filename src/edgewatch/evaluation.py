@@ -221,11 +221,6 @@ def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
     return np.reshape(directions, (n, dim)) / np.array(norms)[:, None] * np.array(scales)[:, None]
 
 
-def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """One sample of ``ball_offsets``: a ``(dim,)`` vector."""
-    return ball_offsets(rng, 1, dim, radius)[0]
-
-
 def cd_calibration(
     n_stars: int,
     e: float,

@@ -77,13 +77,6 @@ def percentile_vector(
     return np.where(top, s[i], s[i] + (h - lo) * (s[np.minimum(i + 1, s.size - 1)] - s[i]))
 
 
-def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:
-    """One percentile of ``samples``; see percentile_vector for the definition."""
-    if np.size(samples) == 0:
-        raise ValueError("percentile of an empty sample set")
-    return float(percentile_vector(samples, (q,))[0])
-
-
 def _validate_percentiles(percentiles: Sequence[float]) -> tuple[float, ...]:
     ps = tuple(float(q) for q in percentiles)
     if not ps:

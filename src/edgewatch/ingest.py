@@ -55,10 +55,6 @@ _ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
 _Index = dict[int, dict[str, int]]
 
 
-def _new_index() -> _Index:
-    return {FLOW_LOG_COLUMNS.index(name): {} for name in ("server_ip", "hostname")}
-
-
 def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
     """One array per field from one sequence per field: its values, or codes in ``index``."""
     arrays = []
@@ -113,19 +109,14 @@ class FlowTable:
 
     @classmethod
     def concat(cls, tables: Sequence[FlowTable]) -> FlowTable:
-        """The rows of the tables, in order, coded over the union of their names."""
-        index = _new_index()
-        return tables[0] if len(tables) == 1 else _table([_arrays(t._values(), index) for t in tables], index)
+        """The rows of the tables, in order, column by column: a log's parsed parts join into its parse."""
+        return tables[0] if len(tables) == 1 else cls(*map(_concat, zip(*map(_fields_of, tables))))
 
     def __len__(self) -> int:
         return len(self.start_time)
 
     def __getitem__(self, rows) -> FlowTable:
         return FlowTable(*(column[rows] for column in _fields_of(self)))
-
-    def _values(self, rows=slice(None)) -> list[list]:
-        """Python values of every field for ``rows``, in column order."""
-        return [c[rows].decode() if isinstance(c, Codes) else c[rows].tolist() for c in _fields_of(self)]
 
     @cached_property
     def time_order(self) -> np.ndarray:
@@ -135,6 +126,15 @@ class FlowTable:
 
 # The columns of a FlowTable, as a tuple.
 _fields_of = attrgetter(*(f.name for f in fields(FlowTable)))
+
+
+def _concat(parts: Sequence[np.ndarray | Codes]) -> np.ndarray | Codes:
+    """One column from its parts; Codes number the names as they first come in the parts' ``names``."""
+    if not isinstance(parts[0], Codes):
+        return np.concatenate(parts)
+    union: dict[str, int] = {}  # name -> code
+    codes = [np.array([union.setdefault(n, len(union)) for n in c.names], np.int64)[c.codes] for c in parts]
+    return Codes(np.concatenate(codes), np.array(list(union), dtype=object))
 
 
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
@@ -244,7 +244,8 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     header = header.rstrip("\r\n")
     if header != FLOW_LOG_HEADER:
         raise FlowLogFormatError(f"bad header: {header!r}")
-    index, parts, line_number = _new_index(), [], 2
+    index: _Index = {FLOW_LOG_COLUMNS.index(name): {} for name in ("server_ip", "hostname")}
+    parts, line_number = [], 2
     while chunk := source.readlines(CHUNK_BYTES):
         parts.append(_parse_chunk(line_number, chunk, errors, index))
         line_number += len(chunk)
@@ -339,8 +340,9 @@ def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
     line = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
     with text_output(target) as fp:
         fp.write(FLOW_LOG_HEADER + "\n")
-        for lo in range(0, len(table), 4096):
-            fp.write("".join(map(line.format, *table._values(slice(lo, lo + 4096)))))
+        for chunk in (table[lo : lo + 4096] for lo in range(0, len(table), 4096)):
+            values = (c.decode() if isinstance(c, Codes) else c.tolist() for c in _fields_of(chunk))
+            fp.write("".join(map(line.format, *values)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -460,14 +461,22 @@ class TestCalibrateCommand:
             ["--trials", "0"], ["--stars", "0"], ["--stars", "abc"], ["--e-grid", "-0.1"],
             ["--dim", "0"], ["--e-grid", "nan"], ["--e-grid", "0:inf:1"], ["--e-grid", "0:1e9:1e-9"],
             ["--seed", "-1"],
+            # A star difference is at most sqrt(dim) + e long; with these radii its square overflows.
+            ["--e-grid", "1e200"], ["--e-grid", "0,1e200"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
         code = main(["calibrate", "--trials", "2", *flag, "--out", str(tmp_path / "c.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_largest_radius_whose_squared_distances_fit_runs(self, tmp_path):
+        # (sqrt(5) + 1e154) ** 2 is finite, and the suite makes an overflow warning an error.
+        out = tmp_path / "c.csv"
+        assert main(["calibrate", "--stars", "5", "--e-grid", "1e154", "--trials", "2", "--out", str(out)]) == 0
+        assert math.isfinite(float(out.read_text().splitlines()[1].split(",")[-1]))
 
     @pytest.mark.parametrize(
         "flags",

@@ -12,7 +12,6 @@ from edgewatch.constellation import (
     CD_ELEMENT_BUDGET,
     CD_REPORT_HEADER,
     Constellation,
-    astral_distance,
     build_constellation,
     constellation_distance,
     cd_report_rows,
@@ -23,6 +22,13 @@ from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_sna
 from edgewatch.ingest import write_csv
 
 from reference_impls import reference_astral_distance, reference_centroids, reference_normalize_snapshot
+
+
+def astral_distance(position, constellation):
+    """(distance, nearest index) of the star at ``position``: one star's coupling against ``constellation``."""
+    star = Constellation(np.reshape(position, (1, -1)), bounds=constellation.bounds)
+    coupling = constellation_distance(star, constellation).couplings_ab[0]
+    return coupling.distance, coupling.nearest_index
 
 
 def bounds_of(rtt, ttl=(0.0, 1.0)):

@@ -13,7 +13,6 @@ from edgewatch.evaluation import (
     clustering_indices,
     epsilon_sweep,
     majority_vote_labels,
-    sample_in_ball,
     write_sweep_csv,
 )
 from edgewatch.features import extract_cache_features
@@ -233,17 +232,17 @@ class TestSampleInBall:
         rng = np.random.default_rng(0)
         for dim, radius in ((2, 0.5), (7, 2.0)):
             for _ in range(200):
-                v = sample_in_ball(rng, dim, radius)
+                v = ball_offsets(rng, 1, dim, radius)[0]
                 assert v.shape == (dim,)
                 assert np.linalg.norm(v) <= radius + 1e-12
 
     def test_zero_radius(self):
         rng = np.random.default_rng(0)
-        assert np.array_equal(sample_in_ball(rng, 5, 0.0), np.zeros(5))
+        assert np.array_equal(ball_offsets(rng, 1, 5, 0.0)[0], np.zeros(5))
 
     def test_dim_below_one_rejected(self):
         with pytest.raises(ValueError):
-            sample_in_ball(np.random.default_rng(0), 0, 0.1)
+            ball_offsets(np.random.default_rng(0), 1, 0, 0.1)
         with pytest.raises(ValueError):
             ball_offsets(np.random.default_rng(0), 3, 0, 0.1)
 
@@ -268,7 +267,7 @@ class TestSampleInBall:
         assert rows.tobytes() == b"".join(e.tobytes() for e in expected)
         assert state_of(rng) == state_of(oracle_rng)
         oracle = reference_impls.sample_in_ball(generator(), dim, radius)
-        assert sample_in_ball(generator(), dim, radius).tobytes() == oracle.tobytes()
+        assert ball_offsets(generator(), 1, dim, radius)[0].tobytes() == oracle.tobytes()
 
     def test_many_rows_equal_per_call_oracle(self):
         # A length that is off by one ulp in about one row of a thousand (as

@@ -9,7 +9,7 @@ from edgewatch.features import (
     extract_cache_features,
     extract_cache_features_mean_std,
     normalize_snapshot,
-    percentile,
+    percentile_vector,
     snapshot_bounds,
     write_feature_dump,
 )
@@ -29,27 +29,26 @@ def snapshot_of(flows):
 
 class TestPercentile:
     def test_exact_median(self):
-        assert percentile([1, 2, 3], 50) == 2.0
+        assert percentile_vector([1, 2, 3], (50,))[0] == 2.0
 
     def test_linear_interpolation(self):
-        assert percentile([10, 20], 25) == 12.5
+        assert percentile_vector([10, 20], (25,))[0] == 12.5
 
     def test_endpoints(self):
-        assert percentile([5, 1, 9], 0) == 1.0
-        assert percentile([5, 1, 9], 100) == 9.0
+        assert percentile_vector([5, 1, 9], (0,))[0] == 1.0
+        assert percentile_vector([5, 1, 9], (100,))[0] == 9.0
 
     def test_single_sample(self):
-        assert percentile([7.0], 37.5) == 7.0
+        assert percentile_vector([7.0], (37.5,))[0] == 7.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
+    def test_empty_set_is_nan(self):
+        assert np.isnan(percentile_vector([], (50,))).all()
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            percentile([1.0], 101)
+            percentile_vector([1.0], (101,))
         with pytest.raises(ValueError):
-            percentile([1.0], -0.1)
+            percentile_vector([1.0], (-0.1,))
 
     def test_reference_oracle_sanity(self):
         # The oracle itself must reproduce the hand-checked cases.
@@ -61,7 +60,7 @@ class TestPercentile:
         for _ in range(200):
             samples = rng.uniform(-50, 50, rng.integers(1, 60))
             q = float(rng.uniform(0, 100))
-            assert percentile(samples, q) == pytest.approx(
+            assert percentile_vector(samples, (q,))[0] == pytest.approx(
                 reference_percentile(samples, q), abs=1e-12
             )
 
@@ -70,7 +69,7 @@ class TestPercentile:
         for _ in range(100):
             samples = rng.normal(0, 10, rng.integers(2, 80))
             q = float(rng.uniform(0, 100))
-            assert percentile(samples, q) == pytest.approx(
+            assert percentile_vector(samples, (q,))[0] == pytest.approx(
                 float(np.percentile(samples, q)), abs=1e-9
             )
 

@@ -11,6 +11,7 @@ import math
 import struct
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +25,7 @@ from edgewatch.features import CacheFeatures, extract_cache_features, extract_ca
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
+    Codes,
     FlowLineError,
     FlowTable,
     midnight_floor,
@@ -85,12 +87,20 @@ def _bytes(features):
     return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in features]
 
 
+def _columns(table):
+    """Each column's dtype and bytes, an object column's values, and a Codes column's codes and names."""
+    columns = [getattr(table, f.name) for f in fields(FlowTable)]
+    return [(c.codes.dtype, c.codes.tobytes(), c.names.tolist()) if isinstance(c, Codes)
+            else (c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
+
+
 @given(windowed_traces())
 def test_windows_and_features_match_per_record_code(trace):
     files, window, step, offset, min_flow = trace
     records = [r for f in files for r in f]
     table = FlowTable.concat([flow_table(f) for f in files])
     assert flow_rows(table) == records
+    assert _columns(table) == _columns(flow_table(records))  # joining the parts gives the parse of the whole
     snaps = window_flows(table, window, step, utc_offset_hours=offset)
     expected = reference_window_flows(records, window, step, offset)
     assert [(s.index, s.window_start, s.window_end) for s in snaps] == [

@@ -145,6 +145,18 @@ def test_synth_trace_round_trips_byte_for_byte(cli_outputs):
     assert buf.getvalue().encode("utf-8") == path.read_bytes()
 
 
+def test_timeline_over_two_inputs_matches_golden(cli_outputs, tmp_path):
+    # The golden trace cut at a line boundary into two logs, each with the header, gives the one-log timeline.
+    header, *lines = (cli_outputs / "synth" / "trace.tsv").read_bytes().splitlines(keepends=True)
+    inputs = []
+    for name, part in (("a.tsv", lines[: len(lines) // 2]), ("b.tsv", lines[len(lines) // 2 :])):
+        (tmp_path / name).write_bytes(header + b"".join(part))
+        inputs += ["--input", str(tmp_path / name)]
+    assert main(["timeline", *inputs, "--out-dir", str(tmp_path / "timeline")]) == 0
+    names = ["timeline/timeline.csv", "timeline/couplings.csv"]
+    assert digests(tmp_path, names) == {name: CLI_DIGESTS[name] for name in names}
+
+
 def write_event_outputs(root, result, records, config):
     write_timeline_csv(root / "timeline.csv", result.entries)
     write_couplings_csv(root / "couplings.csv", result)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from edgewatch.errors import ConfigError
-from edgewatch.features import percentile
+from edgewatch.features import percentile_vector
 from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, parse_flow_log, write_flow_log
 from edgewatch.synth import (
     DEFAULT_START_EPOCH,
@@ -137,7 +137,8 @@ class TestGenerateTrace:
         during = [r.min_rtt for r in records
                   if parse_cache_hostname(r.hostname) == "AMS"
                   and (r.start_time - DEFAULT_START_EPOCH) >= 3 * DAY_SECONDS]
-        assert percentile(during, 50) - percentile(before, 50) == pytest.approx(80.0, abs=2.0)
+        median_shift = percentile_vector(during, (50,))[0] - percentile_vector(before, (50,))[0]
+        assert median_shift == pytest.approx(80.0, abs=2.0)
 
     def test_congestion_degrades_throughput_and_widens_rtt(self):
         congestion = EventSpec("congestion", "FRA", start_day=3, end_day=5, magnitude=4.0)
@@ -173,7 +174,7 @@ class TestGenerateTrace:
                 if parse_cache_hostname(r.hostname) == label
                 and day * DAY_SECONDS <= (r.start_time - DEFAULT_START_EPOCH) < (day + 1) * DAY_SECONDS
             ]
-            return np.array([percentile(rtts, q) for q in (20, 35, 50, 65, 80)])
+            return percentile_vector(rtts, (20, 35, 50, 65, 80))
 
         for day in range(6):
             a = daily_percentiles(plain, "AMS", day)
