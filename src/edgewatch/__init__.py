@@ -54,13 +54,16 @@ from .pipeline import (
     run_timeline,
     timeline_entry,
 )
-from .synth import (
-    EdgeNodeSpec,
-    EventSpec,
-    SynthConfig,
-    generate_trace,
-    load_synth_config,
-    rank_matrix,
-)
 
 __version__ = "0.1.0"
+
+# The synthesizer's names, imported on first use, so that a run over a real trace never loads it.
+_SYNTH_NAMES = {"EdgeNodeSpec", "EventSpec", "SynthConfig", "generate_trace", "load_synth_config", "rank_matrix"}
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

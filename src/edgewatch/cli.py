@@ -24,7 +24,6 @@ from .pipeline import (
     write_drilldown_csv,
     write_timeline_csv,
 )
-from .synth import generate_trace, load_synth_config, rank_matrix, write_rank_csv
 
 
 MAX_GRID = 10_000
@@ -90,6 +89,8 @@ def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate_trace, load_synth_config
+
     config = load_synth_config(args.config)
     records, ground_truth = generate_trace(config)
     write_flow_log(args.out_trace, records)
@@ -211,6 +212,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from .synth import rank_matrix, write_rank_csv
+
     if not -24 <= args.utc_offset <= 24:
         raise ConfigError(f"--utc-offset must lie in [-24, 24], got {args.utc_offset}")
     matrix = rank_matrix(read_flow_logs(args.input), args.utc_offset)

@@ -142,12 +142,9 @@ def _summarize_caches(
     in_kept = sizes[caches] >= min_flow
     rows, caches = snapshot.rows[in_kept], caches[in_kept]
     blocks = []
-    for column in (table.min_rtt, table.ttl):  # the order of METRICS
+    for metric, column in enumerate((table.min_rtt, table.ttl)):  # the order of METRICS
         values = column[rows].astype(float)
-        rank = rows  # a row's input position, or its value's rank
-        if by_value:
-            rank = np.empty_like(rows)
-            rank[np.argsort(values)] = np.arange(len(rows))
+        rank = table.value_rank[metric, rows] if by_value else rows  # a row's rank in the trace, or its position
         # One argsort of the unique key sorts like lexsort((rank, caches)), several times faster.
         blocks.append(summarize(values[np.argsort(caches * len(table) + rank)], sizes[kept]))
     names = table.server_ip.names[kept]

@@ -123,6 +123,14 @@ class FlowTable:
         """Row indices in start-time order; equal times keep input order."""
         return np.argsort(self.start_time, kind="stable")
 
+    @cached_property
+    def value_rank(self) -> np.ndarray:
+        """Row i's rank in ``min_rtt`` order at [0, i] and in ``ttl`` order at [1, i]; equal values rank in any order."""
+        rank = np.empty((2, len(self)), np.intp)
+        for metric_rank, column in zip(rank, (self.min_rtt, self.ttl)):
+            metric_rank[np.argsort(column)] = np.arange(len(self))
+        return rank
+
 
 # The columns of a FlowTable, as a tuple.
 _fields_of = attrgetter(*(f.name for f in fields(FlowTable)))

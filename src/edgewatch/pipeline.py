@@ -20,7 +20,6 @@ from .constellation import (
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError, require_finite
-from .evaluation import majority_label
 from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
@@ -50,6 +49,8 @@ FLAG_EVENT = "event"
 FLAG_MAJOR = "major"
 
 THROUGHPUT_DECILES = tuple(float(q) for q in range(10, 100, 10))
+
+Airports = tuple[list[str], np.ndarray]  # see _airport_codes
 
 
 @dataclass
@@ -168,12 +169,21 @@ def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> 
     return rows[is_member[table.server_ip.codes[rows]]]
 
 
-def _star_label(snapshot: Snapshot, members: Iterable[str], iata: np.ndarray) -> str | None:
-    """Vote over the members' labels, each the vote over its flows' airport codes (see _airport_codes)."""
+def _star_label(snapshot: Snapshot, members: Iterable[str], airports: Airports) -> str | None:
+    """Vote over the members' labels, each the vote over its flows' airport codes (see _airport_codes).
+
+    A vote goes to the code with most votes, ties to the smallest; no code, no vote; no votes, no label.
+    """
+    codes, code_of = airports
     table = snapshot.table
     rows = _member_rows(table, snapshot.rows, members)
-    caches, labels = table.server_ip.codes[rows], iata[table.hostname.codes[rows]]
-    return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))
+    code = code_of[table.hostname.codes[rows]]
+    voting = code >= 0
+    if not voting.any():  # also covers a trace without any code
+        return None
+    caches, cache = np.unique(table.server_ip.codes[rows[voting]], return_inverse=True)
+    votes = np.bincount(cache * len(codes) + code[voting], minlength=len(caches) * len(codes))
+    return codes[np.bincount(votes.reshape(-1, len(codes)).argmax(axis=1)).argmax()]
 
 
 def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
@@ -208,13 +218,16 @@ def _timeline_windows(config: PipelineConfig, records: FlowTable) -> list[Snapsh
     return snapshots
 
 
-def _airport_codes(records: FlowTable) -> np.ndarray:
-    """``iata[h]``: the airport code of the table's hostname h, or None."""
-    return np.array([parse_cache_hostname(h) for h in records.hostname.names.tolist()], dtype=object)
+def _airport_codes(records: FlowTable) -> Airports:
+    """The sorted distinct airport codes of the table's hostnames, and hostname h's index into them (-1: none)."""
+    iata = [parse_cache_hostname(h) for h in records.hostname.names.tolist()]
+    codes = sorted(set(iata) - {None})
+    index = {code: i for i, code in enumerate(codes)}
+    return codes, np.array([index.get(code, -1) for code in iata], dtype=np.intp)
 
 
 def _entry(
-    states: Sequence[SnapshotState], config: PipelineConfig, iata: np.ndarray
+    states: Sequence[SnapshotState], config: PipelineConfig, airports: Airports
 ) -> tuple[TimelineEntry, CDReport | None]:
     """The timeline entry of ``states[-1]``, and its CD report against ``states[-2]`` if given."""
     *prev, state = states
@@ -229,7 +242,7 @@ def _entry(
                 StarContribution(
                     side=side,
                     star_id=coupling.star_index,
-                    label=_star_label(source.snapshot, members, iata),
+                    label=_star_label(source.snapshot, members, airports),
                     distance=coupling.distance,
                     members=members,
                 )
@@ -254,8 +267,8 @@ def run_timeline(config: PipelineConfig, records: FlowTable) -> TimelineResult:
     every partner star couple at the sentinel distance.
     """
     states = tuple(analyze_snapshot(s, config) for s in _timeline_windows(config, records))
-    iata = _airport_codes(records)
-    entries, reports = zip(*(_entry(states[max(i - 1, 0) : i + 1], config, iata) for i in range(len(states))))
+    airports = _airport_codes(records)
+    entries, reports = zip(*(_entry(states[max(i - 1, 0) : i + 1], config, airports) for i in range(len(states))))
     return TimelineResult(entries=entries, reports=reports, states=states)
 
 

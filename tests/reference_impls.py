@@ -11,6 +11,9 @@ the per-star-pair norm loop it used before its distance matrix, the
 normalization and centroid oracles are the per-cache, per-metric loops it
 used before its feature matrix, and the ball sampler is the one-vector-per-call
 sampler it used before drawing all of a constellation's offsets at once.
+The star-label oracle is the per-star vote the timeline used before it counted
+(cache, airport code) pairs: a set-membership mask and a ``Counter`` vote per
+member cache and per star.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -28,7 +31,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from edgewatch.ingest import FLOW_LOG_HEADER, Codes, FlowTable, parse_flow_log
+from edgewatch.evaluation import majority_label
+from edgewatch.ingest import FLOW_LOG_HEADER, Codes, FlowTable, parse_cache_hostname, parse_flow_log
 
 # One flow as a plain row, with the table's column names in column order.
 Flow = namedtuple("Flow", [f.name for f in fields(FlowTable)])
@@ -232,3 +236,13 @@ def reference_centroids(clusters, features, bounds):
         )
         for members in clusters
     ]
+
+
+def reference_star_label(snapshot, members):
+    """Each member cache votes its flows' majority airport code; the star takes the majority of those votes."""
+    table = snapshot.table
+    is_member = np.isin(table.server_ip.names, list(members))
+    rows = snapshot.rows[is_member[table.server_ip.codes[snapshot.rows]]]
+    caches = table.server_ip.codes[rows]
+    labels = np.array([parse_cache_hostname(h) for h in table.hostname[rows].decode()], dtype=object)
+    return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))

@@ -1,10 +1,16 @@
-"""Every name a package module imports is used in that module (``__init__.py`` re-exports), and every
-public function, class and method a module defines is read somewhere in the package."""
+"""Every name a package module imports is used in that module (``__init__.py`` re-exports), every
+public function, class and method a module defines is read somewhere in the package, and a timeline run
+imports only what it uses."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import edgewatch
+from edgewatch.ingest import write_flow_log
+from edgewatch.synth import EdgeNodeSpec, SynthConfig, generate_trace
 
 PACKAGE = Path(edgewatch.__file__).parent
 
@@ -66,29 +72,34 @@ def defined_names(tree):
 
 
 def read_names(tree):
-    """The names the module reads, as a name or as an attribute."""
-    return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-    }
+    """The names the module reads as a name, and those it reads as an attribute."""
+    loads = [node for node in ast.walk(tree) if isinstance(getattr(node, "ctx", None), ast.Load)]
+    return (
+        {node.id for node in loads if isinstance(node, ast.Name)},
+        {node.attr for node in loads if isinstance(node, ast.Attribute)},
+    )
 
 
 def unread(trees, allowed=frozenset()):
-    """Each public definition outside ``__init__.py`` whose name no module of ``trees`` reads."""
-    read = set().union(*map(read_names, trees.values()))
+    """Each public definition outside ``__init__.py`` that no module of ``trees`` reads.
+
+    A function or class counts as read by its name or as an attribute, a method only as an attribute.
+    """
+    reads = [read_names(tree) for tree in trees.values()]
+    attributes = set().union(*(attrs for _, attrs in reads))
+    names = attributes.union(*(names for names, _ in reads))
     return [
         f"{module}:{line}: {name}"
         for module, tree in trees.items()
         if module != "__init__.py"
         for name, line in defined_names(tree)
-        if name.rpartition(".")[2] not in read and name not in allowed
+        if name.rpartition(".")[2] not in (attributes if "." in name else names) and name not in allowed
     ]
 
 
-# No package code reads Snapshot.n_records: perfbench's traced counters do, until the package's own stage
-# timer replaces them (ROADMAP item 1, PR B).
-UNREAD_ALLOWED = {"Snapshot.n_records"}
+# No package code reads Snapshot.n_records or Snapshot.records: perfbench's traced counters do, until the
+# package's own stage timer replaces them (ROADMAP item 1, PR B).
+UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records"}
 
 
 def test_every_public_definition_is_read():
@@ -98,8 +109,45 @@ def test_every_public_definition_is_read():
 
 def test_the_check_sees_an_unread_definition():
     source = "class A:\n    def used(self): ...\n    def unused(self): ...\n    def _own(self): ...\n"
-    source += "def f(a):\n    return a.used\ndef g():\n    return f(A())\n"
+    source += "    def local(self): ...\n"  # read only as a local variable's name, below
+    source += "def f(a):\n    return a.used\ndef g(local):\n    return f(A()), local\n"
     assert unread({"m.py": ast.parse(source), "__init__.py": ast.parse("def h(): ...")}) == [
         "m.py:3: A.unused",
-        "m.py:7: g",
+        "m.py:5: A.local",
+        "m.py:8: g",
     ]
+
+
+# Runs the CLI with its arguments, then reports what it loaded and how the package's names resolve.
+TIMELINE_SCRIPT = """
+import sys
+from edgewatch import cli
+rc = cli.main(sys.argv[1:])
+print(rc, sorted({"numpy.ma", "edgewatch.synth"} & set(sys.modules)))
+import edgewatch
+print(type(edgewatch.dbscan).__name__, edgewatch.dbscan.__module__)
+from edgewatch import generate_trace, SynthConfig
+print(generate_trace.__module__, SynthConfig.__module__)
+try:
+    edgewatch.nope
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_a_timeline_run_loads_neither_numpy_ma_nor_synth(tmp_path):
+    nodes = (EdgeNodeSpec("AMS", 6, 15.0, 1.5, 52, 1.0), EdgeNodeSpec("FRA", 6, 95.0, 2.0, 64, 1.0))
+    trace, out = tmp_path / "trace.tsv", tmp_path / "out"
+    write_flow_log(trace, generate_trace(SynthConfig(nodes=nodes, days=3, flows_per_day=1200, seed=1))[0])
+    argv = ["timeline", "--input", str(trace), "--window-days", "1", "--min-flow", "10", "--out-dir", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", TIMELINE_SCRIPT, *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.stderr == ""
+    assert done.stdout.splitlines()[-4:] == [
+        "0 []",
+        "function edgewatch.dbscan",
+        "edgewatch.synth edgewatch.synth",
+        "module 'edgewatch' has no attribute 'nope'",
+    ]
+    assert ":AMS:" in (out / "timeline.csv").read_text()  # the run labelled its stars

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from edgewatch.constellation import build_constellation, constellation_distance, joint_bounds
 from edgewatch.dbscan import ClusterParams, dbscan
@@ -16,6 +17,8 @@ from edgewatch.pipeline import (
     PipelineConfig,
     StarContribution,
     TimelineEntry,
+    _airport_codes,
+    _star_label,
     drilldown,
     flag_for,
     run_timeline,
@@ -26,7 +29,7 @@ from edgewatch.pipeline import (
 from edgewatch.synth import EdgeNodeSpec, EventSpec, SynthConfig, generate_trace
 
 from conftest import EVENT_DEATH_DAY, EVENT_SHIFT_DAY
-from reference_impls import Flow, flow_table
+from reference_impls import Flow, flow_table, reference_star_label
 
 
 class TestPipelineConfig:
@@ -232,6 +235,41 @@ class TestRunTimeline:
         state = analyze_snapshot(snap, config)
         const_a, const_b = _pair_constellations(state, state)
         assert constellation_distance(const_a, const_b).cd_value == 0.0
+
+
+# Plain hostnames with three airport codes (two spellings of AMS) and two opaque names, which carry no code.
+STAR_HOSTS = ("r1---ams1.example.net", "r2---AMS7x.example.net", "r1---fra1.example.net", "r3---lon2.example.net",
+              "opaque1.example.net", "r1--ams1.example.net")
+
+
+def star_flows(flows):
+    """Flow rows from (day, cache, hostname) triples, one second apart."""
+    return [Flow(day * DAY_SECONDS + i, "u", cache, host, 10.0, 50, 0, 0, 1.0)
+            for i, (day, cache, host) in enumerate(flows)]
+
+
+@st.composite
+def star_windows(draw):
+    """Two days of flows of five caches, and a star's members (cache "f" has no flows)."""
+    hosts = draw(st.sampled_from([STAR_HOSTS, STAR_HOSTS[-2:]]))  # or opaque names only: no code at all
+    flow = st.tuples(st.integers(0, 1), st.sampled_from("abcde"), st.sampled_from(hosts))
+    members = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+    return star_flows(draw(st.lists(flow, min_size=1, max_size=40))), members
+
+
+AMS, FRA, LON, OPAQUE = STAR_HOSTS[0], STAR_HOSTS[2], STAR_HOSTS[3], STAR_HOSTS[4]
+
+
+@given(star_windows())
+# Ties at both levels: cache a votes AMS (1 to 1 with FRA), b FRA, c LON, d nothing; the star AMS.
+@example((star_flows([(0, "a", FRA), (0, "a", AMS), (0, "b", FRA), (0, "c", LON), (0, "d", OPAQUE)]), ["a", "b", "c", "d"]))
+@example((star_flows([(0, "a", OPAQUE), (1, "b", OPAQUE)]), ["a", "b"]))  # no code at all
+def test_star_label_equals_per_star_vote(case):
+    rows, members = case
+    table = flow_table(rows)
+    airports = _airport_codes(table)
+    for snapshot in window_flows(table, DAY_SECONDS, DAY_SECONDS):
+        assert _star_label(snapshot, members, airports) == reference_star_label(snapshot, members)
 
 
 class TestTimelineEntry:
