@@ -51,27 +51,6 @@ class FlowLineError(ValueError):
 
 # One line as np.loadtxt converts it; server_ip and hostname are dictionary-encoded.
 _ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
-# Per encoded field's position, the name -> code dictionary of its Codes.
-_Index = dict[int, dict[str, int]]
-
-
-def _arrays(columns: Sequence[Sequence], index: _Index) -> list[np.ndarray]:
-    """One array per field from one sequence per field: its values, or codes in ``index``."""
-    arrays = []
-    for i, values in enumerate(columns):
-        if i in index:  # new names take the next free codes, in order of first use
-            new = [name for name in dict.fromkeys(values) if name not in index[i]]
-            index[i].update(zip(new, count(len(index[i]))))
-            values = np.fromiter(map(index[i].__getitem__, values), np.int64, len(values))
-        arrays.append(np.asarray(values, np.int64 if i in index else _ROW[i]))
-    return arrays
-
-
-def _table(parts: list[list[np.ndarray]], index: _Index) -> FlowTable:
-    """The table of the concatenated field arrays; ``index`` names the codes."""
-    columns = map(np.concatenate, zip(_arrays([()] * len(_ROW), index), *parts))
-    return FlowTable(*(Codes(c, np.array(list(index[i]), dtype=object)) if i in index else c
-                       for i, c in enumerate(columns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +119,16 @@ def _concat(parts: Sequence[np.ndarray | Codes]) -> np.ndarray | Codes:
     """One column from its parts; Codes number the names as they first come in the parts' ``names``."""
     if not isinstance(parts[0], Codes):
         return np.concatenate(parts)
-    union: dict[str, int] = {}  # name -> code
-    codes = [np.array([union.setdefault(n, len(union)) for n in c.names], np.int64)[c.codes] for c in parts]
-    return Codes(np.concatenate(codes), np.array(list(union), dtype=object))
+    union = _encode(np.concatenate([c.names for c in parts]).tolist())  # codes of every part's names, in turn
+    offsets = np.cumsum([0, *(len(c.names) for c in parts[:-1])]).tolist()
+    return Codes(union.codes[np.concatenate([c.codes + o for c, o in zip(parts, offsets)])], union.names)
+
+
+def _encode(names: Sequence[str]) -> Codes:
+    """The names as Codes, each distinct name numbered as it first comes."""
+    index = dict(zip(dict.fromkeys(names), count()))  # name -> code
+    codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    return Codes(codes, np.array(list(index), dtype=object))
 
 
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
@@ -193,19 +179,22 @@ def _parse_line(line_number: int, line: str) -> tuple:
     return start_time, client_id, server_ip, hostname, min_rtt, ttl, bytes_up, bytes_down, avg_throughput
 
 
-def _rejected(arrays: list[np.ndarray], index: _Index) -> np.ndarray:
+def _chunk_table(columns: Sequence[Sequence]) -> FlowTable:
+    """The table of one sequence per field; each Codes column numbers its names as they first come."""
+    return FlowTable(*(_encode(values) if name in ("server_ip", "hostname") else np.asarray(values, _ROW[name])
+                       for name, values in zip(FLOW_LOG_COLUMNS, columns)))
+
+
+def _rejected(table: FlowTable) -> np.ndarray:
     """The rows whose converted values _parse_line rejects: its range checks, column-wise."""
-    start, _, server, _, rtt, ttl, up, down, thr = arrays
-    empty_server = index[2].get("", -1)  # the code of an empty server_ip, if one was read
-    return ((server == empty_server) | (rtt < 0) | ~np.isfinite(rtt) | (ttl < 0) | (ttl > 255)
+    start, _, server, _, rtt, ttl, up, down, thr = _fields_of(table)
+    return ((server.names == "")[server.codes] | (rtt < 0) | ~np.isfinite(rtt) | (ttl < 0) | (ttl > 255)
             | (up < 0) | (down < 0) | (thr < 0) | ~np.isfinite(thr) | ~np.isfinite(start))
 
 
-def _parse_chunk(
-    first_line: int, chunk: list[str], errors: list[FlowLineError] | None, index: _Index
-) -> list[np.ndarray]:
-    """The field arrays of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
-    text, arrays, recheck = "".join(chunk), None, range(len(chunk))
+def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> FlowTable:
+    """The table of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
+    text, table, recheck = "".join(chunk), None, range(len(chunk))
     # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
     # as whitespace where float() and int() refuse them, and reads some
     # non-ASCII characters in an integer as digits: such chunks go line by line.
@@ -215,9 +204,9 @@ def _parse_chunk(
         except ValueError:  # a field that does not convert, or a wrong field count
             pass
         else:
-            arrays = _arrays([converted[name] for name in FLOW_LOG_COLUMNS], index)
-            rejected = _rejected(arrays, index)
-            arrays = [a[~rejected] for a in arrays]
+            table = _chunk_table([converted[name] for name in FLOW_LOG_COLUMNS])
+            rejected = _rejected(table)
+            table = table[~rejected]  # the names of rejected rows stay numbered
             if len(converted) < len(chunk):  # np.loadtxt skipped the blank lines
                 recheck = [i for i, line in enumerate(chunk) if line.rstrip("\r\n")]
             recheck = list(compress(recheck, rejected))
@@ -231,7 +220,7 @@ def _parse_chunk(
                     raise
                 errors.append(exc)
     # Rows the column checks reject never parse: only a chunk that failed to convert has rows.
-    return _arrays(list(zip(*rows)) or [()] * len(_ROW), index) if arrays is None else arrays
+    return _chunk_table(list(zip(*rows)) or [()] * len(_ROW)) if table is None else table
 
 
 def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
@@ -252,12 +241,11 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     header = header.rstrip("\r\n")
     if header != FLOW_LOG_HEADER:
         raise FlowLogFormatError(f"bad header: {header!r}")
-    index: _Index = {FLOW_LOG_COLUMNS.index(name): {} for name in ("server_ip", "hostname")}
-    parts, line_number = [], 2
+    parts, line_number = [_chunk_table([()] * len(_ROW))], 2  # the empty table: a log may have no data
     while chunk := source.readlines(CHUNK_BYTES):
-        parts.append(_parse_chunk(line_number, chunk, errors, index))
+        parts.append(_parse_chunk(line_number, chunk, errors))
         line_number += len(chunk)
-    return _table(parts, index)
+    return FlowTable.concat(parts)
 
 
 def read_flow_log(path: str | Path, errors: list[FlowLineError] | None = None) -> FlowTable:

@@ -100,7 +100,10 @@ def test_windows_and_features_match_per_record_code(trace):
     records = [r for f in files for r in f]
     table = FlowTable.concat([flow_table(f) for f in files])
     assert flow_rows(table) == records
-    assert _columns(table) == _columns(flow_table(records))  # joining the parts gives the parse of the whole
+    whole = _columns(flow_table(records))  # one chunk
+    assert _columns(table) == whole  # joining the parts gives the parse of the whole
+    with mock.patch.object(ingest, "CHUNK_BYTES", 64):  # a chunk of a line or two
+        assert _columns(flow_table(records)) == whole
     snaps = window_flows(table, window, step, utc_offset_hours=offset)
     expected = reference_window_flows(records, window, step, offset)
     assert [(s.index, s.window_start, s.window_end) for s in snaps] == [

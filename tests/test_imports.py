@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module (``__init__.py`` re-exports), every
-public function, class and method a module defines is read somewhere in the package, and a timeline run
-imports only what it uses."""
+function, class and method a module defines, private or public, is read somewhere in the package, and a
+timeline run imports only what it uses."""
 
 import ast
 import os
@@ -60,14 +60,18 @@ def test_the_check_sees_an_unused_import():
     assert [name for name, _ in imported_names(tree) if name not in used] == ["os", "IO"]
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(tree):
-    """The module's public top-level functions and classes and its classes' public methods, each with its line."""
+    """The module's top-level functions and classes and its classes' methods but dunders, each with its line."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not is_dunder(node.name):
             yield node.name, node.lineno
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item.lineno
 
 
@@ -81,7 +85,7 @@ def read_names(tree):
 
 
 def unread(trees, allowed=frozenset()):
-    """Each public definition outside ``__init__.py`` that no module of ``trees`` reads.
+    """Each definition outside ``__init__.py`` that no module of ``trees`` reads.
 
     A function or class counts as read by its name or as an attribute, a method only as an attribute.
     """
@@ -102,7 +106,7 @@ def unread(trees, allowed=frozenset()):
 UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records"}
 
 
-def test_every_public_definition_is_read():
+def test_every_definition_is_read():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     assert unread(trees, UNREAD_ALLOWED) == []
 
@@ -113,6 +117,7 @@ def test_the_check_sees_an_unread_definition():
     source += "def f(a):\n    return a.used\ndef g(local):\n    return f(A()), local\n"
     assert unread({"m.py": ast.parse(source), "__init__.py": ast.parse("def h(): ...")}) == [
         "m.py:3: A.unused",
+        "m.py:4: A._own",
         "m.py:5: A.local",
         "m.py:8: g",
     ]
