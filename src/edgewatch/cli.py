@@ -14,6 +14,7 @@ from .features import write_feature_dump
 from .dbscan import write_clustering_csv
 from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, write_csv, write_flow_log
 from .pipeline import (
+    FLAG_NONE,
     PipelineConfig,
     config_windows,
     drilldown,
@@ -122,7 +123,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                 config.percentiles,
                 state.bounds,
             )
-    flagged = [e for e in result.entries if e.flagged != "none"]
+    flagged = [e for e in result.entries if e.flagged != FLAG_NONE]
     print(f"{len(result.entries)} snapshots, {len(flagged)} flagged")
     for e in flagged:
         tops = ", ".join(f"{c.label or '?'}({c.distance:.2f})" for c in e.contributors)

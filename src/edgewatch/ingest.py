@@ -9,7 +9,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import compress, count
+from itertools import count
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
@@ -145,56 +145,48 @@ def parse_cache_hostname(hostname: str) -> str | None:
     return None if m is None else m.group(1).upper()
 
 
-def _parse_line(line_number: int, line: str) -> tuple:
-    """The line's converted values in column order, or FlowLineError naming its first fault."""
-    parts = line.split("\t")
-    if len(parts) != len(FLOW_LOG_COLUMNS):
-        raise FlowLineError(
-            line_number, f"expected {len(FLOW_LOG_COLUMNS)} fields, got {len(parts)}"
-        )
-    (raw_start, client_id, server_ip, hostname, raw_rtt, raw_ttl, raw_up, raw_down, raw_thr) = parts
-    try:
-        start_time = float(raw_start)
-        min_rtt = float(raw_rtt)
-        ttl = int(raw_ttl)
-        bytes_up = int(raw_up)
-        bytes_down = int(raw_down)
-        avg_throughput = float(raw_thr)
-    except ValueError as exc:
-        raise FlowLineError(line_number, f"bad numeric field: {exc}") from None
-    if not server_ip:
-        raise FlowLineError(line_number, "empty server_ip")
-    if min_rtt < 0 or not math.isfinite(min_rtt):
-        raise FlowLineError(line_number, f"min_rtt out of range: {min_rtt}")
-    if not 0 <= ttl <= 255:
-        raise FlowLineError(line_number, f"ttl out of range: {ttl}")
-    if bytes_up < 0 or bytes_down < 0:
-        raise FlowLineError(line_number, "negative byte count")
-    if max(bytes_up, bytes_down) >= 2**63:  # the columns are int64
-        raise FlowLineError(line_number, "byte count above 2**63 - 1")
-    if avg_throughput < 0 or not math.isfinite(avg_throughput):
-        raise FlowLineError(line_number, f"throughput out of range: {avg_throughput}")
-    if not math.isfinite(start_time):
-        raise FlowLineError(line_number, f"non-finite start_time: {raw_start}")
-    return start_time, client_id, server_ip, hostname, min_rtt, ttl, bytes_up, bytes_down, avg_throughput
-
-
 def _chunk_table(columns: Sequence[Sequence]) -> FlowTable:
     """The table of one sequence per field; each Codes column numbers its names as they first come."""
     return FlowTable(*(_encode(values) if name in ("server_ip", "hostname") else np.asarray(values, _ROW[name])
                        for name, values in zip(FLOW_LOG_COLUMNS, columns)))
 
 
-def _rejected(table: FlowTable) -> np.ndarray:
-    """The rows whose converted values _parse_line rejects: its range checks, column-wise."""
-    start, _, server, _, rtt, ttl, up, down, thr = _fields_of(table)
-    return ((server.names == "")[server.codes] | (rtt < 0) | ~np.isfinite(rtt) | (ttl < 0) | (ttl > 255)
-            | (up < 0) | (down < 0) | (thr < 0) | ~np.isfinite(thr) | ~np.isfinite(start))
+def _faults(columns: Sequence[np.ndarray], raw_start: Callable[[int], str]) -> tuple:
+    """Each range check once, in the order a line's first fault is named: (the rows it rejects, row i's reason)."""
+    start, _, server, _, rtt, ttl, up, down, thr = columns
+    return ((server == "", lambda i: "empty server_ip"),
+            ((rtt < 0) | ~np.isfinite(rtt), lambda i: f"min_rtt out of range: {rtt[i]}"),
+            ((ttl < 0) | (ttl > 255), lambda i: f"ttl out of range: {ttl[i]}"),
+            ((up < 0) | (down < 0), lambda i: "negative byte count"),
+            ((up >= 2**63) | (down >= 2**63), lambda i: "byte count above 2**63 - 1"),  # the columns are int64
+            ((thr < 0) | ~np.isfinite(thr), lambda i: f"throughput out of range: {thr[i]}"),
+            (~np.isfinite(start), lambda i: f"non-finite start_time: {raw_start(i)}"))
+
+
+def _split_lines(chunk: list[str]) -> tuple[list[int], list[np.ndarray], list[tuple[int, str]]]:
+    """The chunk's data lines one at a time: the lines that convert, their columns, and each other line's
+    (index, reason). Integers stay exact Python ints, in object columns, until the range checks pass."""
+    dtypes = [object if _ROW[name].kind == "i" else _ROW[name] for name in FLOW_LOG_COLUMNS]
+    lines, rows, found = [], [], []
+    for i, line in enumerate(chunk):
+        if not (line := line.rstrip("\r\n")):
+            continue
+        if len(parts := line.split("\t")) != len(FLOW_LOG_COLUMNS):
+            found.append((i, f"expected {len(FLOW_LOG_COLUMNS)} fields, got {len(parts)}"))
+            continue
+        start, client, server, hostname, rtt, ttl, up, down, thr = parts
+        try:
+            rows.append((float(start), client, server, hostname, float(rtt), int(ttl), int(up), int(down), float(thr)))
+        except ValueError as exc:
+            found.append((i, f"bad numeric field: {exc}"))
+            continue
+        lines.append(i)
+    return lines, [np.array(c, dtype) for c, dtype in zip(list(zip(*rows)) or [()] * len(_ROW), dtypes)], found
 
 
 def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> FlowTable:
     """The table of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
-    text, table, recheck = "".join(chunk), None, range(len(chunk))
+    text, columns = "".join(chunk), None
     # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
     # as whitespace where float() and int() refuse them, and reads some
     # non-ASCII characters in an integer as digits: such chunks go line by line.
@@ -204,36 +196,39 @@ def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] 
         except ValueError:  # a field that does not convert, or a wrong field count
             pass
         else:
-            table = _chunk_table([converted[name] for name in FLOW_LOG_COLUMNS])
-            rejected = _rejected(table)
-            table = table[~rejected]  # the names of rejected rows stay numbered
-            if len(converted) < len(chunk):  # np.loadtxt skipped the blank lines
-                recheck = [i for i, line in enumerate(chunk) if line.rstrip("\r\n")]
-            recheck = list(compress(recheck, rejected))
-    rows = []
-    for i in recheck:
-        if line := chunk[i].rstrip("\r\n"):
-            try:
-                rows.append(_parse_line(first_line + i, line))
-            except FlowLineError as exc:
-                if errors is None:
-                    raise
-                errors.append(exc)
-    # Rows the column checks reject never parse: only a chunk that failed to convert has rows.
-    return _chunk_table(list(zip(*rows)) or [()] * len(_ROW)) if table is None else table
+            columns, found = [converted[name] for name in FLOW_LOG_COLUMNS], []
+            lines = range(len(chunk))  # row i's line; np.loadtxt skips the blank lines
+            if len(converted) < len(chunk):
+                lines = [i for i, line in enumerate(chunk) if line.rstrip("\r\n")]
+    if columns is None:
+        lines, columns, found = _split_lines(chunk)
+    rejected = np.zeros(len(lines), bool)
+    for mask, reason in _faults(columns, lambda i: chunk[lines[i]].partition("\t")[0]):
+        found += [(lines[i], reason(i)) for i in np.flatnonzero(mask & ~rejected).tolist()]
+        rejected |= mask
+    found = [FlowLineError(first_line + i, reason) for i, reason in sorted(found)]
+    if errors is not None:
+        errors += found
+    elif found:
+        raise found[0]
+    # Names come only from kept rows. The copy of the kept rows also frees np.loadtxt's records, which
+    # hold every row's server_ip and hostname strings.
+    return _chunk_table([column[~rejected] for column in columns])
 
 
 def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
     """Read a TSV flow log from a text stream into a FlowTable.
 
     The first line must be exactly the fixed header, otherwise
-    FlowLogFormatError is raised. Malformed data lines raise FlowLineError,
-    unless ``errors`` is a list, in which case they are appended there and
-    skipped (skip-and-count mode). Each chunk of about CHUNK_BYTES of text is
-    converted by one np.loadtxt call; the rows the column checks reject, and
-    every line of a chunk it refuses, go through the per-line parser, which
-    words each rejection. Numbers are read exactly as float() and int() read
-    them.
+    FlowLogFormatError is raised. A malformed data line raises FlowLineError
+    naming its first fault, unless ``errors`` is a list, in which case each
+    bad line's error is appended there and the line skipped (skip-and-count
+    mode). Each chunk of about CHUNK_BYTES of text is converted by one
+    np.loadtxt call, or line by line where np.loadtxt refuses it; either way
+    the converted columns then pass the range checks of ``_faults``. Numbers
+    are read exactly as float() and int() read them, and the faults are
+    found and worded as the tests' per-line oracle,
+    ``reference_impls.reference_parse_line``, finds and words them.
     """
     header = source.readline()
     if not header:

@@ -14,6 +14,9 @@ sampler it used before drawing all of a constellation's offsets at once.
 The star-label oracle is the per-star vote the timeline used before it counted
 (cache, airport code) pairs: a set-membership mask and a ``Counter`` vote per
 member cache and per star.
+The line oracle ``reference_parse_line`` is the per-line parser the package
+used to word each rejected line: scalar checks in the order a line's first
+fault is named, where the package now checks whole columns at once.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -32,7 +35,15 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from edgewatch.evaluation import majority_label
-from edgewatch.ingest import FLOW_LOG_HEADER, Codes, FlowTable, parse_cache_hostname, parse_flow_log
+from edgewatch.ingest import (
+    FLOW_LOG_COLUMNS,
+    FLOW_LOG_HEADER,
+    Codes,
+    FlowLineError,
+    FlowTable,
+    parse_cache_hostname,
+    parse_flow_log,
+)
 
 # One flow as a plain row, with the table's column names in column order.
 Flow = namedtuple("Flow", [f.name for f in fields(FlowTable)])
@@ -49,6 +60,40 @@ def flow_rows(table: FlowTable) -> list[Flow]:
     """The table's rows in order, as Flow tuples of Python values."""
     columns = (getattr(table, name) for name in Flow._fields)
     return list(map(Flow, *(c.decode() if isinstance(c, Codes) else c.tolist() for c in columns)))
+
+
+def reference_parse_line(line_number: int, line: str) -> tuple:
+    """The line's converted values in column order, or FlowLineError naming its first fault."""
+    parts = line.split("\t")
+    if len(parts) != len(FLOW_LOG_COLUMNS):
+        raise FlowLineError(
+            line_number, f"expected {len(FLOW_LOG_COLUMNS)} fields, got {len(parts)}"
+        )
+    (raw_start, client_id, server_ip, hostname, raw_rtt, raw_ttl, raw_up, raw_down, raw_thr) = parts
+    try:
+        start_time = float(raw_start)
+        min_rtt = float(raw_rtt)
+        ttl = int(raw_ttl)
+        bytes_up = int(raw_up)
+        bytes_down = int(raw_down)
+        avg_throughput = float(raw_thr)
+    except ValueError as exc:
+        raise FlowLineError(line_number, f"bad numeric field: {exc}") from None
+    if not server_ip:
+        raise FlowLineError(line_number, "empty server_ip")
+    if min_rtt < 0 or not math.isfinite(min_rtt):
+        raise FlowLineError(line_number, f"min_rtt out of range: {min_rtt}")
+    if not 0 <= ttl <= 255:
+        raise FlowLineError(line_number, f"ttl out of range: {ttl}")
+    if bytes_up < 0 or bytes_down < 0:
+        raise FlowLineError(line_number, "negative byte count")
+    if max(bytes_up, bytes_down) >= 2**63:  # the columns are int64
+        raise FlowLineError(line_number, "byte count above 2**63 - 1")
+    if avg_throughput < 0 or not math.isfinite(avg_throughput):
+        raise FlowLineError(line_number, f"throughput out of range: {avg_throughput}")
+    if not math.isfinite(start_time):
+        raise FlowLineError(line_number, f"non-finite start_time: {raw_start}")
+    return start_time, client_id, server_ip, hostname, min_rtt, ttl, bytes_up, bytes_down, avg_throughput
 
 
 def reference_percentile(samples, q):

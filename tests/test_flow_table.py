@@ -1,8 +1,9 @@
 """The columnar flow table against the per-record code it replaced.
 
 Windows and features are checked against the old bucket loop and per-cache
-extractors in ``reference_impls``; the chunked parser is checked against the
-per-line parser applied line by line.
+extractors in ``reference_impls``; the chunked parser is checked against
+``reference_impls.reference_parse_line``, the former per-line parser, applied
+line by line: its rows, and each rejected line's number and reason.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ from reference_impls import (
     flow_rows,
     flow_table,
     reference_cache_features,
+    reference_parse_line,
     reference_percentile_vector,
     reference_window_flows,
 )
@@ -139,13 +141,14 @@ TOKENS = [
     '"7"', "#7", "7\x0b", "7\xa0", " 7", "7\x1c", "\x1f7", "３", "1\u01fe", "1.", ".5", "3.0", "1e",
     "1e-400", "Infinity", "+nan", "nan(1)", "0x1p3", "1.5j", "1.5d0", "  ", "1\r2",
 ]
-ACTIONS = ["keep", "keep", "replace", "replace", "drop", "add", "blank", "space"]
+ACTIONS = ["keep", "keep", "replace", "replace", "replace two", "drop", "add", "blank", "space"]
 
 
 @st.composite
 def mutated_logs(draw):
-    """A small valid log with some lines' fields replaced, dropped or added,
-    blank and whitespace lines, CRLF endings and a missing final newline."""
+    """A small valid log with one or two of some lines' fields replaced, a field
+    dropped or added, blank and whitespace lines, CRLF endings and a missing
+    final newline."""
     lines = []
     for line in draw(st.lists(st.sampled_from(VALID_LINES), min_size=1, max_size=14)):
         fields = line.split("\t")
@@ -153,6 +156,9 @@ def mutated_logs(draw):
         i = draw(st.integers(0, len(fields) - 1))
         if action == "replace":
             fields[i] = draw(st.sampled_from(TOKENS))
+        elif action == "replace two":  # two faults on a line: the first is named
+            j = draw(st.integers(0, len(fields) - 2))
+            fields[i], fields[j + (j >= i)] = draw(st.sampled_from(TOKENS)), draw(st.sampled_from(TOKENS))
         elif action == "drop":
             del fields[i]
         elif action == "add":
@@ -163,14 +169,14 @@ def mutated_logs(draw):
 
 
 def _line_by_line(text, newline=""):
-    """(rows, [(line number, reason)]) of _parse_line applied to each data line."""
+    """(rows, [(line number, reason)]) of reference_parse_line applied to each data line."""
     records, errors = [], []
     lines = io.StringIO(text, newline=newline)
     next(lines)
     for number, raw in enumerate(lines, start=2):
         if line := raw.rstrip("\r\n"):
             try:
-                records.append(ingest._parse_line(number, line))
+                records.append(reference_parse_line(number, line))
             except FlowLineError as exc:
                 errors.append((exc.line_number, exc.reason))
     return records, errors
@@ -235,6 +241,22 @@ def test_float_fields_convert_bit_for_bit_like_float(values):
     _check_against_line_parser("\n".join([FLOW_LOG_HEADER, *lines, ""]))
 
 
+@pytest.mark.parametrize("changes,reason", [
+    ({2: "", 5: str(2**70)}, "empty server_ip"),
+    ({6: str(-2**70)}, "negative byte count"),
+    ({6: str(2**64), 7: "-1"}, "negative byte count"),
+    ({7: str(2**64), 8: "nan"}, "byte count above 2**63 - 1"),
+    ({0: "Infinity"}, "non-finite start_time: Infinity"),
+])
+def test_first_fault_of_a_line_is_named_on_both_paths(changes, reason):
+    fields = VALID_LINES[4].split("\t")
+    for field, token in changes.items():
+        fields[field] = token
+    # The first log is ASCII; a non-ASCII client_id sends the second one line by line.
+    for first in (VALID_LINES[0], VALID_LINES[0].replace("\tu0\t", "\tü0\t")):
+        assert _check_against_line_parser("\n".join([FLOW_LOG_HEADER, first, "\t".join(fields), ""])) == [(3, reason)]
+
+
 def test_chunk_of_blank_lines_parses_and_runs_silently(tmp_path):
     text = "\n".join([FLOW_LOG_HEADER, *VALID_LINES[:3], *[""] * 200, *VALID_LINES[3:], ""])
     path = tmp_path / "trace.tsv"
@@ -254,6 +276,9 @@ def test_chunk_of_blank_lines_parses_and_runs_silently(tmp_path):
 def test_chunked_parser_matches_line_parser(text, chunk_bytes):
     with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes):
         expected_errors = _check_against_line_parser(text)
+        chunked = _columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
+    # Names come only from kept rows: chunk boundaries change no column, codes and names included.
+    assert chunked == _columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "trace.tsv"
         path.write_text(text, encoding="utf-8", newline="")
