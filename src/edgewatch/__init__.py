@@ -51,6 +51,7 @@ from .pipeline import (
     TimelineEntry,
     TimelineResult,
     drilldown,
+    rank_matrix,
     run_timeline,
     timeline_entry,
 )
@@ -58,7 +59,7 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 # The synthesizer's names, imported on first use, so that a run over a real trace never loads it.
-_SYNTH_NAMES = {"EdgeNodeSpec", "EventSpec", "SynthConfig", "generate_trace", "load_synth_config", "rank_matrix"}
+_SYNTH_NAMES = {"EdgeNodeSpec", "EventSpec", "SynthConfig", "generate_trace", "load_synth_config"}
 
 
 def __getattr__(name: str):

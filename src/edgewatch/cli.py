@@ -18,16 +18,19 @@ from .pipeline import (
     PipelineConfig,
     config_windows,
     drilldown,
+    rank_matrix,
     read_flow_logs,
     run_timeline,
     timeline_entry,
     write_couplings_csv,
     write_drilldown_csv,
+    write_rank_csv,
     write_timeline_csv,
 )
 
 
 MAX_GRID = 10_000
+MAX_TRIALS = 1_000_000
 MAX_CALIBRATION_ELEMENTS = 1 << 24  # most elements of a calibration trial's positions or distances
 
 
@@ -192,6 +195,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate needs non-empty --stars and --extra-stars")
     if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
+    if args.trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if min(e_grid) < 0 or min(extra_list) < 0 or args.seed < 0:
         raise ConfigError("calibrate needs --e-grid, --extra-stars and --seed >= 0")
     largest = max(stars_list)
@@ -213,8 +218,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    from .synth import rank_matrix, write_rank_csv
-
     if not -24 <= args.utc_offset <= 24:
         raise ConfigError(f"--utc-offset must lie in [-24, 24], got {args.utc_offset}")
     matrix = rank_matrix(read_flow_logs(args.input), args.utc_offset)

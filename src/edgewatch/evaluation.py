@@ -1,12 +1,11 @@
-"""Ground-truth quality indices, the epsilon sweep harness, and CD calibration."""
+"""Ground-truth quality indices, the plurality vote, the epsilon sweep harness, and CD calibration."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -82,17 +81,20 @@ class QualityIndices:
     n_labels: int
 
 
-def majority_label(labels: Iterable[str | None]) -> str | None:
-    """The most frequent label, ties to the lexicographically smallest.
+def plurality(groups: np.ndarray, choices: np.ndarray, n_groups: int, n_choices: int) -> np.ndarray:
+    """Each group's winning choice index, where vote i goes to ``choices[i]`` in group ``groups[i]``.
 
-    None entries cast no vote; with no votes at all the result is None.
+    Most votes win, ties go to the smallest index, a choice of -1 casts no vote, and a group
+    with no votes gets -1.
     """
-    votes = Counter(labels)
-    votes.pop(None, None)
-    if not votes:
-        return None
-    top = max(votes.values())
-    return min(label for label, count in votes.items() if count == top)
+    voting = choices >= 0
+    pairs, counts = np.unique(groups[voting] * n_choices + choices[voting], return_counts=True)
+    group, choice = np.divmod(pairs, n_choices)
+    order = np.lexsort((-counts, group))  # stable: equal counts keep the smaller choice first
+    voted, first = np.unique(group[order], return_index=True)
+    winner = np.full(n_groups, -1, dtype=np.intp)
+    winner[voted] = choice[order[first]]
+    return winner
 
 
 def majority_vote_labels(
@@ -104,21 +106,19 @@ def majority_vote_labels(
     unlabeled: they count toward neither TP nor FP (they lower TPR only
     through the denominator |X|).
     """
-    assigned: dict[str, str] = {}
-    n_tp = 0
-    n_fp = 0
-    for members in clustering.members:
+    names = sorted(set(ground_truth.labels.values()))
+    number = {name: i for i, name in enumerate(names)}
+    truth = np.array([number.get(ground_truth.labels.get(c), -1) for c in clustering.cache_ids], dtype=np.intp)
+    rows = np.flatnonzero(clustering.labels >= 0)
+    cluster, truth = clustering.labels[rows], truth[rows]
+    if (truth < 0).any():
+        members = clustering.members[cluster[truth < 0].min()]
         missing = [c for c in members if c not in ground_truth.labels]
-        if missing:
-            raise ValueError(f"clustered caches without a GT label: {missing[:5]}")
-        winner = majority_label(ground_truth.labels[c] for c in members)
-        for c in members:
-            assigned[c] = winner
-            if ground_truth.labels[c] == winner:
-                n_tp += 1
-            else:
-                n_fp += 1
-    return assigned, n_tp, n_fp
+        raise ValueError(f"clustered caches without a GT label: {missing[:5]}")
+    winner = plurality(cluster, truth, clustering.n_clusters, len(names))
+    assigned = {c: names[winner[k]] for k, members in enumerate(clustering.members) for c in members}
+    n_tp = int(np.count_nonzero(winner[cluster] == truth))
+    return assigned, n_tp, len(rows) - n_tp
 
 
 def clustering_indices(clustering: Clustering, ground_truth: GroundTruth) -> QualityIndices:

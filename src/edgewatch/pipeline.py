@@ -1,4 +1,4 @@
-"""End-to-end timeline: snapshots -> features -> clustering -> CD, plus drill-down."""
+"""End-to-end timeline: snapshots -> features -> clustering -> CD, plus drill-down and the rank matrix."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .constellation import (
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError, require_finite
+from .evaluation import plurality
 from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
@@ -170,20 +171,14 @@ def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> 
 
 
 def _star_label(snapshot: Snapshot, members: Iterable[str], airports: Airports) -> str | None:
-    """Vote over the members' labels, each the vote over its flows' airport codes (see _airport_codes).
-
-    A vote goes to the code with most votes, ties to the smallest; no code, no vote; no votes, no label.
-    """
+    """The plurality of the members' labels, each the plurality of its flows' airport codes (see _airport_codes)."""
     codes, code_of = airports
     table = snapshot.table
     rows = _member_rows(table, snapshot.rows, members)
-    code = code_of[table.hostname.codes[rows]]
-    voting = code >= 0
-    if not voting.any():  # also covers a trace without any code
-        return None
-    caches, cache = np.unique(table.server_ip.codes[rows[voting]], return_inverse=True)
-    votes = np.bincount(cache * len(codes) + code[voting], minlength=len(caches) * len(codes))
-    return codes[np.bincount(votes.reshape(-1, len(codes)).argmax(axis=1)).argmax()]
+    caches, cache = np.unique(table.server_ip.codes[rows], return_inverse=True)
+    votes = plurality(cache, code_of[table.hostname.codes[rows]], len(caches), len(codes))
+    star = plurality(np.zeros(len(caches), dtype=np.intp), votes, 1, len(codes))[0]
+    return None if star < 0 else codes[star]
 
 
 def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
@@ -392,3 +387,38 @@ def write_drilldown_csv(target: IO[str] | str | Path, report: DrilldownReport) -
         for q, value in zip(qs, values)
     )
     write_csv(target, "entry,side,star_id,label,astral_distance,members,phase,kind,q,value".split(","), rows)
+
+
+@dataclass(frozen=True)
+class RankMatrix:
+    """Per-day flow-count ranks (1 = most flows); rows are caches."""
+
+    cache_ids: tuple[str, ...]
+    day_starts: tuple[float, ...]
+    ranks: np.ndarray  # shape (n_caches, n_days)
+
+
+def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix:
+    """Rank caches by flow count in each 1-day timeline window.
+
+    Ties break by cache_id ascending. Caches observed in any window are ranked
+    in every window; zero-count caches sort after every cache with flows.
+    """
+    days = window_flows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=utc_offset_hours)
+    if not days:
+        raise ValueError("rank_matrix needs at least one record")
+    names = records.server_ip.names
+    counts = np.array([np.bincount(records.server_ip.codes[d.rows], minlength=len(names)) for d in days]).T
+    seen = sorted(np.flatnonzero(counts.sum(axis=1)).tolist(), key=names.__getitem__)
+    counts, cache_ids = counts[seen], tuple(names[seen].tolist())
+    ranks = np.zeros(counts.shape, dtype=np.int64)
+    for d in range(len(days)):
+        # A stable sort keeps equal counts in cache_id order.
+        ranks[np.argsort(-counts[:, d], kind="stable"), d] = np.arange(1, len(cache_ids) + 1)
+    return RankMatrix(cache_ids, tuple(day.window_start for day in days), ranks)
+
+
+def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
+    header = ["cache_id", *(f"day_{d}" for d in range(matrix.ranks.shape[1]))]
+    rows = ([cache_id, *ranks] for cache_id, ranks in zip(matrix.cache_ids, matrix.ranks.tolist()))
+    write_csv(target, header, rows)

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError, require_finite
 from .evaluation import GroundTruth
-from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section, window_flows, write_csv
+from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -274,41 +274,6 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     return FlowTable(
         start, client_ids, Codes(codes, servers), Codes(codes, hostnames), *numbers
     ), GroundTruth(gt_labels)
-
-
-@dataclass(frozen=True)
-class RankMatrix:
-    """Per-day flow-count ranks (1 = most flows); rows are caches."""
-
-    cache_ids: tuple[str, ...]
-    day_starts: tuple[float, ...]
-    ranks: np.ndarray  # shape (n_caches, n_days)
-
-
-def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix:
-    """Rank caches by flow count in each 1-day timeline window.
-
-    Ties break by cache_id ascending. Caches observed in any window are ranked
-    in every window; zero-count caches sort after every cache with flows.
-    """
-    days = window_flows(records, DAY_SECONDS, DAY_SECONDS, utc_offset_hours=utc_offset_hours)
-    if not days:
-        raise ValueError("rank_matrix needs at least one record")
-    names = records.server_ip.names
-    counts = np.array([np.bincount(records.server_ip.codes[d.rows], minlength=len(names)) for d in days]).T
-    seen = sorted(np.flatnonzero(counts.sum(axis=1)).tolist(), key=names.__getitem__)
-    counts, cache_ids = counts[seen], tuple(names[seen].tolist())
-    ranks = np.zeros(counts.shape, dtype=np.int64)
-    for d in range(len(days)):
-        # A stable sort keeps equal counts in cache_id order.
-        ranks[np.argsort(-counts[:, d], kind="stable"), d] = np.arange(1, len(cache_ids) + 1)
-    return RankMatrix(cache_ids, tuple(day.window_start for day in days), ranks)
-
-
-def write_rank_csv(target: IO[str] | str | Path, matrix: RankMatrix) -> None:
-    header = ["cache_id", *(f"day_{d}" for d in range(matrix.ranks.shape[1]))]
-    rows = ([cache_id, *ranks] for cache_id, ranks in zip(matrix.cache_ids, matrix.ranks.tolist()))
-    write_csv(target, header, rows)
 
 
 # INI key -> EdgeNodeSpec field

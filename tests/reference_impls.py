@@ -13,7 +13,8 @@ used before its feature matrix, and the ball sampler is the one-vector-per-call
 sampler it used before drawing all of a constellation's offsets at once.
 The star-label oracle is the per-star vote the timeline used before it counted
 (cache, airport code) pairs: a set-membership mask and a ``Counter`` vote per
-member cache and per star.
+member cache and per star. That vote, ``majority_label``, is also the
+per-cluster ground-truth vote the evaluation used before its array plurality.
 The line oracle ``reference_parse_line`` is the per-line parser the package
 used to word each rejected line: scalar checks in the order a line's first
 fault is named, where the package now checks whole columns at once.
@@ -26,15 +27,15 @@ from __future__ import annotations
 
 import io
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import fields
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from edgewatch.evaluation import majority_label
 from edgewatch.ingest import (
     FLOW_LOG_COLUMNS,
     FLOW_LOG_HEADER,
@@ -281,6 +282,19 @@ def reference_centroids(clusters, features, bounds):
         )
         for members in clusters
     ]
+
+
+def majority_label(labels: Iterable[str | None]) -> str | None:
+    """The most frequent label, ties to the lexicographically smallest.
+
+    None entries cast no vote; with no votes at all the result is None.
+    """
+    votes = Counter(labels)
+    votes.pop(None, None)
+    if not votes:
+        return None
+    top = max(votes.values())
+    return min(label for label, count in votes.items() if count == top)
 
 
 def reference_star_label(snapshot, members):

@@ -463,14 +463,17 @@ class TestCalibrateCommand:
             ["--seed", "-1"],
             # A star difference is at most sqrt(dim) + e long; with these radii its square overflows.
             ["--e-grid", "1e200"], ["--e-grid", "0,1e200"],
+            ["--trials", "99999999999999999999"], ["--trials", str(cli.MAX_TRIALS + 1)],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
-        code = main(["calibrate", "--trials", "2", *flag, "--out", str(tmp_path / "c.csv")])
+        out = tmp_path / "c.csv"
+        code = main(["calibrate", "--trials", "2", *flag, "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert not out.exists()
 
     def test_largest_radius_whose_squared_distances_fit_runs(self, tmp_path):
         # (sqrt(5) + 1e154) ** 2 is finite, and the suite makes an overflow warning an error.

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from edgewatch.evaluation import (
     clustering_indices,
     epsilon_sweep,
     majority_vote_labels,
+    plurality,
     write_sweep_csv,
 )
 from edgewatch.features import extract_cache_features
@@ -78,6 +80,50 @@ class TestMajorityVote:
         )
         assert "n" not in assigned
         assert (n_tp, n_fp) == (2, 0)
+
+
+@given(st.integers(0, 4), st.integers(0, 3), st.data())
+def test_plurality_equals_the_majority_label_oracle(n_groups, n_choices, data):
+    # Few choices and groups make ties and empty groups common; -1 casts no vote; zero choices too.
+    vote = st.tuples(st.integers(0, max(n_groups - 1, 0)), st.integers(-1, n_choices - 1))
+    votes = data.draw(st.lists(vote, max_size=30 if n_groups else 0))
+    groups = np.array([g for g, _ in votes], dtype=np.intp)
+    choices = np.array([c for _, c in votes], dtype=np.intp)
+    expected = [
+        reference_impls.majority_label(c if c >= 0 else None for g, c in votes if g == group)
+        for group in range(n_groups)
+    ]
+    winner = plurality(groups, choices, n_groups, n_choices)
+    assert winner.tolist() == [-1 if e is None else e for e in expected]
+
+
+# One cache per row: its cluster (-1: noise) and its GT label (None: not in the ground truth).
+clustered_caches = st.lists(st.tuples(st.integers(-1, 3), st.sampled_from(["E1", "E2", "E3", None])), max_size=30)
+
+
+@given(clustered_caches)
+def test_majority_vote_labels_equals_per_cluster_vote(rows):
+    # Clusters are numbered by their first row, as dbscan numbers them; their rows interleave.
+    first_rows = list(dict.fromkeys(k for k, _ in rows if k >= 0))
+    labels = np.array([first_rows.index(k) if k >= 0 else -1 for k, _ in rows], dtype=np.intp)
+    cache_ids = tuple(f"c{i}" for i in range(len(rows)))
+    # "A0", the smallest label, is held by a cache outside the clustering.
+    truth = {"other": "A0"} | {c: lab for c, (_, lab) in zip(cache_ids, rows) if lab is not None}
+    clusters = [[c for c, k in zip(cache_ids, labels) if k == n] for n in range(len(first_rows))]
+    expected, n_tp, n_fp = {}, 0, 0
+    for members in clusters:
+        missing = [c for c in members if c not in truth]
+        if missing:
+            with pytest.raises(ValueError, match=re.escape(f"clustered caches without a GT label: {missing[:5]}")):
+                majority_vote_labels(Clustering(cache_ids, labels, labels >= 0), GroundTruth(truth))
+            return
+        winner = reference_impls.majority_label(truth[c] for c in members)
+        expected |= dict.fromkeys(members, winner)
+        n_tp += sum(truth[c] == winner for c in members)
+        n_fp += sum(truth[c] != winner for c in members)
+    assert majority_vote_labels(Clustering(cache_ids, labels, labels >= 0), GroundTruth(truth)) == (
+        expected, n_tp, n_fp
+    )
 
 
 class TestClusteringIndices:

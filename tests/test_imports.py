@@ -1,12 +1,14 @@
 """Every name a package module imports is used in that module (``__init__.py`` re-exports), every
 function, class and method a module defines, private or public, is read somewhere in the package, and a
-timeline run imports only what it uses."""
+run over a trace imports only what it uses."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import edgewatch
 from edgewatch.ingest import write_flow_log
@@ -101,8 +103,8 @@ def unread(trees, allowed=frozenset()):
     ]
 
 
-# No package code reads Snapshot.n_records or Snapshot.records: perfbench's traced counters do, until the
-# package's own stage timer replaces them (ROADMAP item 1, PR B).
+# No package code reads Snapshot.n_records or Snapshot.records: perfbench's traced counters do, until
+# perfbench reads the package's own stage timer instead (ROADMAP item 2, step 2c).
 UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records"}
 
 
@@ -124,13 +126,13 @@ def test_the_check_sees_an_unread_definition():
 
 
 # Runs the CLI with its arguments, then reports what it loaded and how the package's names resolve.
-TIMELINE_SCRIPT = """
+RUN_SCRIPT = """
 import sys
 from edgewatch import cli
 rc = cli.main(sys.argv[1:])
 print(rc, sorted({"numpy.ma", "edgewatch.synth"} & set(sys.modules)))
 import edgewatch
-print(type(edgewatch.dbscan).__name__, edgewatch.dbscan.__module__)
+print(type(edgewatch.dbscan).__name__, edgewatch.dbscan.__module__, edgewatch.rank_matrix.__module__)
 from edgewatch import generate_trace, SynthConfig
 print(generate_trace.__module__, SynthConfig.__module__)
 try:
@@ -139,20 +141,33 @@ except AttributeError as exc:
     print(exc)
 """
 
+# Each command that reads a trace, with its arguments after --input: {gt} is the trace's ground truth, {out}
+# an output directory.
+TRACE_COMMANDS = {
+    "timeline": ["--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"],
+    "drilldown": ["--entry", "1", "--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"],
+    "sweep": ["--ground-truth", "{gt}", "--window-days", "1", "--min-flow", "10", "--out", "{out}/sweep.csv"],
+    "rank": ["--out", "{out}/rank.csv"],
+}
 
-def test_a_timeline_run_loads_neither_numpy_ma_nor_synth(tmp_path):
+
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+def test_a_trace_run_loads_neither_numpy_ma_nor_synth(tmp_path, command):
     nodes = (EdgeNodeSpec("AMS", 6, 15.0, 1.5, 52, 1.0), EdgeNodeSpec("FRA", 6, 95.0, 2.0, 64, 1.0))
-    trace, out = tmp_path / "trace.tsv", tmp_path / "out"
-    write_flow_log(trace, generate_trace(SynthConfig(nodes=nodes, days=3, flows_per_day=1200, seed=1))[0])
-    argv = ["timeline", "--input", str(trace), "--window-days", "1", "--min-flow", "10", "--out-dir", str(out)]
+    trace, gt, out = tmp_path / "trace.tsv", tmp_path / "gt.tsv", tmp_path / "out"
+    records, ground_truth = generate_trace(SynthConfig(nodes=nodes, days=3, flows_per_day=1200, seed=1))
+    write_flow_log(trace, records)
+    ground_truth.save(gt)
+    argv = [command, "--input", str(trace), *(a.format(gt=gt, out=out) for a in TRACE_COMMANDS[command])]
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", TIMELINE_SCRIPT, *argv],
+    done = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv],
                           capture_output=True, text=True, timeout=120, env=env)
     assert done.stderr == ""
     assert done.stdout.splitlines()[-4:] == [
         "0 []",
-        "function edgewatch.dbscan",
+        "function edgewatch.dbscan edgewatch.pipeline",
         "edgewatch.synth edgewatch.synth",
         "module 'edgewatch' has no attribute 'nope'",
     ]
-    assert ":AMS:" in (out / "timeline.csv").read_text()  # the run labelled its stars
+    if command == "timeline":
+        assert ":AMS:" in (out / "timeline.csv").read_text()  # the run labelled its stars

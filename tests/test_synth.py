@@ -7,6 +7,7 @@ import pytest
 from edgewatch.errors import ConfigError
 from edgewatch.features import percentile_vector
 from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, parse_flow_log, write_flow_log
+from edgewatch.pipeline import rank_matrix, write_rank_csv
 from edgewatch.synth import (
     DEFAULT_START_EPOCH,
     MAX_CACHES,
@@ -16,8 +17,6 @@ from edgewatch.synth import (
     cache_identity,
     generate_trace,
     load_synth_config,
-    rank_matrix,
-    write_rank_csv,
 )
 
 from reference_impls import Flow, flow_rows, flow_table
