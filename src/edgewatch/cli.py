@@ -97,7 +97,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     config = load_synth_config(args.config)
     records, ground_truth = generate_trace(config)
-    write_flow_log(args.out_trace, records)
+    try:
+        write_flow_log(args.out_trace, records)
+    except ValueError as exc:  # a draw the parser would reject, such as an RTT whose jitter overflowed to inf
+        raise ConfigError(f"{args.config}: the trace would not read back: {exc}") from None
     ground_truth.save(args.out_ground_truth)
     print(f"wrote {len(records)} flows to {args.out_trace}")
     print(f"wrote {len(ground_truth.labels)} ground-truth labels to {args.out_ground_truth}")

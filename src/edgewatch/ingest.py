@@ -151,16 +151,16 @@ def _chunk_table(columns: Sequence[Sequence]) -> FlowTable:
                        for name, values in zip(FLOW_LOG_COLUMNS, columns)))
 
 
-def _faults(columns: Sequence[np.ndarray], raw_start: Callable[[int], str]) -> tuple:
+def _faults(columns: Sequence, empty_server: np.ndarray, raw_start: Callable[[int], str]) -> Iterator[tuple]:
     """Each range check once, in the order a line's first fault is named: (the rows it rejects, row i's reason)."""
-    start, _, server, _, rtt, ttl, up, down, thr = columns
-    return ((server == "", lambda i: "empty server_ip"),
-            ((rtt < 0) | ~np.isfinite(rtt), lambda i: f"min_rtt out of range: {rtt[i]}"),
-            ((ttl < 0) | (ttl > 255), lambda i: f"ttl out of range: {ttl[i]}"),
-            ((up < 0) | (down < 0), lambda i: "negative byte count"),
-            ((up >= 2**63) | (down >= 2**63), lambda i: "byte count above 2**63 - 1"),  # the columns are int64
-            ((thr < 0) | ~np.isfinite(thr), lambda i: f"throughput out of range: {thr[i]}"),
-            (~np.isfinite(start), lambda i: f"non-finite start_time: {raw_start(i)}"))
+    start, _, _, _, rtt, ttl, up, down, thr = columns
+    yield empty_server, lambda i: "empty server_ip"
+    yield (rtt < 0) | ~np.isfinite(rtt), lambda i: f"min_rtt out of range: {rtt[i]}"
+    yield (ttl < 0) | (ttl > 255), lambda i: f"ttl out of range: {ttl[i]}"
+    yield (up < 0) | (down < 0), lambda i: "negative byte count"
+    yield (up >= 2**63) | (down >= 2**63), lambda i: "byte count above 2**63 - 1"  # the columns are int64
+    yield (thr < 0) | ~np.isfinite(thr), lambda i: f"throughput out of range: {thr[i]}"
+    yield ~np.isfinite(start), lambda i: f"non-finite start_time: {raw_start(i)}"
 
 
 def _split_lines(chunk: list[str]) -> tuple[list[int], list[np.ndarray], list[tuple[int, str]]]:
@@ -203,7 +203,7 @@ def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] 
     if columns is None:
         lines, columns, found = _split_lines(chunk)
     rejected = np.zeros(len(lines), bool)
-    for mask, reason in _faults(columns, lambda i: chunk[lines[i]].partition("\t")[0]):
+    for mask, reason in _faults(columns, columns[2] == "", lambda i: chunk[lines[i]].partition("\t")[0]):
         found += [(lines[i], reason(i)) for i in np.flatnonzero(mask & ~rejected).tolist()]
         rejected |= mask
     found = [FlowLineError(first_line + i, reason) for i, reason in sorted(found)]
@@ -322,18 +322,25 @@ def config_from(
 
 
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
-    """Write a table in the TSV format; floats use repr so parsing round-trips."""
-    names = (c.names[np.unique(c.codes)].tolist() for c in (table.server_ip, table.hostname))
+    """Write a table in the TSV format, floats by repr, so that it reads back as it is. A string field with a tab or
+    line break, or a row that fails ``_faults``, raises ValueError (naming the row's first fault) before any write."""
+    names = (c.names[np.bincount(c.codes, minlength=len(c.names)) > 0].tolist()
+             for c in (table.server_ip, table.hostname))
     for values in (table.client_id.tolist(), *names):
         if any(map("".join(values).__contains__, "\t\n\r")):  # one scan of the joined text each
             field = next(v for v in values if any(map(v.__contains__, "\t\n\r")))
             raise ValueError(f"field not serializable to TSV: {field!r}")
-    line = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
+    empty_server = (table.server_ip.names == "")[table.server_ip.codes]
+    faults = _faults(_fields_of(table), empty_server, lambda i: repr(table.start_time[i].item()))
+    if faulty := [(int(mask.argmax()), k, reason) for k, (mask, reason) in enumerate(faults) if mask.any()]:
+        row, _, reason = min(faulty)
+        raise ValueError(f"row {row}: {reason(row)}")
     with text_output(target) as fp:
         fp.write(FLOW_LOG_HEADER + "\n")
-        for chunk in (table[lo : lo + 4096] for lo in range(0, len(table), 4096)):
-            values = (c.decode() if isinstance(c, Codes) else c.tolist() for c in _fields_of(chunk))
-            fp.write("".join(map(line.format, *values)))
+        for chunk in (table[lo : lo + 1024] for lo in range(0, len(table), 1024)):
+            columns = (c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype == object
+                       else map(repr, c.tolist()) for c in _fields_of(chunk))
+            fp.write("\n".join(map("\t".join, zip(*columns))) + "\n")
 
 
 @dataclass(frozen=True, eq=False)

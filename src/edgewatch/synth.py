@@ -203,9 +203,10 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         w = _rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
         base_weights.append(w / w.sum())
 
-    # start, cache, client, rtt, ttl, up, down, throughput; rows [0, end) are filled.
+    # Rows [0, end) are filled.
     dtypes = (np.float64, np.intp, np.int64, np.float64, np.int64, np.int64, np.int64, np.float64)
     columns = [np.empty(config.days * config.flows_per_day, dtype) for dtype in dtypes]
+    start, cache, client, rtt, ttl, up, down, throughput = columns
     end = 0
     gt_labels: dict[str, str] = {}
     first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
@@ -240,37 +241,39 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
             shift = _rtt_shift(spec.label, day, config.events)
             congestion = _congestion_factor(spec.label, day, config.events)
             sigma = (spec.rtt_spread / spec.rtt_median) * congestion
-            for j in range(spec.cache_count):
-                count = int(cache_counts[j])
-                if count == 0:
-                    continue
-                server_ip, hostname = identities[i][j]
-                gt_labels[server_ip] = spec.label
+            # Each bucket draws into its rows, its normals into the rtt and throughput columns; the
+            # arithmetic then runs once over the node's rows for the day.
+            rows, duration = slice(end, end + int(node_counts[i])), np.empty(int(node_counts[i]))
+            bounds = [0, *np.cumsum(cache_counts).tolist()]
+            for j in np.flatnonzero(cache_counts).tolist():
+                lo, hi = bounds[j], bounds[j + 1]
+                bucket, count = slice(end + lo, end + hi), hi - lo
+                gt_labels[identities[i][j][0]] = spec.label
                 rng = _rng(config.seed, _STREAM_FLOWS, day, i, j)
-                offsets = rng.uniform(0.0, DAY_SECONDS, count)
-                jitter = spec.rtt_median * (np.exp(sigma * rng.standard_normal(count)) - 1.0)
-                rtt = np.maximum(MIN_RTT_FLOOR_MS, spec.rtt_median + shift + jitter)
-                throughput = (
-                    BASELINE_THROUGHPUT_KBPS
-                    * np.exp(THROUGHPUT_LOG_SIGMA * rng.standard_normal(count))
-                    / congestion
-                )
-                duration = rng.lognormal(math.log(45.0), 0.5, count)
-                bytes_down = (throughput * 125.0 * duration).astype(np.int64)
-                bytes_up = (bytes_down * 0.012).astype(np.int64)
-                clients = rng.integers(0, 1_000_000, count)
-                values = (day_start + offsets, first_cache[i] + j, clients, rtt, spec.ttl_value, bytes_up,
-                          bytes_down, throughput)
-                for column, v in zip(columns, values):
-                    column[end : end + count] = v
-                end += count
-        order = day_begin + np.argsort(columns[0][day_begin:end], kind="stable")
+                start[bucket] = rng.uniform(0.0, DAY_SECONDS, count)
+                rtt[bucket] = rng.standard_normal(count)
+                throughput[bucket] = rng.standard_normal(count)
+                duration[lo:hi] = rng.lognormal(math.log(45.0), 0.5, count)
+                client[bucket] = rng.integers(0, 1_000_000, count)
+                cache[bucket] = first_cache[i] + j
+            jitter = spec.rtt_median * (np.exp(sigma * rtt[rows]) - 1.0)
+            rtt[rows] = np.maximum(MIN_RTT_FLOOR_MS, spec.rtt_median + shift + jitter)
+            throughput[rows] = (
+                BASELINE_THROUGHPUT_KBPS * np.exp(THROUGHPUT_LOG_SIGMA * throughput[rows]) / congestion
+            )
+            down[rows] = (throughput[rows] * 125.0 * duration).astype(np.int64)
+            up[rows] = (down[rows] * 0.012).astype(np.int64)
+            start[rows] = day_start + start[rows]
+            ttl[rows] = spec.ttl_value
+            end = rows.stop
+        order = day_begin + np.argsort(start[day_begin:end], kind="stable")
         for column in columns:
             column[day_begin:end] = column[order]
     start, cache, client, *numbers = (column[:end] for column in columns)
-    seen, codes = np.unique(cache, return_inverse=True)  # names only the caches that have flows
+    seen = np.bincount(cache, minlength=first_cache[-1]) > 0  # names only the caches that have flows
+    codes = np.take(np.cumsum(seen) - 1, cache, out=cache, mode="clip")  # in place: no whole-trace temporary
     servers, hostnames = np.array([i for node in identities for i in node], dtype=object)[seen].T
-    client_ids = np.fromiter(map("u{:06d}".format, client.tolist()), object, len(client))
+    client_ids = np.fromiter(map("u%06d".__mod__, client), object, len(client))
     return FlowTable(
         start, client_ids, Codes(codes, servers), Codes(codes, hostnames), *numbers
     ), GroundTruth(gt_labels)

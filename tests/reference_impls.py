@@ -18,32 +18,62 @@ per-cluster ground-truth vote the evaluation used before its array plurality.
 The line oracle ``reference_parse_line`` is the per-line parser the package
 used to word each rejected line: scalar checks in the order a line's first
 fault is named, where the package now checks whole columns at once.
+The trace oracle ``reference_generate_trace`` is the generator's former
+per-bucket loop, which did a bucket's arithmetic right after its draws, where
+the package now draws per bucket and computes per (day, node). The writer
+oracle ``reference_write_flow_log`` is the former row-by-row ``str.format``
+writer, which checked no range and wrote tables the parser rejects.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
+``table_columns`` gives a table's columns in a form that compares bit for bit,
+and ``transient_bytes`` measures a call's working memory with ``tracemalloc``.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 from collections import Counter, namedtuple
 from dataclasses import fields
-from typing import Iterable
+from pathlib import Path
+from typing import IO, Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
+from edgewatch.evaluation import GroundTruth
 from edgewatch.ingest import (
+    DAY_SECONDS,
     FLOW_LOG_COLUMNS,
     FLOW_LOG_HEADER,
     Codes,
     FlowLineError,
     FlowTable,
+    _fields_of,
     parse_cache_hostname,
     parse_flow_log,
+    text_output,
+)
+from edgewatch.synth import (
+    _STREAM_CACHE_ALLOC,
+    _STREAM_CACHE_BASE,
+    _STREAM_DAY_WEIGHTS,
+    _STREAM_FLOWS,
+    _STREAM_NODE_ALLOC,
+    BASELINE_THROUGHPUT_KBPS,
+    CHURN_LOG_SIGMA,
+    MIN_RTT_FLOOR_MS,
+    THROUGHPUT_LOG_SIGMA,
+    SynthConfig,
+    _congestion_factor,
+    _node_active,
+    _rng,
+    _rtt_shift,
+    cache_identity,
 )
 
 # One flow as a plain row, with the table's column names in column order.
@@ -61,6 +91,24 @@ def flow_rows(table: FlowTable) -> list[Flow]:
     """The table's rows in order, as Flow tuples of Python values."""
     columns = (getattr(table, name) for name in Flow._fields)
     return list(map(Flow, *(c.decode() if isinstance(c, Codes) else c.tolist() for c in columns)))
+
+
+def table_columns(table: FlowTable) -> list[tuple]:
+    """Each column's dtype and bytes, an object column's values, and a Codes column's codes and names."""
+    columns = [getattr(table, f.name) for f in fields(FlowTable)]
+    return [(c.codes.dtype, c.codes.tobytes(), c.names.tolist()) if isinstance(c, Codes)
+            else (c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
+
+
+def transient_bytes(function, *args):
+    """(result, peak traced bytes during the call minus the bytes still held once it returns)."""
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - current
 
 
 def reference_parse_line(line_number: int, line: str) -> tuple:
@@ -305,3 +353,112 @@ def reference_star_label(snapshot, members):
     caches = table.server_ip.codes[rows]
     labels = np.array([parse_cache_hostname(h) for h in table.hostname[rows].decode()], dtype=object)
     return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))
+
+
+def reference_generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
+    """Draw the whole trace day by day; identical config+seed gives identical output.
+
+    Per day: flows are split across active nodes by load weight, then across a
+    node's caches by a per-day weight vector (re-perturbed with strength
+    rank_churn); each (day, node, cache) bucket then samples its flows from
+    an independent derived stream. Each day's flows are in start-time order.
+    Ground truth maps every cache that emitted at least one flow to its node
+    label.
+    """
+    identities = [
+        [cache_identity(i, spec, j) for j in range(spec.cache_count)]
+        for i, spec in enumerate(config.nodes)
+    ]
+    base_weights = []
+    for i, spec in enumerate(config.nodes):
+        # Heavy-tailed but floored: the busiest caches dominate, yet no cache
+        # starves to the point of never clearing a MinFlow cut.
+        w = _rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
+        base_weights.append(w / w.sum())
+
+    # start, cache, client, rtt, ttl, up, down, throughput; rows [0, end) are filled.
+    dtypes = (np.float64, np.intp, np.int64, np.float64, np.int64, np.int64, np.int64, np.float64)
+    columns = [np.empty(config.days * config.flows_per_day, dtype) for dtype in dtypes]
+    end = 0
+    gt_labels: dict[str, str] = {}
+    first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
+    for day in range(config.days):
+        day_start = config.start_epoch + day * DAY_SECONDS
+        node_weights = np.array(
+            [
+                spec.load_weight if _node_active(spec, day, config.events) else 0.0
+                for spec in config.nodes
+            ]
+        )
+        total = node_weights.sum()
+        if total <= 0:
+            continue
+        node_counts = _rng(config.seed, _STREAM_NODE_ALLOC, day).multinomial(
+            config.flows_per_day, node_weights / total
+        )
+        day_begin = end
+        for i, spec in enumerate(config.nodes):
+            if node_counts[i] == 0:
+                continue
+            weights = base_weights[i]
+            if config.rank_churn > 0:
+                noise = _rng(config.seed, _STREAM_DAY_WEIGHTS, day, i).standard_normal(
+                    spec.cache_count
+                )
+                weights = weights * np.exp(CHURN_LOG_SIGMA * config.rank_churn * noise)
+                weights = weights / weights.sum()
+            cache_counts = _rng(config.seed, _STREAM_CACHE_ALLOC, day, i).multinomial(
+                int(node_counts[i]), weights
+            )
+            shift = _rtt_shift(spec.label, day, config.events)
+            congestion = _congestion_factor(spec.label, day, config.events)
+            sigma = (spec.rtt_spread / spec.rtt_median) * congestion
+            for j in range(spec.cache_count):
+                count = int(cache_counts[j])
+                if count == 0:
+                    continue
+                server_ip, hostname = identities[i][j]
+                gt_labels[server_ip] = spec.label
+                rng = _rng(config.seed, _STREAM_FLOWS, day, i, j)
+                offsets = rng.uniform(0.0, DAY_SECONDS, count)
+                jitter = spec.rtt_median * (np.exp(sigma * rng.standard_normal(count)) - 1.0)
+                rtt = np.maximum(MIN_RTT_FLOOR_MS, spec.rtt_median + shift + jitter)
+                throughput = (
+                    BASELINE_THROUGHPUT_KBPS
+                    * np.exp(THROUGHPUT_LOG_SIGMA * rng.standard_normal(count))
+                    / congestion
+                )
+                duration = rng.lognormal(math.log(45.0), 0.5, count)
+                bytes_down = (throughput * 125.0 * duration).astype(np.int64)
+                bytes_up = (bytes_down * 0.012).astype(np.int64)
+                clients = rng.integers(0, 1_000_000, count)
+                values = (day_start + offsets, first_cache[i] + j, clients, rtt, spec.ttl_value, bytes_up,
+                          bytes_down, throughput)
+                for column, v in zip(columns, values):
+                    column[end : end + count] = v
+                end += count
+        order = day_begin + np.argsort(columns[0][day_begin:end], kind="stable")
+        for column in columns:
+            column[day_begin:end] = column[order]
+    start, cache, client, *numbers = (column[:end] for column in columns)
+    seen, codes = np.unique(cache, return_inverse=True)  # names only the caches that have flows
+    servers, hostnames = np.array([i for node in identities for i in node], dtype=object)[seen].T
+    client_ids = np.fromiter(map("u{:06d}".format, client.tolist()), object, len(client))
+    return FlowTable(
+        start, client_ids, Codes(codes, servers), Codes(codes, hostnames), *numbers
+    ), GroundTruth(gt_labels)
+
+
+def reference_write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
+    """Write a table in the TSV format; floats use repr so parsing round-trips."""
+    names = (c.names[np.unique(c.codes)].tolist() for c in (table.server_ip, table.hostname))
+    for values in (table.client_id.tolist(), *names):
+        if any(map("".join(values).__contains__, "\t\n\r")):  # one scan of the joined text each
+            field = next(v for v in values if any(map(v.__contains__, "\t\n\r")))
+            raise ValueError(f"field not serializable to TSV: {field!r}")
+    line = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
+    with text_output(target) as fp:
+        fp.write(FLOW_LOG_HEADER + "\n")
+        for chunk in (table[lo : lo + 4096] for lo in range(0, len(table), 4096)):
+            values = (c.decode() if isinstance(c, Codes) else c.tolist() for c in _fields_of(chunk))
+            fp.write("".join(map(line.format, *values)))

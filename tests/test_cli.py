@@ -85,6 +85,19 @@ class TestSynthCommand:
         assert trace.read_bytes() == trace2.read_bytes()
         assert gt.read_bytes() == gt2.read_bytes()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    def test_trace_that_would_not_read_back_exit_2(self, tmp_path, capsys):
+        # An RTT spread 10,000 times the median overflows the jitter's exp: an RTT of inf used to be
+        # written, and the timeline then refused the trace.
+        ini = tmp_path / "synth.ini"
+        ini.write_text("[trace]\ndays = 1\nflows_per_day = 2000\nseed = 1\n"
+                       "[node MIL]\ncaches = 5\nttl = 50\nrtt_median_ms = 0.01\nrtt_spread_ms = 100\n")
+        trace, gt = tmp_path / "t.tsv", tmp_path / "gt.tsv"
+        assert main(["synth", "--config", str(ini), "--out-trace", str(trace), "--out-ground-truth", str(gt)]) == 2
+        message = f"config error: {ini}: the trace would not read back: row 0: min_rtt out of range: inf\n"
+        assert capsys.readouterr().err == message
+        assert not trace.exists() and not gt.exists()
+
 
 class TestTimelineCommand:
     def test_runs_and_writes(self, trace_files, tmp_path, capsys):

@@ -12,7 +12,6 @@ import math
 import struct
 import tempfile
 import warnings
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +25,6 @@ from edgewatch.features import CacheFeatures, extract_cache_features, extract_ca
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
-    Codes,
     FlowLineError,
     FlowTable,
     midnight_floor,
@@ -42,6 +40,7 @@ from reference_impls import (
     reference_parse_line,
     reference_percentile_vector,
     reference_window_flows,
+    table_columns,
 )
 
 BASE = 1_388_534_400.0  # a UTC midnight
@@ -89,23 +88,16 @@ def _bytes(features):
     return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in features]
 
 
-def _columns(table):
-    """Each column's dtype and bytes, an object column's values, and a Codes column's codes and names."""
-    columns = [getattr(table, f.name) for f in fields(FlowTable)]
-    return [(c.codes.dtype, c.codes.tobytes(), c.names.tolist()) if isinstance(c, Codes)
-            else (c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
-
-
 @given(windowed_traces())
 def test_windows_and_features_match_per_record_code(trace):
     files, window, step, offset, min_flow = trace
     records = [r for f in files for r in f]
     table = FlowTable.concat([flow_table(f) for f in files])
     assert flow_rows(table) == records
-    whole = _columns(flow_table(records))  # one chunk
-    assert _columns(table) == whole  # joining the parts gives the parse of the whole
+    whole = table_columns(flow_table(records))  # one chunk
+    assert table_columns(table) == whole  # joining the parts gives the parse of the whole
     with mock.patch.object(ingest, "CHUNK_BYTES", 64):  # a chunk of a line or two
-        assert _columns(flow_table(records)) == whole
+        assert table_columns(flow_table(records)) == whole
     snaps = window_flows(table, window, step, utc_offset_hours=offset)
     expected = reference_window_flows(records, window, step, offset)
     assert [(s.index, s.window_start, s.window_end) for s in snaps] == [
@@ -276,9 +268,9 @@ def test_chunk_of_blank_lines_parses_and_runs_silently(tmp_path):
 def test_chunked_parser_matches_line_parser(text, chunk_bytes):
     with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes):
         expected_errors = _check_against_line_parser(text)
-        chunked = _columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
+        chunked = table_columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
     # Names come only from kept rows: chunk boundaries change no column, codes and names included.
-    assert chunked == _columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
+    assert chunked == table_columns(parse_flow_log(io.StringIO(text, newline=""), errors=[]))
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "trace.tsv"
         path.write_text(text, encoding="utf-8", newline="")

@@ -1,15 +1,19 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from edgewatch.dbscan import DEFAULT_MIN_PTS
 from edgewatch.errors import ConfigError
 from edgewatch.features import percentile_vector
 from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, parse_flow_log, write_flow_log
 from edgewatch.pipeline import rank_matrix, write_rank_csv
 from edgewatch.synth import (
     DEFAULT_START_EPOCH,
+    EVENT_KINDS,
     MAX_CACHES,
     EdgeNodeSpec,
     EventSpec,
@@ -19,7 +23,7 @@ from edgewatch.synth import (
     load_synth_config,
 )
 
-from reference_impls import Flow, flow_rows, flow_table
+from reference_impls import Flow, flow_rows, flow_table, reference_generate_trace, table_columns, transient_bytes
 
 
 def small_config(events=(), days=6, churn=0.2, seed=5, flows=3000):
@@ -196,6 +200,54 @@ class TestGenerateTrace:
         ids_a = {cache_identity(0, spec_a, j) for j in range(6)}
         ids_b = {cache_identity(1, spec_b, j) for j in range(6)}
         assert not (ids_a & ids_b)
+
+
+@st.composite
+def synth_configs(draw):
+    """Small traces: 1-4 nodes (some sharing a label, some of zero weight), any events, and few flows per
+    day, so that many buckets are empty and some days have no active node."""
+    days = draw(st.integers(1, 6))
+    node = st.builds(
+        EdgeNodeSpec,
+        label=st.sampled_from(["MIL", "AMS", "FRA"]),
+        cache_count=st.integers(DEFAULT_MIN_PTS, 9),
+        rtt_median=st.floats(0.5, 300.0),
+        rtt_spread=st.sampled_from([0.0, 1.5]) | st.floats(0.0, 5.0),  # sigma up to 80: exp stays finite
+        ttl_value=st.integers(0, 255),
+        load_weight=st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+    )
+    nodes = tuple(draw(st.lists(node, min_size=1, max_size=4)))
+    day = st.integers(0, days)
+    event = st.builds(
+        lambda kind, target, a, b, magnitude: EventSpec(kind, target, min(a, b), max(a, b), magnitude),
+        st.sampled_from(EVENT_KINDS), st.sampled_from([n.label for n in nodes]), day, day, st.floats(0.1, 8.0),
+    )
+    try:
+        return SynthConfig(
+            nodes=nodes, events=tuple(draw(st.lists(event, max_size=4))), days=days,
+            flows_per_day=draw(st.sampled_from([1, 2, 7]) | st.integers(1, 400)),
+            rank_churn=draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 1.0)),
+            seed=draw(st.integers(0, 2**32)),
+        )
+    except ConfigError:  # no node with a positive weight is ever active
+        assume(False)
+
+
+@given(synth_configs())
+def test_generate_trace_equals_the_per_bucket_oracle(config):
+    table, gt = generate_trace(config)
+    want_table, want_gt = reference_generate_trace(config)
+    assert table_columns(table) == table_columns(want_table)
+    assert list(gt.labels.items()) == list(want_gt.labels.items())
+
+
+def test_generator_memory_does_not_grow_with_the_days():
+    # Draws and arithmetic run per (day, node). Twice the days adds 80,000 rows, and a float64 temporary
+    # over the whole trace would add 0.6 MiB to the transient peak; the client numbers, 8 bytes a row
+    # until they become the client ids, are the only whole-trace column beside the result.
+    config = small_config(days=4, flows=20_000)
+    transient = [transient_bytes(generate_trace, replace(config, days=days))[1] for days in (4, 8)]
+    assert transient[1] - transient[0] < 2**20, transient
 
 
 class TestRankMatrix:
