@@ -8,6 +8,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
@@ -30,8 +32,8 @@ from .pipeline import (
 
 
 MAX_GRID = 10_000
-MAX_TRIALS = 1_000_000
 MAX_CALIBRATION_ELEMENTS = 1 << 24  # most elements of a calibration trial's positions or distances
+MAX_CALIBRATION_WORK = 1 << 26  # most star-difference elements over all of a calibration's trials
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -96,7 +98,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate_trace, load_synth_config
 
     config = load_synth_config(args.config)
-    records, ground_truth = generate_trace(config)
+    with np.errstate(over="ignore"):  # an overflowed draw is refused by write_flow_log below
+        records, ground_truth = generate_trace(config)
     try:
         write_flow_log(args.out_trace, records)
     except ValueError as exc:  # a draw the parser would reject, such as an RTT whose jitter overflowed to inf
@@ -198,8 +201,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError("calibrate needs non-empty --stars and --extra-stars")
     if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
         raise ConfigError("calibrate needs --stars, --trials and --dim >= 1")
-    if args.trials > MAX_TRIALS:
-        raise ConfigError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if min(e_grid) < 0 or min(extra_list) < 0 or args.seed < 0:
         raise ConfigError("calibrate needs --e-grid, --extra-stars and --seed >= 0")
     largest = max(stars_list)
@@ -208,6 +209,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         raise ConfigError(f"--e-grid {max(e_grid)!r} is too large: squared star distances overflow")
     if (largest + max(extra_list)) * max(largest, args.dim or largest) > MAX_CALIBRATION_ELEMENTS:
         raise ConfigError(f"--stars/--extra-stars/--dim: a matrix over {MAX_CALIBRATION_ELEMENTS} elements")
+    # A trial's CD takes the difference of every (star, displaced star) pair, each of dim elements.
+    work = args.trials * len(e_grid) * sum(n * (n + x) * (args.dim or n) for n in stars_list for x in extra_list)
+    if work > MAX_CALIBRATION_WORK:
+        raise ConfigError(f"--trials/--stars/--extra-stars/--dim/--e-grid: CDs over {MAX_CALIBRATION_WORK} elements")
     rows = (  # lazy: --out is opened before the first trial runs
         [n, repr(e), extra, args.trials]
         + [repr(cd_calibration(n, e, args.trials, extra, seed=args.seed, dim=args.dim))]
@@ -229,8 +234,17 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    """argparse's usage error as a ConfigError, so that it prints as one ``config error:`` line."""
+    raise ConfigError(f"{parser.prog}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    error = _usage_error  # called by argparse; subparsers are made of the same class
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgewatch",
         description="Detect CDN edge-node changes from passive flow logs.",
     )
@@ -288,9 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

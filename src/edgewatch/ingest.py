@@ -9,7 +9,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import count
+from itertools import chain, count
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
@@ -324,9 +324,10 @@ def config_from(
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
     """Write a table in the TSV format, floats by repr, so that it reads back as it is. A string field with a tab or
     line break, or a row that fails ``_faults``, raises ValueError (naming the row's first fault) before any write."""
+    client_ids = (table.client_id[lo : lo + 1024].tolist() for lo in range(0, len(table), 1024))
     names = (c.names[np.bincount(c.codes, minlength=len(c.names)) > 0].tolist()
              for c in (table.server_ip, table.hostname))
-    for values in (table.client_id.tolist(), *names):
+    for values in chain(client_ids, names):
         if any(map("".join(values).__contains__, "\t\n\r")):  # one scan of the joined text each
             field = next(v for v in values if any(map(v.__contains__, "\t\n\r")))
             raise ValueError(f"field not serializable to TSV: {field!r}")

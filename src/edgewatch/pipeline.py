@@ -175,9 +175,9 @@ def _star_label(snapshot: Snapshot, members: Iterable[str], airports: Airports) 
     codes, code_of = airports
     table = snapshot.table
     rows = _member_rows(table, snapshot.rows, members)
-    caches, cache = np.unique(table.server_ip.codes[rows], return_inverse=True)
-    votes = plurality(cache, code_of[table.hostname.codes[rows]], len(caches), len(codes))
-    star = plurality(np.zeros(len(caches), dtype=np.intp), votes, 1, len(codes))[0]
+    caches = len(table.server_ip.names)  # a cache without member rows gets -1, which casts no vote
+    votes = plurality(table.server_ip.codes[rows], code_of[table.hostname.codes[rows]], caches, len(codes))
+    star = plurality(np.zeros(caches, dtype=np.intp), votes, 1, len(codes))[0]
     return None if star < 0 else codes[star]
 
 

@@ -138,7 +138,7 @@ class SynthConfig:
                 raise ConfigError(f"event targets unknown label: {ev.target!r}")
         # A node's activity changes only on an event's start day and the day after its end.
         days = {0, *(d for ev in self.events for d in (ev.start_day, ev.end_day + 1) if 0 < d < self.days)}
-        if not any(n.load_weight > 0 and _node_active(n, d, self.events) for d in days for n in self.nodes):
+        if not any(n.load_weight > 0 and _node_day(n.label, d, self.events)[0] for d in days for n in self.nodes):
             raise ConfigError("no node with a positive weight is active on any day: the trace has no flows")
 
 
@@ -156,30 +156,19 @@ def cache_identity(node_index: int, spec: EdgeNodeSpec, cache_index: int) -> tup
     return server_ip, hostname
 
 
-def _node_active(spec: EdgeNodeSpec, day: int, events: Sequence[EventSpec]) -> bool:
-    births = [ev for ev in events if ev.kind == "node_birth" and ev.target == spec.label]
-    if births and not any(ev.active(day) for ev in births):
-        return False
-    for ev in events:
-        if ev.kind == "node_death" and ev.target == spec.label and ev.active(day):
-            return False
-    return True
+def _node_day(label: str, day: int, events: Sequence[EventSpec]) -> tuple[bool, float, float]:
+    """(active, RTT shift in ms, congestion factor) of the label's nodes on ``day``.
 
-
-def _rtt_shift(label: str, day: int, events: Sequence[EventSpec]) -> float:
-    return sum(
-        ev.magnitude
-        for ev in events
-        if ev.kind == "path_shift" and ev.target == label and ev.active(day)
-    )
-
-
-def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> float:
-    factor = 1.0
-    for ev in events:
-        if ev.kind == "congestion" and ev.target == label and ev.active(day):
-            factor *= ev.magnitude
-    return factor
+    A label with birth events is active only within one of them, and a death silences it; shifts add and
+    congestion factors multiply, in event order.
+    """
+    mine = [ev for ev in events if ev.target == label]
+    live = [ev for ev in mine if ev.active(day)]
+    kinds = {ev.kind for ev in live}
+    born = "node_birth" in kinds or all(ev.kind != "node_birth" for ev in mine)
+    shift = sum((ev.magnitude for ev in live if ev.kind == "path_shift"), 0.0)
+    congestion = math.prod((ev.magnitude for ev in live if ev.kind == "congestion"), start=1.0)
+    return born and "node_death" not in kinds, shift, congestion
 
 
 def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
@@ -212,12 +201,8 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
     for day in range(config.days):
         day_start = config.start_epoch + day * DAY_SECONDS
-        node_weights = np.array(
-            [
-                spec.load_weight if _node_active(spec, day, config.events) else 0.0
-                for spec in config.nodes
-            ]
-        )
+        states = [_node_day(spec.label, day, config.events) for spec in config.nodes]  # (active, shift, congestion)
+        node_weights = np.array([spec.load_weight if state[0] else 0.0 for spec, state in zip(config.nodes, states)])
         total = node_weights.sum()
         if total <= 0:
             continue
@@ -238,8 +223,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
             cache_counts = _rng(config.seed, _STREAM_CACHE_ALLOC, day, i).multinomial(
                 int(node_counts[i]), weights
             )
-            shift = _rtt_shift(spec.label, day, config.events)
-            congestion = _congestion_factor(spec.label, day, config.events)
+            _, shift, congestion = states[i]
             sigma = (spec.rtt_spread / spec.rtt_median) * congestion
             # Each bucket draws into its rows, its normals into the rtt and throughput columns; the
             # arithmetic then runs once over the node's rows for the day.

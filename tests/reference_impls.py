@@ -20,9 +20,12 @@ used to word each rejected line: scalar checks in the order a line's first
 fault is named, where the package now checks whole columns at once.
 The trace oracle ``reference_generate_trace`` is the generator's former
 per-bucket loop, which did a bucket's arithmetic right after its draws, where
-the package now draws per bucket and computes per (day, node). The writer
-oracle ``reference_write_flow_log`` is the former row-by-row ``str.format``
-writer, which checked no range and wrote tables the parser rejects.
+the package now draws per bucket and computes per (day, node). Its event rules
+are the generator's former three per-kind scans (``_node_active``,
+``_rtt_shift`` and ``_congestion_factor``), where the package now decides a
+node's day in one pass. The writer oracle ``reference_write_flow_log`` is the
+former row-by-row ``str.format`` writer, which checked no range and wrote
+tables the parser rejects.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -38,7 +41,7 @@ import tracemalloc
 from collections import Counter, namedtuple
 from dataclasses import fields
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,11 +71,10 @@ from edgewatch.synth import (
     CHURN_LOG_SIGMA,
     MIN_RTT_FLOOR_MS,
     THROUGHPUT_LOG_SIGMA,
+    EdgeNodeSpec,
+    EventSpec,
     SynthConfig,
-    _congestion_factor,
-    _node_active,
     _rng,
-    _rtt_shift,
     cache_identity,
 )
 
@@ -353,6 +355,32 @@ def reference_star_label(snapshot, members):
     caches = table.server_ip.codes[rows]
     labels = np.array([parse_cache_hostname(h) for h in table.hostname[rows].decode()], dtype=object)
     return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))
+
+
+def _node_active(spec: EdgeNodeSpec, day: int, events: Sequence[EventSpec]) -> bool:
+    births = [ev for ev in events if ev.kind == "node_birth" and ev.target == spec.label]
+    if births and not any(ev.active(day) for ev in births):
+        return False
+    for ev in events:
+        if ev.kind == "node_death" and ev.target == spec.label and ev.active(day):
+            return False
+    return True
+
+
+def _rtt_shift(label: str, day: int, events: Sequence[EventSpec]) -> float:
+    return sum(
+        ev.magnitude
+        for ev in events
+        if ev.kind == "path_shift" and ev.target == label and ev.active(day)
+    )
+
+
+def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> float:
+    factor = 1.0
+    for ev in events:
+        if ev.kind == "congestion" and ev.target == label and ev.active(day):
+            factor *= ev.magnitude
+    return factor
 
 
 def reference_generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:

@@ -85,7 +85,6 @@ class TestSynthCommand:
         assert trace.read_bytes() == trace2.read_bytes()
         assert gt.read_bytes() == gt2.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     def test_trace_that_would_not_read_back_exit_2(self, tmp_path, capsys):
         # An RTT spread 10,000 times the median overflows the jitter's exp: an RTT of inf used to be
         # written, and the timeline then refused the trace.
@@ -146,6 +145,12 @@ class TestTimelineCommand:
             [*rank, "--utc-offset", "1e305"],
             [*rank, "--utc-offset", "inf"],
             [*rank, "--utc-offset", "25"],
+            # argparse's own errors: each a single line, with no usage text.
+            ["calibrate", "--trials", "abc", "--out", str(tmp_path / "c.csv")],
+            [*rank, "--utc-offset", "abc"],
+            ["drilldown", "--input", str(trace), "--entry", "x"],
+            [*sweep, "--feature-mode", "foo"],
+            [],
         ):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
@@ -319,10 +324,13 @@ class TestTimelineCommand:
         assert main(timeline) == 0
         assert (out / "timeline.csv").is_file()
 
-    def test_argparse_usage_error_exit_2(self):
+    def test_argparse_usage_error_exit_2(self, capsys):
+        assert main(["timeline"]) == 2  # missing --input
+        err = capsys.readouterr().err
+        assert err == "config error: edgewatch timeline: the following arguments are required: --input\n"
         with pytest.raises(SystemExit) as exc:
-            main(["timeline"])  # missing --input
-        assert exc.value.code == 2
+            main(["timeline", "--help"])
+        assert exc.value.code == 0
 
 
 # One valid setting per PipelineConfig field, as flag/INI text and the value it
@@ -476,7 +484,10 @@ class TestCalibrateCommand:
             ["--seed", "-1"],
             # A star difference is at most sqrt(dim) + e long; with these radii its square overflows.
             ["--e-grid", "1e200"], ["--e-grid", "0,1e200"],
-            ["--trials", "99999999999999999999"], ["--trials", str(cli.MAX_TRIALS + 1)],
+            ["--trials", "99999999999999999999"],
+            ["--stars", "1", "--e-grid", "0", "--trials", str(cli.MAX_CALIBRATION_WORK + 1)],
+            # Within the matrix cap, but each of the 11 CD calls would take 4,096**3 star-difference elements.
+            ["--stars", "4096", "--trials", "1"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
@@ -518,6 +529,21 @@ class TestCalibrateCommand:
         monkeypatch.setattr(cli, "MAX_CALIBRATION_ELEMENTS", 12)
         out = tmp_path / "c.csv"
         assert main(["calibrate", "--stars", "3", "--trials", "1", *flags, "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--trials", "2"], 0), (["--trials", "3"], 2), (["--trials", "6", "--dim", "1"], 0),
+            (["--trials", "2", "--e-grid", "0,0.1,0.2"], 2), (["--trials", "2", "--extra-stars", "0,2"], 2),
+        ],
+    )
+    def test_work_cap_counts_trials_cells_and_star_differences(self, tmp_path, monkeypatch, flags, code):
+        # 3 stars and 2 radii: trials x 2 x (3 x 3 x 3 + 3 x 4 x 3) = trials x 126 elements, or trials x 42 at dim 1.
+        monkeypatch.setattr(cli, "MAX_CALIBRATION_WORK", 252)
+        out = tmp_path / "c.csv"
+        argv = ["calibrate", "--stars", "3", "--e-grid", "0,0.1", "--extra-stars", "0,1", *flags, "--out", str(out)]
+        assert main(argv) == code
         assert out.exists() == (code == 0)
 
     def test_out_opened_before_first_trial(self, tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from edgewatch.dbscan import DEFAULT_MIN_PTS
 from edgewatch.errors import ConfigError
@@ -18,12 +18,23 @@ from edgewatch.synth import (
     EdgeNodeSpec,
     EventSpec,
     SynthConfig,
+    _node_day,
     cache_identity,
     generate_trace,
     load_synth_config,
 )
 
-from reference_impls import Flow, flow_rows, flow_table, reference_generate_trace, table_columns, transient_bytes
+from reference_impls import (
+    Flow,
+    _congestion_factor,
+    _node_active,
+    _rtt_shift,
+    flow_rows,
+    flow_table,
+    reference_generate_trace,
+    table_columns,
+    transient_bytes,
+)
 
 
 def small_config(events=(), days=6, churn=0.2, seed=5, flows=3000):
@@ -202,6 +213,16 @@ class TestGenerateTrace:
         assert not (ids_a & ids_b)
 
 
+def event_specs(targets, days):
+    """Events of any kind on the targets, over any range of the days, with any positive magnitude; sums and
+    products of 0.1, 0.2 and 0.3 differ with their order."""
+    return st.builds(
+        lambda kind, target, a, b, magnitude: EventSpec(kind, target, min(a, b), max(a, b), magnitude),
+        st.sampled_from(EVENT_KINDS), st.sampled_from(targets), days, days,
+        st.sampled_from([0.1, 0.2, 0.3]) | st.floats(0.1, 8.0),
+    )
+
+
 @st.composite
 def synth_configs(draw):
     """Small traces: 1-4 nodes (some sharing a label, some of zero weight), any events, and few flows per
@@ -217,14 +238,10 @@ def synth_configs(draw):
         load_weight=st.sampled_from([0.0, 0.5, 1.0, 4.0]),
     )
     nodes = tuple(draw(st.lists(node, min_size=1, max_size=4)))
-    day = st.integers(0, days)
-    event = st.builds(
-        lambda kind, target, a, b, magnitude: EventSpec(kind, target, min(a, b), max(a, b), magnitude),
-        st.sampled_from(EVENT_KINDS), st.sampled_from([n.label for n in nodes]), day, day, st.floats(0.1, 8.0),
-    )
+    events = st.lists(event_specs([n.label for n in nodes], st.integers(0, days)), max_size=4)
     try:
         return SynthConfig(
-            nodes=nodes, events=tuple(draw(st.lists(event, max_size=4))), days=days,
+            nodes=nodes, events=tuple(draw(events)), days=days,
             flows_per_day=draw(st.sampled_from([1, 2, 7]) | st.integers(1, 400)),
             rank_churn=draw(st.sampled_from([0.0, 0.2]) | st.floats(0.0, 1.0)),
             seed=draw(st.integers(0, 2**32)),
@@ -239,6 +256,17 @@ def test_generate_trace_equals_the_per_bucket_oracle(config):
     want_table, want_gt = reference_generate_trace(config)
     assert table_columns(table) == table_columns(want_table)
     assert list(gt.labels.items()) == list(want_gt.labels.items())
+
+
+@given(st.lists(event_specs(["MIL", "AMS"], st.integers(0, 4)), max_size=12), st.sampled_from(["MIL", "AMS"]),
+       st.integers(0, 4))
+@example([EventSpec(kind, "MIL", 0, 4, m) for kind in ("path_shift", "congestion") for m in (0.1, 0.2, 0.3)], "MIL", 1)
+def test_node_day_equals_the_per_kind_oracle(events, label, day):
+    # Overlapping shifts and congestions must add and multiply in event order: floats compare bit for bit.
+    active, shift, congestion = _node_day(label, day, events)
+    assert active == _node_active(EdgeNodeSpec(label, DEFAULT_MIN_PTS, 10.0, 1.0, 50, 1.0), day, events)
+    assert shift.hex() == float(_rtt_shift(label, day, events)).hex()
+    assert congestion.hex() == _congestion_factor(label, day, events).hex()
 
 
 def test_generator_memory_does_not_grow_with_the_days():
