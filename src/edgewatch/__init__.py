@@ -20,6 +20,7 @@ from .evaluation import (
     GroundTruth,
     QualityIndices,
     cd_calibration,
+    cd_calibration_curve,
     clustering_indices,
     epsilon_sweep,
     majority_vote_labels,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .evaluation import GroundTruth, cd_calibration, epsilon_sweep, write_sweep_csv
+from .evaluation import GroundTruth, cd_calibration_curve, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
 from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, write_csv, write_flow_log
@@ -34,6 +34,7 @@ from .pipeline import (
 MAX_GRID = 10_000
 MAX_CALIBRATION_ELEMENTS = 1 << 24  # most elements of a calibration trial's positions or distances
 MAX_CALIBRATION_WORK = 1 << 26  # most star-difference elements over all of a calibration's trials
+MAX_CALIBRATION_CALLS = 1 << 20  # most CDs of a calibration: trials x radii x star counts x extra-star counts
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -213,12 +214,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     work = args.trials * len(e_grid) * sum(n * (n + x) * (args.dim or n) for n in stars_list for x in extra_list)
     if work > MAX_CALIBRATION_WORK:
         raise ConfigError(f"--trials/--stars/--extra-stars/--dim/--e-grid: CDs over {MAX_CALIBRATION_WORK} elements")
+    if args.trials * len(e_grid) * len(stars_list) * len(extra_list) > MAX_CALIBRATION_CALLS:
+        raise ConfigError(f"--trials/--stars/--extra-stars/--e-grid: over {MAX_CALIBRATION_CALLS} CDs")
     rows = (  # lazy: --out is opened before the first trial runs
-        [n, repr(e), extra, args.trials]
-        + [repr(cd_calibration(n, e, args.trials, extra, seed=args.seed, dim=args.dim))]
+        [n, repr(e), extra, args.trials, repr(mean_cd)]
         for n in stars_list
         for extra in extra_list
-        for e in e_grid
+        for e, mean_cd in zip(e_grid, cd_calibration_curve(n, e_grid, args.trials, extra, seed=args.seed, dim=args.dim))
     )
     write_csv(args.out, "stars,e,extra_stars,trials,mean_cd".split(","), rows)
     print(f"wrote calibration grid to {args.out}")

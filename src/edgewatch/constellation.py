@@ -102,10 +102,10 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return distances
 
 
-def _nearest(distances: np.ndarray, axis: int) -> tuple[Coupling, ...]:
-    """The coupling of each star along ``axis``'s other side; ``argmin`` keeps the lowest-index tie."""
-    nearest, nearest_distances = distances.argmin(axis).tolist(), distances.min(axis).tolist()
-    return tuple(map(Coupling, range(len(nearest)), nearest, nearest_distances))
+def _nearest_stars(a: np.ndarray, b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row of ``a``'s nearest row of ``b`` (index, distance), then the reverse; ties keep the lower index."""
+    distances = _distances(a, b)
+    return [(distances.argmin(axis), distances.min(axis)) for axis in (1, 0)]
 
 
 def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
@@ -126,8 +126,8 @@ def constellation_distance(a: Constellation, b: Constellation) -> CDReport:
     elif a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
     else:
-        distances = _distances(a.positions, b.positions)
-        couplings_ab, couplings_ba = _nearest(distances, 1), _nearest(distances, 0)
+        nearest = _nearest_stars(a.positions, b.positions)
+        couplings_ab, couplings_ba = (tuple(map(Coupling, range(len(d)), i.tolist(), d.tolist())) for i, d in nearest)
     cd_value = sum(c.distance for c in couplings_ab) + sum(c.distance for c in couplings_ba)
     return CDReport(cd_value, couplings_ab, couplings_ba)
 

@@ -9,7 +9,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .constellation import Constellation, constellation_distance
+from .constellation import _nearest_stars
 from .dbscan import Clustering, ClusterParams, DEFAULT_MIN_PTS, dbscan
 from .errors import InputError
 from .features import (
@@ -199,6 +199,19 @@ def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> N
     write_csv(target, "epsilon,tpr,fragmentation,pureness,noise_count".split(","), cells)
 
 
+def _ball_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` ball draws: unit directions, each a nonzero standard-normal draw over its length, and u ** (1/dim)."""
+    units, upows = np.empty((n, dim)), np.empty(n)
+    for i in range(n):
+        norm = 0.0
+        while norm == 0.0:
+            direction = rng.standard_normal(dim)
+            norm = math.sqrt(direction.dot(direction))
+        units[i] = direction / norm
+        upows[i] = rng.random() ** (1.0 / dim)
+    return units, upows
+
+
 def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     """``(n, dim)`` uniform samples from the ball of the given radius centered at the origin.
 
@@ -209,45 +222,44 @@ def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> n
         raise ValueError(f"dim must be >= 1: {dim}")
     if radius == 0.0:
         return np.zeros((n, dim))
-    directions, norms, scales = [], [], []
-    for _ in range(n):
-        norm = 0.0
-        while norm == 0.0:
-            direction = rng.standard_normal(dim)
-            norm = math.sqrt(direction.dot(direction))
-        directions.append(direction)
-        norms.append(norm)
-        scales.append(radius * rng.random() ** (1.0 / dim))
-    return np.reshape(directions, (n, dim)) / np.array(norms)[:, None] * np.array(scales)[:, None]
+    units, upows = _ball_rows(rng, n, dim)
+    return units * (radius * upows)[:, None]
 
 
-def cd_calibration(
-    n_stars: int,
-    e: float,
-    trials: int,
-    extra_stars: int = 0,
-    *,
-    seed: int = 0,
-    dim: int | None = None,
-) -> float:
-    """Mean CD between random constellations and displaced/augmented copies.
+def cd_calibration_curve(
+    n_stars: int, e_grid: Sequence[float], trials: int, extra_stars: int = 0, *, seed: int = 0, dim: int | None = None
+) -> list[float]:
+    """Mean CD between random constellations and displaced/augmented copies, for each radius e of ``e_grid``.
 
-    Each trial places ``n_stars`` uniform stars in the unit hypercube of
-    dimension ``n_stars`` (override with ``dim``), displaces every star
-    inside a random ball of radius ``e``, optionally adds ``extra_stars``
-    fresh uniform stars, and measures the CD. Per-trial generators derive
-    from (seed, trial) so trials are reproducible and independent.
+    Each trial places ``n_stars`` uniform stars in the unit hypercube of dimension ``n_stars`` (override
+    with ``dim``), displaces every star inside a random ball of radius ``e``, optionally adds ``extra_stars``
+    fresh uniform stars, and measures the CD. Per-trial generators derive from (seed, trial) so trials are
+    reproducible and independent. A radius only scales the ball draws, so one trial's draws serve every
+    radius; the extra stars of e = 0 are drawn where the ball draws would start.
     """
     if n_stars < 1:
         raise ValueError("n_stars must be >= 1")
-    if e < 0 or trials < 1 or extra_stars < 0:
+    if not len(e_grid) or min(e_grid) < 0 or trials < 1 or extra_stars < 0 or (dim is not None and dim < 1):
         raise ValueError("invalid calibration parameters")
     space_dim = n_stars if dim is None else dim
-    total = 0.0
+    totals = [0.0] * len(e_grid)
+    order = sorted(enumerate(e_grid), key=lambda ke: bool(ke[1]))  # e = 0 before e > 0 overwrites its extra stars
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        base = rng.uniform(size=(n_stars, space_dim))
-        offsets = ball_offsets(rng, n_stars, space_dim, e)
-        displaced = np.vstack([base + offsets, rng.uniform(size=(extra_stars, space_dim))])
-        total += constellation_distance(Constellation(base), Constellation(displaced)).cd_value
-    return total / trials
+        base, state = rng.uniform(size=(n_stars, space_dim)), rng.bit_generator.state
+        displaced, units = np.vstack([base, rng.uniform(size=(extra_stars, space_dim))]), None
+        for k, e in order:
+            if e and units is None:  # the first e > 0 draws the ball rows from where e = 0 drew its extras
+                rng.bit_generator.state = state
+                units, upows = _ball_rows(rng, n_stars, space_dim)
+                displaced[n_stars:] = rng.uniform(size=(extra_stars, space_dim))
+            if e:  # base + units * (e * upows)[:, None], written in place
+                np.add(base, np.multiply(units, (e * upows)[:, None], out=displaced[:n_stars]), out=displaced[:n_stars])
+            (_, ab), (_, ba) = _nearest_stars(base, displaced)
+            totals[k] += sum(ab.tolist()) + sum(ba.tolist())
+    return [total / trials for total in totals]
+
+
+def cd_calibration(n_stars: int, e: float, trials: int, extra_stars: int = 0, *, seed=0, dim=None) -> float:
+    """The mean CD of ``cd_calibration_curve`` at the one radius ``e``."""
+    return cd_calibration_curve(n_stars, [e], trials, extra_stars, seed=seed, dim=dim)[0]

@@ -25,7 +25,9 @@ are the generator's former three per-kind scans (``_node_active``,
 ``_rtt_shift`` and ``_congestion_factor``), where the package now decides a
 node's day in one pass. The writer oracle ``reference_write_flow_log`` is the
 former row-by-row ``str.format`` writer, which checked no range and wrote
-tables the parser rejects.
+tables the parser rejects. The calibration oracle ``reference_cd_calibration``
+is the former per-radius calibration, which redrew every trial's stars and ball
+draws for each radius and summed each CD through its per-star couplings.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -48,7 +50,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from edgewatch.evaluation import GroundTruth
+from edgewatch.constellation import Constellation, constellation_distance
+from edgewatch.evaluation import GroundTruth, ball_offsets
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_COLUMNS,
@@ -295,6 +298,23 @@ def sample_in_ball(rng, dim, radius):
         norm = np.linalg.norm(direction)
     r = radius * rng.uniform() ** (1.0 / dim)
     return direction / norm * r
+
+
+def reference_cd_calibration(n_stars, e, trials, extra_stars=0, *, seed=0, dim=None):
+    """Mean CD over ``trials`` trials at one radius ``e``, each trial drawn afresh from (seed, trial)."""
+    if n_stars < 1:
+        raise ValueError("n_stars must be >= 1")
+    if e < 0 or trials < 1 or extra_stars < 0:
+        raise ValueError("invalid calibration parameters")
+    space_dim = n_stars if dim is None else dim
+    total = 0.0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        base = rng.uniform(size=(n_stars, space_dim))
+        offsets = ball_offsets(rng, n_stars, space_dim, e)
+        displaced = np.vstack([base + offsets, rng.uniform(size=(extra_stars, space_dim))])
+        total += constellation_distance(Constellation(base), Constellation(displaced)).cd_value
+    return total / trials
 
 
 def _reference_normalize(bounds, metric, values):

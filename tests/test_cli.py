@@ -488,6 +488,8 @@ class TestCalibrateCommand:
             ["--stars", "1", "--e-grid", "0", "--trials", str(cli.MAX_CALIBRATION_WORK + 1)],
             # Within the matrix cap, but each of the 11 CD calls would take 4,096**3 star-difference elements.
             ["--stars", "4096", "--trials", "1"],
+            # Within the work cap (one 1-element difference a CD), but 2**26 CDs would take over an hour.
+            ["--stars", "1", "--e-grid", "0", "--trials", "67108864"],
         ],
     )
     def test_bad_value_exit_2(self, tmp_path, capsys, flag):
@@ -546,9 +548,26 @@ class TestCalibrateCommand:
         assert main(argv) == code
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (["--trials", "2"], 0), (["--trials", "3"], 2), (["--trials", "1", "--e-grid", "0,0.1,0.2,0.3"], 0),
+            (["--trials", "1", "--e-grid", "0,0.1,0.2,0.3,0.4"], 2), (["--trials", "2", "--stars", "1,2,3"], 2),
+            (["--trials", "2", "--extra-stars", "0,1,2"], 2),
+        ],
+    )
+    def test_call_cap_counts_trials_radii_stars_and_extras(self, tmp_path, monkeypatch, flags, code):
+        # 2 star counts x 2 radii x 2 extra-star counts: 8 CDs a trial before the flags.
+        monkeypatch.setattr(cli, "MAX_CALIBRATION_CALLS", 16)
+        out = tmp_path / "c.csv"
+        argv = ["calibrate", "--stars", "1,2", "--e-grid", "0,0.1", "--extra-stars", "0,1", *flags, "--out", str(out)]
+        assert main(argv) == code
+        assert out.exists() == (code == 0)
+
     def test_out_opened_before_first_trial(self, tmp_path, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "cd_calibration", lambda *args, **kwargs: calls.append(args) or 0.0)
+        curve = lambda n, e_grid, *args, **kwargs: calls.append((n, e_grid, *args)) or [0.0] * len(e_grid)
+        monkeypatch.setattr(cli, "cd_calibration_curve", curve)
         assert main(["calibrate", "--stars", "2", "--trials", "1", "--out", str(tmp_path)]) == 1
         assert len(calls) == 0
 

@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from edgewatch.dbscan import Clustering
 from edgewatch.evaluation import (
     GroundTruth,
     ball_offsets,
     cd_calibration,
+    cd_calibration_curve,
     clustering_indices,
     epsilon_sweep,
     majority_vote_labels,
@@ -361,7 +362,28 @@ class TestCdCalibration:
         # decouples them.
         assert cd_calibration(3, 0.0, trials=2, seed=0, dim=12) == 0.0
 
+    @given(
+        st.integers(1, 6),
+        st.lists(st.sampled_from([0.0, 1e-300, 0.05, 0.3]) | st.floats(0, 2), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.none() | st.integers(1, 7),
+    )
+    @example(3, [0.0, 0.1, 0.25], 2, 1, 0, None)  # 0.0 first
+    @example(4, [0.3, 0.0, 1e-300, 0.3, 0.05], 3, 3, 7, None)  # 0.0 in the middle, a duplicate, unsorted
+    @example(2, [1e-300, 0.05], 4, 2, 11, 6)  # no 0.0, a dim override
+    def test_curve_equals_per_radius_oracle(self, n, grid, trials, extra, seed, dim):
+        # One trial's draws serve every radius, yet each mean CD is the per-radius oracle's, bit for bit.
+        curve = cd_calibration_curve(n, grid, trials, extra, seed=seed, dim=dim)
+        expected = [reference_impls.reference_cd_calibration(n, e, trials, extra, seed=seed, dim=dim) for e in grid]
+        assert list(map(float.hex, curve)) == list(map(float.hex, expected))
+
     def test_parameter_validation(self):
+        with pytest.raises(ValueError):
+            cd_calibration_curve(3, [], trials=1)
+        with pytest.raises(ValueError):
+            cd_calibration_curve(3, [0.1, -0.1], trials=1)
         with pytest.raises(ValueError):
             cd_calibration(0, 0.1, trials=1)
         with pytest.raises(ValueError):
