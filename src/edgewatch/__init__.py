@@ -19,7 +19,6 @@ from .errors import ConfigError, InputError
 from .evaluation import (
     GroundTruth,
     QualityIndices,
-    cd_calibration,
     cd_calibration_curve,
     clustering_indices,
     epsilon_sweep,

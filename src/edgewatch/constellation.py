@@ -20,7 +20,7 @@ import numpy as np
 from .dbscan import Clustering
 from .features import CacheFeatures, NormalizationBounds
 
-CD_ELEMENT_BUDGET = 1 << 18  # most elements of one block of star-pair differences (2 MiB)
+CD_ELEMENT_BUDGET = 1 << 16  # most elements of one block of star-pair differences (512 KiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +28,7 @@ class Constellation:
     """Star i is row i of the float64 ``(n_stars, dim)`` ``positions``, with caches ``members[i]``."""
 
     positions: np.ndarray
-    members: tuple[tuple[str, ...], ...] = ()  # () for synthetic constellations, e.g. calibration's
+    members: tuple[tuple[str, ...], ...] = ()  # () for a constellation built straight from positions
     bounds: NormalizationBounds | None = None
 
     @property
@@ -92,13 +92,17 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``np.vecdot`` is the dot routine ``np.linalg.norm`` runs on one vector, so each
     distance equals the per-pair norm bit for bit. Differences are taken for a block
-    of rows of ``a`` at a time, in one buffer of at most CD_ELEMENT_BUDGET elements.
+    of rows of ``a`` against a block of rows of ``b`` at a time, in one buffer of at
+    most max(CD_ELEMENT_BUDGET, dim) elements: at least one whole pair.
     """
-    distances = np.empty((len(a), len(b)))
-    block = np.empty((min(len(a), max(1, CD_ELEMENT_BUDGET // max(1, b.size))), *b.shape))
-    for start in range(0, len(a), len(block)):
-        d = np.subtract(a[start : start + len(block), None], b, out=block[: len(a) - start])
-        distances[start : start + len(block)] = np.sqrt(np.vecdot(d, d))
+    dim = b.shape[1]
+    cols = max(1, min(len(b), CD_ELEMENT_BUDGET // max(1, dim)))
+    rows = max(1, min(len(a), CD_ELEMENT_BUDGET // max(1, cols * dim)))
+    distances, block = np.empty((len(a), len(b))), np.empty((rows, cols, dim))
+    for i in range(0, len(a), rows):
+        for j in range(0, len(b), cols):
+            d = np.subtract(a[i : i + rows, None], b[j : j + cols], out=block[: len(a) - i, : len(b) - j])
+            distances[i : i + rows, j : j + cols] = np.sqrt(np.vecdot(d, d))
     return distances
 
 

@@ -212,20 +212,6 @@ def _ball_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, 
     return units, upows
 
 
-def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    """``(n, dim)`` uniform samples from the ball of the given radius centered at the origin.
-
-    Row by row, the direction is a nonzero standard-normal draw, then u scales
-    its length to radius * u^(1/dim). Radius 0 draws nothing.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1: {dim}")
-    if radius == 0.0:
-        return np.zeros((n, dim))
-    units, upows = _ball_rows(rng, n, dim)
-    return units * (radius * upows)[:, None]
-
-
 def cd_calibration_curve(
     n_stars: int, e_grid: Sequence[float], trials: int, extra_stars: int = 0, *, seed: int = 0, dim: int | None = None
 ) -> list[float]:
@@ -258,8 +244,3 @@ def cd_calibration_curve(
             (_, ab), (_, ba) = _nearest_stars(base, displaced)
             totals[k] += sum(ab.tolist()) + sum(ba.tolist())
     return [total / trials for total in totals]
-
-
-def cd_calibration(n_stars: int, e: float, trials: int, extra_stars: int = 0, *, seed=0, dim=None) -> float:
-    """The mean CD of ``cd_calibration_curve`` at the one radius ``e``."""
-    return cd_calibration_curve(n_stars, [e], trials, extra_stars, seed=seed, dim=dim)[0]

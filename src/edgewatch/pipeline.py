@@ -411,10 +411,8 @@ def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix
     counts = np.array([np.bincount(records.server_ip.codes[d.rows], minlength=len(names)) for d in days]).T
     seen = sorted(np.flatnonzero(counts.sum(axis=1)).tolist(), key=names.__getitem__)
     counts, cache_ids = counts[seen], tuple(names[seen].tolist())
-    ranks = np.zeros(counts.shape, dtype=np.int64)
-    for d in range(len(days)):
-        # A stable sort keeps equal counts in cache_id order.
-        ranks[np.argsort(-counts[:, d], kind="stable"), d] = np.arange(1, len(cache_ids) + 1)
+    # A stable sort keeps equal counts in cache_id order; the argsort of that order is each cache's place.
+    ranks = np.argsort(np.argsort(-counts, axis=0, kind="stable"), axis=0) + 1
     return RankMatrix(cache_ids, tuple(day.window_start for day in days), ranks)
 
 

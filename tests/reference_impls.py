@@ -11,6 +11,9 @@ the per-star-pair norm loop it used before its distance matrix, the
 normalization and centroid oracles are the per-cache, per-metric loops it
 used before its feature matrix, and the ball sampler is the one-vector-per-call
 sampler it used before drawing all of a constellation's offsets at once.
+``ball_offsets`` is the package's former public ``(n, dim)`` sampler, kept here
+over the package's row-draw helper ``_ball_rows`` so that the tests can check
+that helper against ``sample_in_ball``.
 The star-label oracle is the per-star vote the timeline used before it counted
 (cache, airport code) pairs: a set-membership mask and a ``Counter`` vote per
 member cache and per star. That vote, ``majority_label``, is also the
@@ -27,7 +30,9 @@ node's day in one pass. The writer oracle ``reference_write_flow_log`` is the
 former row-by-row ``str.format`` writer, which checked no range and wrote
 tables the parser rejects. The calibration oracle ``reference_cd_calibration``
 is the former per-radius calibration, which redrew every trial's stars and ball
-draws for each radius and summed each CD through its per-star couplings.
+draws for each radius and summed each CD through its per-star couplings. It
+draws each star's offset through ``sample_in_ball``, so it shares no sampling
+code with the package.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -51,7 +56,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from edgewatch.constellation import Constellation, constellation_distance
-from edgewatch.evaluation import GroundTruth, ball_offsets
+from edgewatch.evaluation import GroundTruth, _ball_rows
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_COLUMNS,
@@ -300,6 +305,20 @@ def sample_in_ball(rng, dim, radius):
     return direction / norm * r
 
 
+def ball_offsets(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    """``(n, dim)`` uniform samples from the ball of the given radius centered at the origin.
+
+    Row by row, the direction is a nonzero standard-normal draw, then u scales
+    its length to radius * u^(1/dim). Radius 0 draws nothing.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1: {dim}")
+    if radius == 0.0:
+        return np.zeros((n, dim))
+    units, upows = _ball_rows(rng, n, dim)
+    return units * (radius * upows)[:, None]
+
+
 def reference_cd_calibration(n_stars, e, trials, extra_stars=0, *, seed=0, dim=None):
     """Mean CD over ``trials`` trials at one radius ``e``, each trial drawn afresh from (seed, trial)."""
     if n_stars < 1:
@@ -311,7 +330,7 @@ def reference_cd_calibration(n_stars, e, trials, extra_stars=0, *, seed=0, dim=N
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         base = rng.uniform(size=(n_stars, space_dim))
-        offsets = ball_offsets(rng, n_stars, space_dim, e)
+        offsets = np.array([sample_in_ball(rng, space_dim, e) for _ in range(n_stars)])
         displaced = np.vstack([base + offsets, rng.uniform(size=(extra_stars, space_dim))])
         total += constellation_distance(Constellation(base), Constellation(displaced)).cd_value
     return total / trials

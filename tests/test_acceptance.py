@@ -14,8 +14,7 @@ from edgewatch.constellation import Constellation, constellation_distance
 from edgewatch.dbscan import ClusterParams, dbscan
 from edgewatch.evaluation import (
     GroundTruth,
-    ball_offsets,
-    cd_calibration,
+    cd_calibration_curve,
     clustering_indices,
     epsilon_sweep,
 )
@@ -36,7 +35,7 @@ from conftest import (
     event_trace_config,
     six_node_config,
 )
-from reference_impls import reference_dbscan, reference_percentile
+from reference_impls import ball_offsets, reference_dbscan, reference_percentile
 
 
 @contextmanager
@@ -104,7 +103,7 @@ def test_03_cd_calibration_linearity():
         start = time.perf_counter()
         e = 0.05
         for n in (5, 10):
-            assert cd_calibration(n, 0.0, trials=100, seed=77) == 0.0
+            assert cd_calibration_curve(n, [0.0], trials=100, seed=77)[0] == 0.0
 
             # Guard the fixture: e must sit below half the expected minimum
             # pairwise star gap of the random constellations.
@@ -116,7 +115,7 @@ def test_03_cd_calibration_linearity():
                 gaps.append(np.min(d[np.triu_indices(n, k=1)]))
             assert e < 0.5 * float(np.mean(gaps))
 
-            mean_cd = cd_calibration(n, e, trials=100, seed=77)
+            mean_cd = cd_calibration_curve(n, [e], trials=100, seed=77)[0]
             offsets = ball_offsets(np.random.default_rng(4321), 100_000, n, e)
             mean_delta = float(np.mean(np.sqrt(np.vecdot(offsets, offsets))))
             expected = 2.0 * n * mean_delta
@@ -129,7 +128,7 @@ def test_04_star_birth_growth():
         start = time.perf_counter()
         for n in (5, 10):
             means = [
-                cd_calibration(n, 0.05, trials=100, extra_stars=extra, seed=55)
+                cd_calibration_curve(n, [0.05], trials=100, extra_stars=extra, seed=55)[0]
                 for extra in (1, 2, 4)
             ]
             assert means[0] < means[1] < means[2], (n, means)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -6,6 +8,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import edgewatch
 from edgewatch import cli, pipeline
@@ -570,6 +573,43 @@ class TestCalibrateCommand:
         monkeypatch.setattr(cli, "cd_calibration_curve", curve)
         assert main(["calibrate", "--stars", "2", "--trials", "1", "--out", str(tmp_path)]) == 1
         assert len(calls) == 0
+
+    # Each value either meets a check or a cap, or keeps a run within 3 trials x 3 radii x 5 stars x dim 8:
+    # the slowest run the caps let through takes minutes, so nothing between those sizes and the caps is drawn.
+    COUNTS = ["1", "2,5", "0", "-1", "", ",", "x", "\u0663", str(2**31), str(10**20)]  # "\u0663" is an Arabic-Indic 3
+    RADII = {"0": 1, "-0": 1, "0:0.2:0.1": 3, "1e-300": 1, "nan": 0, "inf": 0, "1e308": 0, "1:0:0.1": 0, "": 0}
+
+    @given(
+        stars=st.sampled_from(COUNTS),
+        extra=st.sampled_from(COUNTS),
+        e_grid=st.sampled_from(sorted(RADII)),
+        trials=st.sampled_from([-1, 0, 1, 3, 10**20]),
+        dim=st.sampled_from([None, 0, 1, 8, 10**20]),
+        seed=st.sampled_from([-1, 0, 2**64]),
+    )
+    # Few random draws pass every check, so these pin runs that exit 0, the largest one first.
+    @example(stars="2,5", extra="2,5", e_grid="0:0.2:0.1", trials=3, dim=8, seed=2**64)
+    @example(stars="\u0663", extra="0", e_grid="-0", trials=1, dim=None, seed=0)
+    @example(stars="1", extra="\u0663", e_grid="1e-300", trials=3, dim=1, seed=0)
+    @example(stars="2,5", extra="1", e_grid="0", trials=1, dim=None, seed=2**64)
+    def test_any_flags_exit_with_the_contract(self, tmp_path_factory, stars, extra, e_grid, trials, dim, seed):
+        out = tmp_path_factory.mktemp("calibrate") / "c.csv"
+        argv = ["calibrate", "--stars", stars, "--extra-stars", extra, "--e-grid", e_grid]
+        argv += ["--trials", str(trials), "--seed", str(seed), *(["--dim", str(dim)] if dim is not None else [])]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert err.getvalue().startswith(("config error:", "input error:")), err.getvalue()
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        else:
+            header, *rows = out.read_text().splitlines()
+            cells = {tuple(row.split(",")[:3]) for row in rows}
+            n_cells = len(stars.split(",")) * len(extra.split(",")) * self.RADII[e_grid]
+            assert header == "stars,e,extra_stars,trials,mean_cd"
+            assert len(rows) == len(cells) == n_cells, (argv, rows)
 
 
 class TestRankCommand:

@@ -306,6 +306,22 @@ class TestConstellationDistance:
         assert peak < 8 * (CD_ELEMENT_BUDGET + 300 * 300) + 2**20, peak
         assert len(report.couplings_ab) == len(report.couplings_ba) == 300
 
+    def test_block_budget_holds_when_one_side_exceeds_it(self):
+        # 8 stars in 2**16 dimensions are 2**19 elements, more than the budget: a block of one
+        # row of a against all of b would be 4 MiB, so blocks split b's rows as well.
+        dim = 1 << 16
+        assert 8 * dim > CD_ELEMENT_BUDGET
+        rng = np.random.default_rng(13)
+        a, b = Constellation(rng.uniform(size=(8, dim))), Constellation(rng.uniform(size=(8, dim)))
+        tracemalloc.start()
+        try:
+            report = constellation_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (CD_ELEMENT_BUDGET + dim) + 2**16, peak
+        assert len(report.couplings_ab) == len(report.couplings_ba) == 8
+
     def test_contributors_ranked_descending(self):
         rng = np.random.default_rng(17)
         a = constellation_at(*rng.uniform(0, 1, (5, 4)))

