@@ -7,6 +7,7 @@ import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration_curve, epsilon_sweep, write_sweep_csv
 from .features import write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import _parse_float_list, config_from, count_steps, read_ini_section, write_csv, write_flow_log
+from .ingest import _PARSE_BY_TYPE, config_from, count_steps, float_list, read_ini_section, write_csv, write_flow_log
 from .pipeline import (
     FLAG_NONE,
     PipelineConfig,
@@ -41,7 +42,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     """'start:stop:step' (stop inclusive within fp tolerance) or 'a,b,c'; finite, 1 to MAX_GRID values."""
     is_range = ":" in text
     try:
-        values = [float(p) for p in text.split(":")] if is_range else _parse_float_list(text)
+        values = [float(p) for p in text.split(":")] if is_range else float_list(text)
     except ValueError:
         raise ConfigError(f"grid values must be numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
@@ -64,17 +65,23 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(",") if x.strip())
+
+
 # Flags named differently from their PipelineConfig field; every other flag
 # is the field name with dashes.
 _FLAG_NAMES = {"utc_offset_hours": "utc-offset", "output_dir": "out-dir"}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    hints = get_type_hints(PipelineConfig)
     for f in fields(PipelineConfig):
         default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
         parser.add_argument(
             "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
             dest=f.name,
+            type=_PARSE_BY_TYPE[hints[f.name]],
             help=f"default {default}; INI key {f.name}",
         )
     parser.add_argument(
@@ -83,16 +90,15 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, then command-line flags, then config-file values (which win)."""
-    texts = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
-    config = config_from(PipelineConfig, texts, "pipeline config")
-    if args.config:
-        section = read_ini_section(args.config, "pipeline")
-        extra = [name for name in section.parser.sections() if name != "pipeline"]
-        if extra:
-            raise ConfigError(f"{args.config}: unknown section [{extra[0]}]")
-        config = config_from(PipelineConfig, section, f"{args.config} [pipeline]", **vars(config))
-    return config.validate()
+    """Defaults, then the flags given, then config-file values (which win), checked once when merged."""
+    values = {f.name: value for f in fields(PipelineConfig) if (value := getattr(args, f.name)) is not None}
+    if not args.config:
+        return PipelineConfig(**values)
+    section = read_ini_section(args.config, "pipeline")
+    extra = [name for name in section.parser.sections() if name != "pipeline"]
+    if extra:
+        raise ConfigError(f"{args.config}: unknown section [{extra[0]}]")
+    return config_from(PipelineConfig, section, f"{args.config} [pipeline]", **values)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -165,9 +171,9 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args)
-    eps_grid = _parse_grid(args.eps_grid)
+    eps_grid = args.eps_grid
     if eps_grid[0] <= 0 or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ConfigError(f"--eps-grid must be positive and ascending, got {args.eps_grid!r}")
+        raise ConfigError(f"--eps-grid must be positive and ascending, got {','.join(map(repr, eps_grid))}")
     snapshots = config_windows(config, read_flow_logs(args.input))
     if not snapshots:
         raise InputError("no snapshots produced from input")
@@ -192,12 +198,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    e_grid = _parse_grid(args.e_grid)
-    try:
-        stars_list = [int(x) for x in args.stars.split(",") if x.strip()]
-        extra_list = [int(x) for x in args.extra_stars.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"--stars and --extra-stars take integer lists: {exc}") from None
+    e_grid, stars_list, extra_list = args.e_grid, args.stars, args.extra_stars
     if not stars_list or not extra_list:
         raise ConfigError("calibrate needs non-empty --stars and --extra-stars")
     if min(stars_list) < 1 or args.trials < 1 or (args.dim is not None and args.dim < 1):
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--input", action="append", required=True)
     p_sw.add_argument("--ground-truth", required=True, help="GT TSV (cache_id\\tlabel)")
     p_sw.add_argument("--snapshot", type=int, default=0, help="snapshot index to sweep")
-    p_sw.add_argument("--eps-grid", default="0.005:0.2:0.005", help="start:stop:step or comma list")
+    p_sw.add_argument("--eps-grid", type=_parse_grid, default="0.005:0.2:0.005", help="start:stop:step or comma list")
     p_sw.add_argument(
         "--feature-mode", choices=("percentiles", "mean_std"), default="percentiles"
     )
@@ -285,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="Monte-Carlo CD calibration curves")
-    p_cal.add_argument("--stars", default="5,10", help="comma list of constellation sizes")
-    p_cal.add_argument("--e-grid", default="0.0:0.5:0.05", help="displacement radii")
-    p_cal.add_argument("--extra-stars", default="0", help="comma list of star-birth counts")
+    p_cal.add_argument("--stars", type=int_list, default="5,10", help="comma list of constellation sizes")
+    p_cal.add_argument("--e-grid", type=_parse_grid, default="0.0:0.5:0.05", help="displacement radii")
+    p_cal.add_argument("--extra-stars", type=int_list, default="0", help="comma list of star-birth counts")
     p_cal.add_argument("--trials", type=int, default=100)
     p_cal.add_argument("--seed", type=int, default=0)
     p_cal.add_argument("--dim", type=int, default=None, help="override space dimension (default: star count)")

@@ -284,11 +284,11 @@ def read_ini_section(path: str | Path, section: str) -> configparser.SectionProx
     return parser[section]
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def float_list(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
-_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: _parse_float_list}
+_PARSE_BY_TYPE = {int: int, float: float, str: str, tuple[float, ...]: float_list}
 _Config = TypeVar("_Config")
 
 

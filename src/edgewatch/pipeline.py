@@ -54,9 +54,9 @@ THROUGHPUT_DECILES = tuple(float(q) for q in range(10, 100, 10))
 Airports = tuple[list[str], np.ndarray]  # see _airport_codes
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the full pipeline; defaults follow the method's tuning."""
+    """Knobs of the full pipeline; defaults follow the method's tuning. A bad value raises ConfigError when built."""
 
     window_days: float = 7.0
     step_days: float = 1.0
@@ -70,7 +70,7 @@ class PipelineConfig:
     top_stars: int = 3
     output_dir: str = "out"
 
-    def validate(self) -> "PipelineConfig":
+    def __post_init__(self) -> None:
         require_finite(self)
         if self.window_days <= 0 or self.step_days <= 0:
             raise ConfigError("window_days and step_days must be positive")
@@ -89,7 +89,6 @@ class PipelineConfig:
             _validate_percentiles(self.percentiles)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return self
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,6 @@ def _star_label(snapshot: Snapshot, members: Iterable[str], airports: Airports) 
 
 def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:
     """The snapshots of ``records`` under the config's window, step and UTC offset."""
-    config.validate()
     return window_flows(
         records,
         config.window_days * DAY_SECONDS,

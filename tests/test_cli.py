@@ -226,6 +226,11 @@ class TestTimelineCommand:
         assert code == 0
         assert (out_cfg / "timeline.csv").exists()
         assert not out_flag.exists()
+        # The config is checked once the file's values are merged in, so a flag the file overrides or
+        # makes consistent is not refused on its own.
+        for flag, line in ((["--event-threshold", "60"], "major_threshold = 100"), (["--min-flow", "0"], "min_flow = 5")):
+            ini.write_text(f"[pipeline]\noutput_dir = {out_cfg}\nwindow_days = 1\n{line}\n")
+            assert main(["timeline", "--input", str(trace), *flag, "--config", str(ini)]) == 0, flag
 
     def test_unknown_config_key_exit_2(self, trace_files, tmp_path, capsys):
         _, _, trace, _ = trace_files
@@ -321,6 +326,10 @@ class TestTimelineCommand:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and err.count("\n") == 1, err
             assert str(ini) in err and name in err, err
+        # So does a check of the config that the file completes.
+        ini.write_text("[pipeline]\nepsilon = -1\n")
+        assert main(timeline) == 2
+        assert capsys.readouterr().err == f"config error: {ini} [pipeline]: epsilon must be positive: -1.0\n"
         # '%' is a literal character, not an interpolation.
         out = tmp_path / "out%x"
         ini.write_text(f"[pipeline]\nwindow_days = 1\noutput_dir = {out}\n")
@@ -364,6 +373,81 @@ def test_every_config_field_settable_from_flag_and_ini(tmp_path, name):
         args = build_parser().parse_args(["timeline", "--input", "t.tsv", *setting])
         value = getattr(build_pipeline_config(args), name)
         assert value == expected and type(value) is type(expected), setting
+
+
+# Values for every flag of timeline, drilldown, sweep and rank: some run, the others each meet a check. A run stays
+# within the 5-day trace's five 1-day windows and the default sweep's 40 radii: no --step-days makes thousands of
+# windows, and no grid holds between about 100 values and cli.MAX_GRID, each of which would be one DBSCAN.
+EDGE_VALUES = ["nan", "inf", "-inf", "1e308", "1e-300", "-0", str(10**20), "", "x", "\u0663"]  # an Arabic-Indic 3
+PIPELINE_FLAG_VALUES = {
+    "--window-days": ["1", "2", "0", "-1", *EDGE_VALUES],
+    "--step-days": ["1", "2", "0", "-1", "nan", "inf", "1e308", "1e-300"],
+    "--min-flow": ["1", "5", "0", "-1", "1.5", *EDGE_VALUES],
+    "--percentiles": ["20,50,80", "0,100", "50,20", "20,20", "101", ",", *EDGE_VALUES],
+    "--epsilon": ["0.04", "0.5", "0", "-1", *EDGE_VALUES],
+    "--min-pts": ["1", "2", "0", "-1", *EDGE_VALUES],
+    "--event-threshold": ["0.5", "10", "60", "0", *EDGE_VALUES],
+    "--major-threshold": ["1", "50", "100", "0", *EDGE_VALUES],
+    "--utc-offset": ["0", "-24", "24", "5.5", "25", *EDGE_VALUES],
+    "--top-stars": ["1", "3", "0", *EDGE_VALUES],
+}
+FLAG_VALUES = {
+    **PIPELINE_FLAG_VALUES,
+    "--dump-clusters": [True],  # a switch
+    "--dump-features": [True],
+    "--entry": ["0", "1", "4", "5", "-1", "x", "", str(10**20), "\u0663"],
+    "--snapshot": ["0", "4", "5", "-1", "x", str(10**20)],
+    "--eps-grid": ["0.04", "0.02,0.04", "0.01:0.05:0.02", "0.3,0.1", "0:0.1:0.05", "1:0:0.1", "0:1e9:1e-9",
+                   *EDGE_VALUES],
+    "--feature-mode": ["percentiles", "mean_std", "x"],
+}
+COMMAND_FLAGS = {
+    "timeline": [*PIPELINE_FLAG_VALUES, "--dump-clusters", "--dump-features"],
+    "drilldown": [*PIPELINE_FLAG_VALUES, "--entry"],
+    "sweep": [*PIPELINE_FLAG_VALUES, "--snapshot", "--eps-grid", "--feature-mode"],
+    "rank": ["--utc-offset"],
+}
+# [pipeline] lines: settings that run, keys that are not settings, and values that fail a check.
+INI_LINES = [
+    "window_days = 1", "step_days = 1", "min_flow = 5", "major_threshold = 100", "percentiles = 10,90",
+    "frobnicate = 1", "out_dir = o", "utc_offset = 1", "[trace]",
+    "epsilon = -1", "min_flow = abc", "window_days = nan", "step_days = 0", "percentiles =", "top_stars = 1e308",
+    f"min_pts = {10**20}", "utc_offset_hours = \u0663\u0663",
+]
+
+
+@given(
+    command=st.sampled_from(sorted(COMMAND_FLAGS)),
+    flags=st.fixed_dictionaries({}, optional={flag: st.sampled_from(values) for flag, values in FLAG_VALUES.items()}),
+    ini_lines=st.none() | st.lists(st.sampled_from(INI_LINES), max_size=3),
+)
+# Few random draws pass every check, so these pin a run of each command that exits 0.
+@example(command="timeline", flags={"--window-days": "1", "--min-flow": "5", "--dump-clusters": True,
+                                    "--dump-features": True, "--event-threshold": "60"},
+         ini_lines=["major_threshold = 100"])
+@example(command="drilldown", flags={"--window-days": "1", "--entry": "4", "--percentiles": "\u0663"}, ini_lines=None)
+@example(command="sweep", flags={"--eps-grid": "0.02,0.04", "--feature-mode": "mean_std"}, ini_lines=["window_days = 1"])
+@example(command="rank", flags={"--utc-offset": "-0"}, ini_lines=None)
+def test_pipeline_commands_any_flags_exit_with_the_contract(trace_files, tmp_path_factory, command, flags, ini_lines):
+    _, _, trace, gt = trace_files
+    out = tmp_path_factory.mktemp(command)
+    argv = [command, "--input", str(trace)]
+    argv += ["--out-dir", str(out)] if command == "timeline" else ["--out", str(out / "result.csv")]
+    argv += ["--ground-truth", str(gt)] if command == "sweep" else []
+    argv += [flag if value is True else f"{flag}={value}" for flag, value in flags.items() if flag in COMMAND_FLAGS[command]]
+    if ini_lines is not None and command != "rank":
+        (out / "pipe.ini").write_text("\n".join(["[pipeline]", *ini_lines, ""]), encoding="utf-8")
+        argv += ["--config", str(out / "pipe.ini")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(("config error:", "input error:")), err.getvalue()
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert (out / ("timeline.csv" if command == "timeline" else "result.csv")).is_file(), argv
 
 
 class TestDrilldownCommand:

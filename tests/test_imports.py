@@ -104,7 +104,7 @@ def unread(trees, allowed=frozenset()):
 
 
 # No package code reads Snapshot.n_records or Snapshot.records: perfbench's traced counters do, until
-# perfbench reads the package's own stage timer instead (ROADMAP item 2, step 2c).
+# perfbench reads the package's own stage timer instead (ROADMAP item 2, PR 2d).
 UNREAD_ALLOWED = {"Snapshot.n_records", "Snapshot.records"}
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -34,7 +35,7 @@ from reference_impls import Flow, flow_table, reference_star_label
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
-        config = PipelineConfig().validate()
+        config = PipelineConfig()
         assert config.window_days == 7.0
         assert config.step_days == 1.0
         assert config.min_flow == 50
@@ -66,7 +67,12 @@ class TestPipelineConfig:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ConfigError):
-            PipelineConfig(**kwargs).validate()
+            PipelineConfig(**kwargs)
+
+    def test_frozen(self):
+        # A set field would skip the checks that building runs.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PipelineConfig().window_days = 0
 
 
 class TestFlagFor:
