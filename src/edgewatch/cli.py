@@ -74,9 +74,12 @@ def int_list(text: str) -> tuple[int, ...]:
 _FLAG_NAMES = {"utc_offset_hours": "utc-offset", "output_dir": "out-dir"}
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    """--config, and a flag for each PipelineConfig field named (for every field if none is)."""
     hints = get_type_hints(PipelineConfig)
     for f in fields(PipelineConfig):
+        if names and f.name not in names:
+            continue
         default = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
         parser.add_argument(
             "--" + _FLAG_NAMES.get(f.name, f.name.replace("_", "-")),
@@ -90,8 +93,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, then the flags given, then config-file values (which win), checked once when merged."""
-    values = {f.name: value for f in fields(PipelineConfig) if (value := getattr(args, f.name)) is not None}
+    """Defaults, then the command's flags given, then config-file values (which win), checked once when merged."""
+    values = {f.name: value for f in fields(PipelineConfig) if (value := getattr(args, f.name, None)) is not None}
     if not args.config:
         return PipelineConfig(**values)
     section = read_ini_section(args.config, "pipeline")
@@ -282,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature-mode", choices=("percentiles", "mean_std"), default="percentiles"
     )
     p_sw.add_argument("--out", required=True)
-    _add_pipeline_flags(p_sw)
+    # sweep reads only these: its radii come from --eps-grid, it flags no events and it writes to --out.
+    _add_pipeline_flags(p_sw, "window_days", "step_days", "utc_offset_hours", "min_flow", "percentiles", "min_pts")
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="Monte-Carlo CD calibration curves")

@@ -199,6 +199,18 @@ def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> N
     write_csv(target, "epsilon,tpr,fragmentation,pureness,noise_count".split(","), cells)
 
 
+def seeded_rng(*key: int) -> np.random.Generator:
+    """``np.random.default_rng(list(key))``'s generator, from the values' 32-bit words as SeedSequence splits them."""
+    words = []
+    for value in key:
+        if value < 0:  # -1 >> 32 is -1: the loop below would never end
+            raise ValueError(f"expected non-negative integer: {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, np.uint32))
+
+
 def _ball_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``n`` ball draws: unit directions, each a nonzero standard-normal draw over its length, and u ** (1/dim)."""
     units, upows = np.empty((n, dim)), np.empty(n)
@@ -231,7 +243,7 @@ def cd_calibration_curve(
     totals = [0.0] * len(e_grid)
     order = sorted(enumerate(e_grid), key=lambda ke: bool(ke[1]))  # e = 0 before e > 0 overwrites its extra stars
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
+        rng = seeded_rng(seed, trial)
         base, state = rng.uniform(size=(n_stars, space_dim)), rng.bit_generator.state
         displaced, units = np.vstack([base, rng.uniform(size=(extra_stars, space_dim))]), None
         for k, e in order:

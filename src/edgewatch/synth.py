@@ -24,7 +24,7 @@ import numpy as np
 
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError, require_finite
-from .evaluation import GroundTruth
+from .evaluation import GroundTruth, seeded_rng
 from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
@@ -142,10 +142,6 @@ class SynthConfig:
             raise ConfigError("no node with a positive weight is active on any day: the trace has no flows")
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
-
-
 def cache_identity(node_index: int, spec: EdgeNodeSpec, cache_index: int) -> tuple[str, str]:
     """(server_ip, hostname) for one synthetic cache; hostname embeds the label."""
     server_ip = f"{spec.label.lower()}{node_index:02d}-c{cache_index:02d}"
@@ -189,7 +185,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     for i, spec in enumerate(config.nodes):
         # Heavy-tailed but floored: the busiest caches dominate, yet no cache
         # starves to the point of never clearing a MinFlow cut.
-        w = _rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
+        w = seeded_rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
         base_weights.append(w / w.sum())
 
     # Rows [0, end) are filled.
@@ -206,7 +202,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         total = node_weights.sum()
         if total <= 0:
             continue
-        node_counts = _rng(config.seed, _STREAM_NODE_ALLOC, day).multinomial(
+        node_counts = seeded_rng(config.seed, _STREAM_NODE_ALLOC, day).multinomial(
             config.flows_per_day, node_weights / total
         )
         day_begin = end
@@ -215,28 +211,27 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
                 continue
             weights = base_weights[i]
             if config.rank_churn > 0:
-                noise = _rng(config.seed, _STREAM_DAY_WEIGHTS, day, i).standard_normal(
+                noise = seeded_rng(config.seed, _STREAM_DAY_WEIGHTS, day, i).standard_normal(
                     spec.cache_count
                 )
                 weights = weights * np.exp(CHURN_LOG_SIGMA * config.rank_churn * noise)
                 weights = weights / weights.sum()
-            cache_counts = _rng(config.seed, _STREAM_CACHE_ALLOC, day, i).multinomial(
+            cache_counts = seeded_rng(config.seed, _STREAM_CACHE_ALLOC, day, i).multinomial(
                 int(node_counts[i]), weights
             )
             _, shift, congestion = states[i]
             sigma = (spec.rtt_spread / spec.rtt_median) * congestion
-            # Each bucket draws into its rows, its normals into the rtt and throughput columns; the
-            # arithmetic then runs once over the node's rows for the day.
+            # Each bucket draws into its rows, its uniforms into the start column and its normals into the rtt
+            # and throughput columns; the arithmetic then runs once over the node's rows for the day.
             rows, duration = slice(end, end + int(node_counts[i])), np.empty(int(node_counts[i]))
             bounds = [0, *np.cumsum(cache_counts).tolist()]
             for j in np.flatnonzero(cache_counts).tolist():
                 lo, hi = bounds[j], bounds[j + 1]
                 bucket, count = slice(end + lo, end + hi), hi - lo
                 gt_labels[identities[i][j][0]] = spec.label
-                rng = _rng(config.seed, _STREAM_FLOWS, day, i, j)
-                start[bucket] = rng.uniform(0.0, DAY_SECONDS, count)
-                rtt[bucket] = rng.standard_normal(count)
-                throughput[bucket] = rng.standard_normal(count)
+                rng = seeded_rng(config.seed, _STREAM_FLOWS, day, i, j)
+                rng.random(out=start[bucket])  # scaled below: the doubles of uniform(0.0, DAY_SECONDS, count)
+                rtt[bucket], throughput[bucket] = rng.standard_normal((2, count))  # C order: the first count go to rtt
                 duration[lo:hi] = rng.lognormal(math.log(45.0), 0.5, count)
                 client[bucket] = rng.integers(0, 1_000_000, count)
                 cache[bucket] = first_cache[i] + j
@@ -247,7 +242,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
             )
             down[rows] = (throughput[rows] * 125.0 * duration).astype(np.int64)
             up[rows] = (down[rows] * 0.012).astype(np.int64)
-            start[rows] = day_start + start[rows]
+            start[rows] = day_start + start[rows] * DAY_SECONDS
             ttl[rows] = spec.ttl_value
             end = rows.stop
         order = day_begin + np.argsort(start[day_begin:end], kind="stable")

@@ -82,7 +82,6 @@ from edgewatch.synth import (
     EdgeNodeSpec,
     EventSpec,
     SynthConfig,
-    _rng,
     cache_identity,
 )
 
@@ -420,6 +419,11 @@ def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> flo
         if ev.kind == "congestion" and ev.target == label and ev.active(day):
             factor *= ev.magnitude
     return factor
+
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The stream of one synthetic key, built by numpy's SeedSequence from the Python ints."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def reference_generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:

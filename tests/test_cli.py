@@ -404,7 +404,8 @@ FLAG_VALUES = {
 COMMAND_FLAGS = {
     "timeline": [*PIPELINE_FLAG_VALUES, "--dump-clusters", "--dump-features"],
     "drilldown": [*PIPELINE_FLAG_VALUES, "--entry"],
-    "sweep": [*PIPELINE_FLAG_VALUES, "--snapshot", "--eps-grid", "--feature-mode"],
+    "sweep": ["--window-days", "--step-days", "--utc-offset", "--min-flow", "--percentiles", "--min-pts",
+              "--snapshot", "--eps-grid", "--feature-mode"],
     "rank": ["--utc-offset"],
 }
 # [pipeline] lines: settings that run, keys that are not settings, and values that fail a check.
@@ -547,6 +548,16 @@ class TestSweepCommand:
         ])
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("0.005,")
+
+    @pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--major-threshold", "1"]])
+    def test_flag_it_does_not_read_exit_2(self, trace_files, tmp_path, capsys, flag):
+        # sweep offers only the pipeline flags it reads.
+        _, _, trace, gt = trace_files
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--input", str(trace), "--ground-truth", str(gt), "--out", str(out), *flag])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"config error: edgewatch: unrecognized arguments: {' '.join(flag)}\n", err
 
 
 class TestCalibrateCommand:

@@ -14,6 +14,7 @@ from edgewatch.evaluation import (
     epsilon_sweep,
     majority_vote_labels,
     plurality,
+    seeded_rng,
     write_sweep_csv,
 )
 from edgewatch.features import extract_cache_features
@@ -329,6 +330,18 @@ class TestSampleInBall:
         assert rng.zero_draws == 1 and np.all(np.isfinite(row)) and np.any(row)
 
 
+class TestSeededRng:
+    @given(st.lists(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64]) | st.integers(0, 2**100), min_size=1, max_size=5))
+    @example([3**70, 3, 2**32 - 1, 7, 2**33])
+    def test_equals_default_rng_of_the_key(self, key):
+        assert seeded_rng(*key).bit_generator.state == np.random.default_rng(key).bit_generator.state
+
+    @pytest.mark.parametrize("key", [(-1,), (0, -1), (2**40, 3, -(2**40))])
+    def test_negative_value_raises(self, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            seeded_rng(*key)
+
+
 class TestCdCalibration:
     def test_zero_displacement_zero_cd(self):
         for seed in (0, 7, 123):
@@ -392,3 +405,5 @@ class TestCdCalibration:
             cd_calibration_curve(3, [0.1], trials=1, extra_stars=-1)
         with pytest.raises(ValueError):
             cd_calibration_curve(3, [0.1], trials=1, dim=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            cd_calibration_curve(5, [0.1], 1, seed=-1)

@@ -54,7 +54,7 @@ def test_csv_headers_documented(tmp_path):
         ["synth", "--config", ini, "--out-trace", trace, "--out-ground-truth", gt],
         ["timeline", "--dump-clusters", "--dump-features", *pipeline],
         ["drilldown", "--entry", "1", *pipeline],
-        ["sweep", "--ground-truth", gt, "--eps-grid", "0.04", "--out", f"{out}/sweep.csv", *pipeline],
+        ["sweep", "--ground-truth", gt, "--eps-grid", "0.04", "--out", f"{out}/sweep.csv", *pipeline[:-2]],  # no --out-dir
         ["calibrate", "--stars", "2", "--e-grid", "0", "--trials", "1", "--out", f"{out}/calibrate.csv"],
         ["rank", "--input", trace, "--out", f"{out}/rank.csv"],
     ):
