@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration_curve, epsilon_sweep, write_sweep_csv
-from .features import write_feature_dump
+from .features import extract_cache_features, extract_cache_features_mean_std, write_feature_dump
 from .dbscan import write_clustering_csv
 from .ingest import _PARSE_BY_TYPE, config_from, count_steps, float_list, read_ini_section, write_csv, write_flow_log
 from .pipeline import (
@@ -108,7 +108,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate_trace, load_synth_config
 
     config = load_synth_config(args.config)
-    with np.errstate(over="ignore"):  # an overflowed draw is refused by write_flow_log below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed draw is refused by write_flow_log below
         records, ground_truth = generate_trace(config)
     try:
         write_flow_log(args.out_trace, records)
@@ -134,7 +134,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             )
     if args.dump_features:
         for state in result.states:
-            if state.bounds is None:
+            if not len(state.features):
                 continue
             write_feature_dump(
                 out_dir / f"features_{state.snapshot.index:04d}.csv",
@@ -183,16 +183,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not 0 <= args.snapshot < len(snapshots):
         raise InputError(f"snapshot {args.snapshot} out of range (0..{len(snapshots) - 1})")
     ground_truth = GroundTruth.load(args.ground_truth)
+    snapshot = snapshots[args.snapshot]
+    if args.feature_mode == "mean_std":
+        features = extract_cache_features_mean_std(snapshot, config.min_flow)
+    else:
+        features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
     try:
-        rows = epsilon_sweep(
-            snapshots[args.snapshot],
-            ground_truth,
-            eps_grid,
-            feature_mode=args.feature_mode,
-            min_flow=config.min_flow,
-            percentiles=config.percentiles,
-            min_pts=config.min_pts,
-        )
+        rows = epsilon_sweep(features, ground_truth, eps_grid, config.min_pts)
     except ValueError as exc:  # the grid and config are checked above: a clustered cache has no label
         raise InputError(f"{args.ground_truth}: {exc}") from None
     write_sweep_csv(args.out, rows)

@@ -44,17 +44,12 @@ def joint_bounds(a: NormalizationBounds, b: NormalizationBounds) -> Normalizatio
     return NormalizationBounds(*((min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(astuple(a), astuple(b))))
 
 
-def build_constellation(
-    clustering: Clustering,
-    features: CacheFeatures,
-    bounds: NormalizationBounds | None,
-) -> Constellation:
+def build_constellation(clustering: Clustering, features: CacheFeatures, bounds: NormalizationBounds) -> Constellation:
     """One star per cluster at the mean of its members' renormalized raw feature rows.
 
     The renormalization is affine, so the mean of renormalized raw rows is
     computed as renorm(mean of raw rows); the equivalence is asserted by a
-    property test rather than assumed. Noise caches contribute nothing, and
-    ``bounds`` may be None only for a clustering without clusters. The
+    property test rather than assumed. Noise caches contribute nothing. The
     clustering must be over ``features``' caches, row for row.
     """
     if clustering.cache_ids != features.cache_ids:

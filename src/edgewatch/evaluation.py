@@ -12,14 +12,8 @@ import numpy as np
 from .constellation import _nearest_stars
 from .dbscan import Clustering, ClusterParams, DEFAULT_MIN_PTS, dbscan
 from .errors import InputError
-from .features import (
-    DEFAULT_MIN_FLOW,
-    DEFAULT_PERCENTILES,
-    extract_cache_features,
-    extract_cache_features_mean_std,
-    normalize_snapshot,
-)
-from .ingest import Snapshot, text_output, write_csv
+from .features import CacheFeatures, normalize_snapshot
+from .ingest import text_output, write_csv
 
 
 @dataclass(frozen=True)
@@ -149,31 +143,14 @@ class SweepRow:
 
 
 def epsilon_sweep(
-    snapshot: Snapshot,
-    ground_truth: GroundTruth,
-    eps_grid: Sequence[float],
-    *,
-    feature_mode: str = "percentiles",
-    min_flow: int = DEFAULT_MIN_FLOW,
-    percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-    min_pts: int = DEFAULT_MIN_PTS,
+    features: CacheFeatures, ground_truth: GroundTruth, eps_grid: Sequence[float], min_pts: int = DEFAULT_MIN_PTS
 ) -> list[SweepRow]:
-    """Quality indices for each epsilon on the grid, min_pts held fixed.
-
-    ``feature_mode`` selects the percentile features or the mean/std variant
-    used for the feature-choice comparison experiment.
-    """
+    """Quality indices of the features' clustering for each epsilon on the grid, min_pts held fixed."""
     grid = [float(e) for e in eps_grid]
     if not grid:
         raise ValueError("epsilon grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    if feature_mode == "percentiles":
-        features = extract_cache_features(snapshot, min_flow, percentiles)
-    elif feature_mode == "mean_std":
-        features = extract_cache_features_mean_std(snapshot, min_flow)
-    else:
-        raise ValueError(f"unknown feature_mode: {feature_mode!r}")
     if not len(features):
         return [SweepRow(e, 0.0, None, 0.0, 0) for e in grid]
     points, _ = normalize_snapshot(features)

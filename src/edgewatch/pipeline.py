@@ -12,7 +12,6 @@ import numpy as np
 from .constellation import (
     CD_REPORT_HEADER,
     CDReport,
-    Constellation,
     build_constellation,
     cd_report_rows,
     constellation_distance,
@@ -119,7 +118,7 @@ class SnapshotState:
 
     snapshot: Snapshot
     features: CacheFeatures
-    bounds: NormalizationBounds | None
+    bounds: NormalizationBounds  # (inf, -inf) per metric without caches: the range joint_bounds leaves unchanged
     clustering: Clustering
 
 
@@ -142,25 +141,16 @@ def flag_for(cd: float | None, config: PipelineConfig) -> str:
 
 def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotState:
     features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
+    with np.errstate(over="ignore"):  # features are >= 0, so a finite column sum bounds every star's sum
+        if not np.isfinite(features.raw.sum(axis=0)).all():
+            raise InputError(f"snapshot {snapshot.index}: the features of its caches sum beyond the float range")
     if len(features):
         points, bounds = normalize_snapshot(features)
     else:
-        points, bounds = features.raw, None
+        points, bounds = features.raw, NormalizationBounds((np.inf, -np.inf), (np.inf, -np.inf))
         log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
     clustering = dbscan(points, features.cache_ids, ClusterParams(config.epsilon, config.min_pts))
     return SnapshotState(snapshot, features, bounds, clustering)
-
-
-def _pair_constellations(
-    state_a: SnapshotState, state_b: SnapshotState
-) -> tuple[Constellation, Constellation]:
-    # An all-noise/empty snapshot carries no bounds; fall back to the partner's
-    # so the sentinel-based CD still has a consistent geometry.
-    if state_a.bounds is not None and state_b.bounds is not None:
-        bounds = joint_bounds(state_a.bounds, state_b.bounds)
-    else:
-        bounds = state_a.bounds or state_b.bounds
-    return tuple(build_constellation(s.clustering, s.features, bounds) for s in (state_a, state_b))
 
 
 def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> np.ndarray:
@@ -226,7 +216,8 @@ def _entry(
     *prev, state = states
     report, contributors = None, []
     if prev:
-        const_a, const_b = _pair_constellations(prev[0], state)
+        bounds = joint_bounds(prev[0].bounds, state.bounds)
+        const_a, const_b = (build_constellation(s.clustering, s.features, bounds) for s in (prev[0], state))
         report = constellation_distance(const_a, const_b)
         for side, coupling in report.contributors()[: config.top_stars]:
             source, const = (prev[0], const_a) if side == "a" else (state, const_b)

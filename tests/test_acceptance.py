@@ -21,6 +21,7 @@ from edgewatch.evaluation import (
 from edgewatch.features import (
     CacheFeatures,
     NormalizationBounds,
+    extract_cache_features,
     percentile_vector,
 )
 from edgewatch.constellation import build_constellation
@@ -89,7 +90,7 @@ def test_02_edge_node_recovery_plateau():
         records, ground_truth = generate_trace(six_node_config())
         (snapshot,) = window_flows(records, 7 * DAY_SECONDS, 7 * DAY_SECONDS)
         grid = [0.020, 0.025, 0.030, 0.035, 0.040, 0.045]
-        rows = epsilon_sweep(snapshot, ground_truth, grid)
+        rows = epsilon_sweep(extract_cache_features(snapshot), ground_truth, grid)
         for row in rows:
             assert row.tpr == 1.0, f"TPR {row.tpr} at eps={row.epsilon}"
             assert row.fragmentation == 1.0, f"mu {row.fragmentation} at eps={row.epsilon}"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +15,11 @@ import edgewatch
 from edgewatch import cli, pipeline
 from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
-from edgewatch.ingest import FLOW_LOG_HEADER
+from edgewatch.ingest import DAY_SECONDS, FLOW_LOG_HEADER, write_flow_log
 from edgewatch.pipeline import PipelineConfig
+from edgewatch.synth import EVENT_KINDS
+
+from reference_impls import Flow, flow_table
 
 SYNTH_INI = """
 [trace]
@@ -73,6 +77,24 @@ class TestParseGrid:
                 _parse_grid(text)
 
 
+# Values for every key of a one-node synth config with one event: some run, the others each meet a check. A run
+# stays small (days <= 3, flows_per_day <= 2000, caches <= 8): no value of the pool passes those keys' checks.
+SYNTH_POOL = ["0", "-1", "1e-320", "1e-300", "1e308", "nan", "inf", str(2**70), "", "\u0663", "\u00e9"]
+SYNTH_KEYS = {
+    "trace": {"days": ["1", "3"], "flows_per_day": ["200", "2000"], "rank_churn": ["0.2", "1"], "seed": ["1"],
+              "start_epoch": ["0"]},
+    "node MIL": {"caches": ["5", "8"], "rtt_median_ms": ["15"], "rtt_spread_ms": ["1.5"], "ttl": ["50"],
+                 "weight": ["1"]},
+    "event x": {"kind": list(EVENT_KINDS), "target": ["MIL"], "start_day": ["0", "1"], "end_day": ["1", "2"],
+                "magnitude": ["2", "80"]},
+}
+
+
+def synth_section(name):
+    keys = SYNTH_KEYS[name]
+    return st.fixed_dictionaries({key: st.sampled_from(values + SYNTH_POOL) for key, values in keys.items()})
+
+
 class TestSynthCommand:
     def test_outputs_exist(self, trace_files):
         _, _, trace, gt = trace_files
@@ -100,6 +122,52 @@ class TestSynthCommand:
         assert capsys.readouterr().err == message
         assert not trace.exists() and not gt.exists()
 
+    def test_congestion_that_overflows_the_byte_count_prints_one_line(self, tmp_path):
+        # Throughput divided by 1e-320 is inf, and its cast to a byte count printed numpy's
+        # "invalid value encountered in cast" before the error line. Only a fresh process shows the warning.
+        ini = tmp_path / "synth.ini"
+        ini.write_text("[trace]\ndays = 1\nflows_per_day = 200\nseed = 1\n[node MIL]\ncaches = 5\nttl = 50\n"
+                       "rtt_median_ms = 15\n[event x]\nkind = congestion\ntarget = MIL\nstart_day = 0\n"
+                       "end_day = 0\nmagnitude = 1e-320\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(edgewatch.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "edgewatch.cli", "synth", "--config", str(ini),
+             "--out-trace", str(tmp_path / "t.tsv"), "--out-ground-truth", str(tmp_path / "gt.tsv")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"config error: {ini}: the trace would not read back: row 0: negative byte count\n"
+
+    @given(sections=st.fixed_dictionaries(
+        {name: synth_section(name) for name in ("trace", "node MIL")}, optional={"event x": synth_section("event x")}
+    ))
+    @example(sections={"trace": {"days": "3", "flows_per_day": "2000", "rank_churn": "0.2", "seed": "1",
+                                 "start_epoch": "0"},
+                       "node MIL": {"caches": "8", "rtt_median_ms": "15", "rtt_spread_ms": "1.5", "ttl": "50",
+                                    "weight": "1"},
+                       "event x": {"kind": "congestion", "target": "MIL", "start_day": "0", "end_day": "1",
+                                   "magnitude": "1e-320"}})
+    def test_any_config_exits_with_the_contract(self, tmp_path_factory, sections):
+        root = tmp_path_factory.mktemp("synth")
+        lines = [f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items()]
+        (root / "synth.ini").write_text("".join(lines), encoding="utf-8")
+        trace, gt = root / "t.tsv", root / "gt.tsv"
+        argv = ["synth", "--config", str(root / "synth.ini"), "--out-trace", str(trace), "--out-ground-truth", str(gt)]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        # A command-line run prints each warning to stderr too.
+        stderr = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+        stderr += err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr
+        if code:
+            assert stderr.startswith(("config error:", "input error:")) and stderr.count("\n") == 1, stderr
+        else:
+            assert stderr == "" and trace.is_file() and gt.is_file()
+
 
 class TestTimelineCommand:
     def test_runs_and_writes(self, trace_files, tmp_path, capsys):
@@ -115,6 +183,27 @@ class TestTimelineCommand:
         assert (out / "clusters_0000.csv").exists()
         assert (out / "features_0000.csv").exists()
         assert "snapshots" in capsys.readouterr().out
+
+    def test_dump_features_skips_a_window_without_caches(self, tmp_path):
+        # Day 1's caches have 10 flows each, below the default min_flow: the window keeps no cache.
+        path, out = tmp_path / "gap.tsv", tmp_path / "o"
+        write_flow_log(path, flow_table([Flow(day * DAY_SECONDS + i, "u", f"c{j}", "h", 10.0, 50, 0, 0, 100.0)
+                                         for day, count in ((0, 60), (1, 10), (2, 60))
+                                         for j in range(6) for i in range(count)]))
+        argv = ["timeline", "--input", str(path), "--window-days", "1", "--dump-features"]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("features_*")) == ["features_0000.csv", "features_0002.csv"]
+
+    def test_features_beyond_the_float_range_exit_1(self, tmp_path, capsys):
+        # RTTs of 1e308 on day 1: a star's mean overflowed, and the timeline wrote CDs of nan and inf and exited 0.
+        path = tmp_path / "huge.tsv"
+        write_flow_log(path, flow_table([Flow(day * DAY_SECONDS + i, "u", f"c{j}", "h", rtt, 50, 0, 0, 100.0)
+                                         for day, rtt in ((0, 10.0), (1, 1e308), (2, 10.0))
+                                         for j in range(3) for i in range(5)]))
+        argv = ["timeline", "--input", str(path), "--window-days", "1", "--min-flow", "5", "--min-pts", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 1
+        message = "input error: snapshot 1: the features of its caches sum beyond the float range\n"
+        assert capsys.readouterr().err == message
 
     def test_missing_input_exit_1(self, tmp_path, capsys):
         assert main(["timeline", "--input", str(tmp_path / "nope.tsv")]) == 1

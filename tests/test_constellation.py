@@ -70,6 +70,13 @@ class TestJointBounds:
         joint = joint_bounds(bounds_of((10.0, 100.0)), bounds_of((42.0, 42.0)))
         assert joint.rtt == (10.0, 100.0)
 
+    @given(st.lists(st.floats(allow_nan=False), min_size=4, max_size=4))
+    def test_empty_range_is_the_identity(self, values):
+        # A window without caches has these bounds, so a pair with it takes the other window's bounds.
+        b = bounds_of(tuple(sorted(values[:2])), tuple(sorted(values[2:])))
+        empty = bounds_of((math.inf, -math.inf), (math.inf, -math.inf))
+        assert joint_bounds(b, empty) == joint_bounds(empty, b) == b
+
 
 def test_constellations_compare_by_identity():
     a = Constellation(np.zeros((2, 3)))

@@ -17,7 +17,7 @@ from edgewatch.evaluation import (
     seeded_rng,
     write_sweep_csv,
 )
-from edgewatch.features import extract_cache_features
+from edgewatch.features import extract_cache_features, extract_cache_features_mean_std
 from edgewatch.ingest import DAY_SECONDS, window_flows
 
 import reference_impls
@@ -201,46 +201,44 @@ class TestEpsilonSweep:
     def test_grid_validation(self, six_node_snapshot):
         snap, gt = six_node_snapshot
         with pytest.raises(ValueError):
-            epsilon_sweep(snap, gt, [])
+            epsilon_sweep(extract_cache_features(snap), gt, [])
         with pytest.raises(ValueError):
-            epsilon_sweep(snap, gt, [0.1, 0.05])
-        with pytest.raises(ValueError):
-            epsilon_sweep(snap, gt, [0.04], feature_mode="nonsense")
+            epsilon_sweep(extract_cache_features(snap), gt, [0.1, 0.05])
 
     def test_plateau_point(self, six_node_snapshot):
         snap, gt = six_node_snapshot
-        (row,) = epsilon_sweep(snap, gt, [0.04])
+        (row,) = epsilon_sweep(extract_cache_features(snap), gt, [0.04])
         assert (row.tpr, row.fragmentation, row.pureness) == (1.0, 1.0, 1.0)
         assert row.noise_count == 0
 
     def test_tiny_epsilon_everything_noise(self, six_node_snapshot):
         snap, gt = six_node_snapshot
-        (row,) = epsilon_sweep(snap, gt, [1e-7])
         features = extract_cache_features(snap)
+        (row,) = epsilon_sweep(features, gt, [1e-7])
         assert row.noise_count == len(features)
         assert row.tpr == 0.0
 
     def test_huge_epsilon_single_cluster(self, six_node_snapshot):
         snap, gt = six_node_snapshot
-        (row,) = epsilon_sweep(snap, gt, [math.sqrt(10) + 0.1])
+        (row,) = epsilon_sweep(extract_cache_features(snap), gt, [math.sqrt(10) + 0.1])
         assert row.noise_count == 0
         assert row.fragmentation == 1.0
         assert row.pureness == pytest.approx(1 / 6)
 
     def test_noise_monotone_in_epsilon(self, six_node_snapshot):
         snap, gt = six_node_snapshot
-        rows = epsilon_sweep(snap, gt, [0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16])
+        rows = epsilon_sweep(extract_cache_features(snap), gt, [0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.16])
         noises = [r.noise_count for r in rows]
         assert noises == sorted(noises, reverse=True)
 
     def test_mean_std_mode_runs(self, six_node_snapshot):
         snap, gt = six_node_snapshot
-        rows = epsilon_sweep(snap, gt, [0.01, 0.035, 0.1], feature_mode="mean_std")
+        rows = epsilon_sweep(extract_cache_features_mean_std(snap), gt, [0.01, 0.035, 0.1])
         assert len(rows) == 3
 
     def test_csv_output(self, six_node_snapshot, tmp_path):
         snap, gt = six_node_snapshot
-        rows = epsilon_sweep(snap, gt, [1e-7, 0.04])
+        rows = epsilon_sweep(extract_cache_features(snap), gt, [1e-7, 0.04])
         buf = io.StringIO()
         write_sweep_csv(buf, rows)
         lines = buf.getvalue().splitlines()

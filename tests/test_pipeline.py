@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from edgewatch.constellation import build_constellation, constellation_distance, joint_bounds
 from edgewatch.dbscan import ClusterParams, dbscan
 from edgewatch.errors import ConfigError, InputError
-from edgewatch.features import extract_cache_features, normalize_snapshot
+from edgewatch.features import NormalizationBounds, extract_cache_features, normalize_snapshot
 from edgewatch.ingest import DAY_SECONDS, window_flows
 from edgewatch.pipeline import (
     FLAG_EVENT,
@@ -154,6 +154,7 @@ class TestRunTimeline:
             result = run_timeline(config, empty_middle_day())
         assert "no caches above min_flow" in caplog.text
         assert len(result.entries) == 3
+        assert result.states[1].bounds == NormalizationBounds((math.inf, -math.inf), (math.inf, -math.inf))
         # One star against an empty constellation, both directions.
         assert result.entries[1].cd_to_previous == pytest.approx(math.sqrt(10))
         assert result.entries[2].cd_to_previous == pytest.approx(math.sqrt(10))
@@ -175,6 +176,13 @@ class TestRunTimeline:
         assert [(c.nearest_index, c.distance) for c in report.couplings_ab] == [(0, 0.0), (1, half)]
         assert [(c.nearest_index, c.distance) for c in report.couplings_ba] == [(0, 0.0), (0, half)]
         assert report.cd_value == 2 * half
+
+    def test_features_summing_beyond_the_float_range_raise_input_error(self):
+        # Two caches with RTTs of 1e308 on day 1: their star's mean overflowed to inf, and the CD was nan.
+        flows = [r for day, rtt in ((0, 10.0), (1, 1e308)) for c in ("a1", "a2") for r in cache_flows(day, c, rtt)]
+        config = PipelineConfig(window_days=1, step_days=1, min_flow=5, min_pts=2)
+        with pytest.raises(InputError, match="^snapshot 1: "):
+            run_timeline(config, flow_table(flows))
 
     def test_all_noise_snapshot_next_to_clustered(self):
         # Day 0: two clusters of three. Day 1: four caches kept above min_flow
@@ -234,12 +242,13 @@ class TestRunTimeline:
         assert labels[("d1", "d2", "d3")] == "LON"
 
     def test_snapshot_compared_with_itself_is_zero(self, event_timeline):
-        from edgewatch.pipeline import _pair_constellations, analyze_snapshot
+        from edgewatch.pipeline import analyze_snapshot
 
         _, records, config, _ = event_timeline
         snap = window_flows(records, DAY_SECONDS, DAY_SECONDS)[0]
         state = analyze_snapshot(snap, config)
-        const_a, const_b = _pair_constellations(state, state)
+        bounds = joint_bounds(state.bounds, state.bounds)
+        const_a, const_b = (build_constellation(state.clustering, state.features, bounds) for _ in range(2))
         assert constellation_distance(const_a, const_b).cd_value == 0.0
 
 
