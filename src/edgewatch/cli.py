@@ -184,10 +184,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError(f"snapshot {args.snapshot} out of range (0..{len(snapshots) - 1})")
     ground_truth = GroundTruth.load(args.ground_truth)
     snapshot = snapshots[args.snapshot]
-    if args.feature_mode == "mean_std":
-        features = extract_cache_features_mean_std(snapshot, config.min_flow)
-    else:
-        features = extract_cache_features(snapshot, config.min_flow, config.percentiles)
+    with np.errstate(over="ignore"):  # a mean or std beyond the float range comes out inf, refused below
+        features = (extract_cache_features_mean_std(snapshot, config.min_flow) if args.feature_mode == "mean_std"
+                    else extract_cache_features(snapshot, config.min_flow, config.percentiles))
+    if not np.isfinite(features.raw).all():  # normalization needs finite bounds
+        raise InputError(f"snapshot {snapshot.index}: the features of its caches lie beyond the float range")
     try:
         rows = epsilon_sweep(features, ground_truth, eps_grid, config.min_pts)
     except ValueError as exc:  # the grid and config are checked above: a clustered cache has no label

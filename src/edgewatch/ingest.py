@@ -338,10 +338,14 @@ def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
         raise ValueError(f"row {row}: {reason(row)}")
     with text_output(target) as fp:
         fp.write(FLOW_LOG_HEADER + "\n")
+        width = 2 * len(FLOW_LOG_COLUMNS)  # a row's slots: each field, then its tab or the row's line break
         for chunk in (table[lo : lo + 1024] for lo in range(0, len(table), 1024)):
-            columns = (c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype == object
-                       else map(repr, c.tolist()) for c in _fields_of(chunk))
-            fp.write("\n".join(map("\t".join, zip(*columns))) + "\n")
+            text = ["\t"] * (width * len(chunk))
+            text[width - 1 :: width] = ["\n"] * len(chunk)
+            for k, c in enumerate(_fields_of(chunk)):
+                text[2 * k :: width] = (c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype == object
+                                        else map(repr, c.tolist()))
+            fp.write("".join(text))
 
 
 @dataclass(frozen=True, eq=False)

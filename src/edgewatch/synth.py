@@ -167,6 +167,17 @@ def _node_day(label: str, day: int, events: Sequence[EventSpec]) -> tuple[bool, 
     return born and "node_death" not in kinds, shift, congestion
 
 
+def _client_ids(numbers: np.ndarray) -> np.ndarray:
+    """``"u%06d" % n`` of each n in [0, 10**6), as an object array; 1,024 rows at a time, so temporaries stay small."""
+    ids, text = np.empty(len(numbers), dtype=object), np.empty((1024, 8), dtype=np.uint8)
+    text[:, 0], text[:, 7] = ord("u"), ord("\n")
+    for lo in range(0, len(numbers), 1024):
+        block = numbers[lo : lo + 1024]
+        text[: len(block), 1:7] = block[:, None] // 10 ** np.arange(5, -1, -1) % 10 + ord("0")
+        ids[lo : lo + len(block)] = text[: len(block)].tobytes().decode("ascii").splitlines()
+    return ids
+
+
 def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     """Draw the whole trace day by day; identical config+seed gives identical output.
 
@@ -252,9 +263,8 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     seen = np.bincount(cache, minlength=first_cache[-1]) > 0  # names only the caches that have flows
     codes = np.take(np.cumsum(seen) - 1, cache, out=cache, mode="clip")  # in place: no whole-trace temporary
     servers, hostnames = np.array([i for node in identities for i in node], dtype=object)[seen].T
-    client_ids = np.fromiter(map("u%06d".__mod__, client), object, len(client))
     return FlowTable(
-        start, client_ids, Codes(codes, servers), Codes(codes, hostnames), *numbers
+        start, _client_ids(client), Codes(codes, servers), Codes(codes, hostnames), *numbers
     ), GroundTruth(gt_labels)
 
 

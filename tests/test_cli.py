@@ -638,6 +638,27 @@ class TestSweepCommand:
         assert code == 0
         assert out.read_text().splitlines()[1].startswith("0.005,")
 
+    def test_mean_std_features_beyond_the_float_range_exit_1(self, tmp_path):
+        # MIL's RTTs near 1e308 on day 1: the mean/std sweep printed numpy's overflow warnings and exited 0.
+        ini, trace, gt = tmp_path / "huge.ini", tmp_path / "t.tsv", tmp_path / "gt.tsv"
+        ini.write_text("[trace]\ndays = 3\nflows_per_day = 1200\nseed = 1\n"
+                       "[node MIL]\ncaches = 6\nrtt_median_ms = 15\nttl = 52\n"
+                       "[node TOR]\ncaches = 6\nrtt_median_ms = 25\nttl = 54\n"
+                       "[event shift]\nkind = path_shift\ntarget = MIL\nstart_day = 1\nend_day = 2\nmagnitude = 1e308\n")
+        assert main(["synth", "--config", str(ini), "--out-trace", str(trace), "--out-ground-truth", str(gt)]) == 0
+        sweep = ["sweep", "--input", str(trace), "--ground-truth", str(gt), "--out", str(tmp_path / "s.csv"),
+                 "--snapshot", "1", "--window-days", "1", "--feature-mode"]
+        for mode, code, message in (
+            ("mean_std", 1, "input error: snapshot 1: the features of its caches lie beyond the float range\n"),
+            ("percentiles", 0, ""),  # percentiles of finite RTTs are finite
+        ):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                assert main([*sweep, mode]) == code, mode
+            assert [str(w.message) for w in caught] == [] and err.getvalue() == message, mode
+
     @pytest.mark.parametrize("flag", [["--epsilon", "0.5"], ["--major-threshold", "1"]])
     def test_flag_it_does_not_read_exit_2(self, trace_files, tmp_path, capsys, flag):
         # sweep offers only the pipeline flags it reads.

@@ -18,6 +18,7 @@ from edgewatch.synth import (
     EdgeNodeSpec,
     EventSpec,
     SynthConfig,
+    _client_ids,
     _node_day,
     cache_identity,
     generate_trace,
@@ -256,6 +257,14 @@ def test_generate_trace_equals_the_per_bucket_oracle(config):
     want_table, want_gt = reference_generate_trace(config)
     assert table_columns(table) == table_columns(want_table)
     assert list(gt.labels.items()) == list(want_gt.labels.items())
+
+
+@pytest.mark.parametrize("size", [0, 1, 1023, 1024, 1025])
+def test_client_ids_equal_the_format(size):
+    # Each digit's extremes, cycled across the 1,024-row block edges; the oracle's random draws rarely reach them.
+    numbers = np.resize(np.array([0, 9, 10, 99_999, 100_000, 999_999, 123_456], dtype=np.int64), size)
+    ids = _client_ids(numbers)
+    assert ids.dtype == object and ids.tolist() == list(map("u%06d".__mod__, numbers))
 
 
 @given(st.lists(event_specs(["MIL", "AMS"], st.integers(0, 4)), max_size=12), st.sampled_from(["MIL", "AMS"]),
