@@ -9,7 +9,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, get_type_hints
@@ -49,8 +49,9 @@ class FlowLineError(ValueError):
         self.reason = reason
 
 
-# One line as np.loadtxt converts it; server_ip and hostname are dictionary-encoded.
+# One line as np.loadtxt converts it, and as it first converts an ASCII chunk (client_id as bytes).
 _ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
+_BYTES_ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 S64 O O f8 i8 i8 i8 f8".split())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +74,9 @@ class FlowTable:
 
     The fields are the flow-log columns in order: int64 (``ttl``, byte counts) and float64 numpy arrays,
     ``server_ip`` (the cache's identity downstream) and ``hostname`` as Codes, and ``client_id``, which
-    no stage reads, as an object array of str. A slice, mask or index array selects a table of those rows.
+    no stage reads, as a column of str: a parsed table holds it as ``numpy.dtypes.StringDType`` (16 bytes
+    a row for ids of up to 15 bytes), a built one may hold an object array. A slice, mask or index array
+    selects a table of those rows.
     """
 
     start_time: np.ndarray
@@ -119,16 +122,17 @@ def _concat(parts: Sequence[np.ndarray | Codes]) -> np.ndarray | Codes:
     """One column from its parts; Codes number the names as they first come in the parts' ``names``."""
     if not isinstance(parts[0], Codes):
         return np.concatenate(parts)
-    union = _encode(np.concatenate([c.names for c in parts]).tolist())  # codes of every part's names, in turn
-    offsets = np.cumsum([0, *(len(c.names) for c in parts[:-1])]).tolist()
-    return Codes(union.codes[np.concatenate([c.codes + o for c, o in zip(parts, offsets)])], union.names)
-
-
-def _encode(names: Sequence[str]) -> Codes:
-    """The names as Codes, each distinct name numbered as it first comes."""
-    index = dict(zip(dict.fromkeys(names), count()))  # name -> code
-    codes = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    index: dict[str, int] = {}  # name -> code in the union
+    codes = np.concatenate([_number(index, c.names)[c.codes] for c in parts])
     return Codes(codes, np.array(list(index), dtype=object))
+
+
+def _number(index: dict[str, int], names: np.ndarray) -> np.ndarray:
+    """The codes of the names in ``index``, where each new name takes the next code as it first comes."""
+    names = names.tolist()
+    for name in dict.fromkeys(names):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
 
 
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
@@ -143,12 +147,6 @@ def parse_cache_hostname(hostname: str) -> str | None:
     """
     m = _PLAIN_HOSTNAME_RE.match(hostname)
     return None if m is None else m.group(1).upper()
-
-
-def _chunk_table(columns: Sequence[Sequence]) -> FlowTable:
-    """The table of one sequence per field; each Codes column numbers its names as they first come."""
-    return FlowTable(*(_encode(values) if name in ("server_ip", "hostname") else np.asarray(values, _ROW[name])
-                       for name, values in zip(FLOW_LOG_COLUMNS, columns)))
 
 
 def _faults(columns: Sequence, empty_server: np.ndarray, raw_start: Callable[[int], str]) -> Iterator[tuple]:
@@ -184,15 +182,24 @@ def _split_lines(chunk: list[str]) -> tuple[list[int], list[np.ndarray], list[tu
     return lines, [np.array(c, dtype) for c, dtype in zip(list(zip(*rows)) or [()] * len(_ROW), dtypes)], found
 
 
-def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> FlowTable:
-    """The table of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
+def _loadtxt(chunk: list[str], row: np.dtype) -> np.ndarray:
+    return np.loadtxt(chunk, row, delimiter="\t", comments=None, quotechar=None, ndmin=1)
+
+
+def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> list[np.ndarray]:
+    """The kept rows' columns of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
     text, columns = "".join(chunk), None
     # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
     # as whitespace where float() and int() refuse them, and reads some
     # non-ASCII characters in an integer as digits: such chunks go line by line.
-    if text.isascii() and not text.isspace() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+    # A bytes field drops trailing NULs, and cuts a longer id to its 64 bytes:
+    # a chunk with an id that fills them (its last byte is not NUL) is read
+    # again with client_id as str.
+    if text.isascii() and not text.isspace() and not any(map(text.__contains__, "\x00\x1c\x1d\x1e\x1f")):
         try:
-            converted = np.loadtxt(chunk, _ROW, delimiter="\t", comments=None, quotechar=None, ndmin=1)
+            converted = _loadtxt(chunk, _BYTES_ROW)
+            if converted["client_id"][:, None].view(np.uint8)[:, -1].any():
+                converted = _loadtxt(chunk, _ROW)
         except ValueError:  # a field that does not convert, or a wrong field count
             pass
         else:
@@ -211,9 +218,7 @@ def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] 
         errors += found
     elif found:
         raise found[0]
-    # Names come only from kept rows. The copy of the kept rows also frees np.loadtxt's records, which
-    # hold every row's server_ip and hostname strings.
-    return _chunk_table([column[~rejected] for column in columns])
+    return [column[~rejected] for column in columns] if rejected.any() else columns
 
 
 def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
@@ -228,7 +233,9 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     the converted columns then pass the range checks of ``_faults``. Numbers
     are read exactly as float() and int() read them, and the faults are
     found and worded as the tests' per-line oracle,
-    ``reference_impls.reference_parse_line``, finds and words them.
+    ``reference_impls.reference_parse_line``, finds and words them. The kept
+    rows go straight into the table's columns, and server_ip and hostname
+    number their names as they first come in the log.
     """
     header = source.readline()
     if not header:
@@ -236,11 +243,24 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     header = header.rstrip("\r\n")
     if header != FLOW_LOG_HEADER:
         raise FlowLogFormatError(f"bad header: {header!r}")
-    parts, line_number = [_chunk_table([()] * len(_ROW))], 2  # the empty table: a log may have no data
+    kinds = {"client_id": np.dtypes.StringDType(), "server_ip": np.int64, "hostname": np.int64}
+    # Grown in place, doubling, and cut to size at the end; no view of them is held meanwhile.
+    columns = [np.empty(0, kinds.get(name, _ROW[name])) for name in FLOW_LOG_COLUMNS]
+    indexes, rows, line_number = ({}, {}), 0, 2  # server_ip's and hostname's name -> code
     while chunk := source.readlines(CHUNK_BYTES):
-        parts.append(_parse_chunk(line_number, chunk, errors))
-        line_number += len(chunk)
-    return FlowTable.concat(parts)
+        kept = _parse_chunk(line_number, chunk, errors)
+        kept[2:4] = map(_number, indexes, kept[2:4])
+        line_number, end = line_number + len(chunk), rows + len(kept[0])
+        for column, values in zip(columns, kept):
+            if end > len(column):
+                column.resize(max(end, 2 * len(column)), refcheck=False)
+            column[rows:end] = values
+        rows = end
+    for column in columns:
+        column.resize(rows, refcheck=False)
+    start, client, server, hostname, *numbers = columns
+    names = (np.array(list(index), dtype=object) for index in indexes)
+    return FlowTable(start, client, *map(Codes, (server, hostname), names), *numbers)
 
 
 def read_flow_log(path: str | Path, errors: list[FlowLineError] | None = None) -> FlowTable:
@@ -343,7 +363,7 @@ def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
             text = ["\t"] * (width * len(chunk))
             text[width - 1 :: width] = ["\n"] * len(chunk)
             for k, c in enumerate(_fields_of(chunk)):
-                text[2 * k :: width] = (c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype == object
+                text[2 * k :: width] = (c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype.kind in "OT"
                                         else map(repr, c.tolist()))
             fp.write("".join(text))
 

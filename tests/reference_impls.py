@@ -103,10 +103,13 @@ def flow_rows(table: FlowTable) -> list[Flow]:
 
 
 def table_columns(table: FlowTable) -> list[tuple]:
-    """Each column's dtype and bytes, an object column's values, and a Codes column's codes and names."""
+    """Each column's dtype and bytes, a str column's values, and a Codes column's codes and names.
+
+    A str column, object or StringDType, compares by value: StringDType's bytes hold offsets into its own
+    string storage."""
     columns = [getattr(table, f.name) for f in fields(FlowTable)]
     return [(c.codes.dtype, c.codes.tobytes(), c.names.tolist()) if isinstance(c, Codes)
-            else (c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
+            else (c.dtype, c.tolist() if c.dtype.kind in "OT" else c.tobytes()) for c in columns]
 
 
 def transient_bytes(function, *args):

@@ -7,6 +7,7 @@ line by line: its rows, and each rejected line's number and reason.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import struct
@@ -30,6 +31,7 @@ from edgewatch.ingest import (
     midnight_floor,
     parse_flow_log,
     window_flows,
+    write_flow_log,
 )
 
 from reference_impls import (
@@ -132,6 +134,9 @@ TOKENS = [
     # ("1\u01fe" reads as 472), hex, complex and Fortran forms.
     '"7"', "#7", "7\x0b", "7\xa0", " 7", "7\x1c", "\x1f7", "３", "1\u01fe", "1.", ".5", "3.0", "1e",
     "1e-400", "Infinity", "+nan", "nan(1)", "0x1p3", "1.5j", "1.5d0", "  ", "1\r2",
+    # Client ids around the 64 bytes np.loadtxt first reads an id into, and one whose
+    # trailing NUL a bytes field would drop.
+    "u" * 63, "u" * 64, "u" * 65, "u\x00",
 ]
 ACTIONS = ["keep", "keep", "replace", "replace", "replace two", "drop", "add", "blank", "space"]
 
@@ -309,7 +314,8 @@ class TestFlowTable:
         # client_id is carried as read, never encoded, whichever way its chunk was converted.
         def client_ids(table):
             column = table.client_id
-            assert type(column) is np.ndarray and column.dtype == object and column.shape == (len(table),)
+            assert type(column) is np.ndarray and column.shape == (len(table),)
+            assert column.dtype == np.dtypes.StringDType()
             assert {type(v) for v in column.tolist()} <= {str}
             return column.tolist()
 
@@ -323,6 +329,10 @@ class TestFlowTable:
         plain = [line.format(f"u{i}", "hb") for i in range(3)]
         table, calls = parse(plain)
         assert calls == 1 and client_ids(table) == ["u0", "u1", "u2"]
+        # An id that fills the 64 bytes of the first read, or is longer, is read again as str.
+        for long in ("v" * 64, "w" * 65):
+            table, calls = parse([*plain, line.format(long, "hb")])
+            assert calls == 2 and client_ids(table) == ["u0", "u1", "u2", long]
         # A non-ASCII hostname sends the whole chunk line by line.
         table, calls = parse([*plain, line.format("ü9", "hé")])
         assert calls == 0 and client_ids(table) == ["u0", "u1", "u2", "ü9"]
@@ -335,6 +345,31 @@ class TestFlowTable:
         assert client_ids(both) == ["u0", "u2", "u1", "u2", "u1"]
         assert client_ids(both[np.array([False, True, True, False, True])]) == ["u2", "u1", "u1"]
         assert client_ids(both[1:1]) == []
+
+    def test_a_parsed_table_joined_with_a_built_one_writes_back_every_client_id(self):
+        parsed = flow_table(self.RECORDS)
+        built = flow_table([Flow(7.0, "u9", "c", "hc", 0.5, 40, 7, 8, 9.0)])
+        built = dataclasses.replace(built, client_id=np.array(built.client_id.tolist(), dtype=object))
+        for table in (parsed, FlowTable.concat([parsed, built]), FlowTable.concat([built, parsed])):
+            written = io.StringIO()
+            write_flow_log(written, table)
+            assert flow_rows(parse_flow_log(io.StringIO(written.getvalue()))) == flow_rows(table)
+
+    def test_an_ascii_log_takes_one_loadtxt_call_per_chunk_and_never_the_per_line_path(self):
+        def calls(lines):
+            text = "".join([FLOW_LOG_HEADER + "\n", *(line + "\n" for line in lines)])
+            with mock.patch.object(ingest, "CHUNK_BYTES", 256), \
+                    mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt, \
+                    mock.patch.object(ingest, "_parse_chunk", wraps=ingest._parse_chunk) as chunks, \
+                    mock.patch.object(ingest, "_split_lines", wraps=ingest._split_lines) as split_lines:
+                parse_flow_log(io.StringIO(text))
+            return chunks.call_count, loadtxt.call_count, split_lines.call_count
+
+        chunks, loadtxt, split_lines = calls(VALID_LINES * 4)
+        assert chunks > 1 and loadtxt == chunks and split_lines == 0
+        fields = VALID_LINES[0].split("\t")
+        fields[1] = "u" * 64
+        assert calls(["\t".join(fields)]) == (1, 2, 0)
 
     def test_concat_merges_dictionaries(self):
         parts = [flow_table(self.RECORDS[:2]), flow_table(self.RECORDS[2:])]

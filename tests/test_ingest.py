@@ -178,9 +178,9 @@ def drawn_tables(draw, faulty=False):
 
 
 def _values(table):
-    """Each column's dtype and bytes, or a string column's values row by row."""
+    """Each column's dtype and bytes, or a string column's values row by row (object or StringDType alike)."""
     columns = (getattr(table, f.name) for f in dataclasses.fields(FlowTable))
-    return [c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype == object else (c.dtype, c.tobytes())
+    return [c.decode() if isinstance(c, Codes) else c.tolist() if c.dtype.kind in "OT" else (c.dtype, c.tobytes())
             for c in columns]
 
 
