@@ -49,9 +49,8 @@ class FlowLineError(ValueError):
         self.reason = reason
 
 
-# One line as np.loadtxt converts it, and as it first converts an ASCII chunk (client_id as bytes).
+# One line as np.loadtxt converts it; server_ip and hostname are dictionary-encoded.
 _ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 O O O f8 i8 i8 i8 f8".split())))
-_BYTES_ROW = np.dtype(list(zip(FLOW_LOG_COLUMNS, "f8 S64 O O f8 i8 i8 i8 f8".split())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,24 +181,15 @@ def _split_lines(chunk: list[str]) -> tuple[list[int], list[np.ndarray], list[tu
     return lines, [np.array(c, dtype) for c, dtype in zip(list(zip(*rows)) or [()] * len(_ROW), dtypes)], found
 
 
-def _loadtxt(chunk: list[str], row: np.dtype) -> np.ndarray:
-    return np.loadtxt(chunk, row, delimiter="\t", comments=None, quotechar=None, ndmin=1)
-
-
 def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> list[np.ndarray]:
     """The kept rows' columns of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
     text, columns = "".join(chunk), None
     # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
     # as whitespace where float() and int() refuse them, and reads some
     # non-ASCII characters in an integer as digits: such chunks go line by line.
-    # A bytes field drops trailing NULs, and cuts a longer id to its 64 bytes:
-    # a chunk with an id that fills them (its last byte is not NUL) is read
-    # again with client_id as str.
-    if text.isascii() and not text.isspace() and not any(map(text.__contains__, "\x00\x1c\x1d\x1e\x1f")):
+    if text.isascii() and not text.isspace() and not any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
         try:
-            converted = _loadtxt(chunk, _BYTES_ROW)
-            if converted["client_id"][:, None].view(np.uint8)[:, -1].any():
-                converted = _loadtxt(chunk, _ROW)
+            converted = np.loadtxt(chunk, _ROW, delimiter="\t", comments=None, quotechar=None, ndmin=1)
         except ValueError:  # a field that does not convert, or a wrong field count
             pass
         else:
