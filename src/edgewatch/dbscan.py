@@ -70,7 +70,7 @@ class Clustering:
 
 
 # Candidate pairs tested per block: bounds the neighborhood scan's working set
-# however many rows a band holds (all of them when coordinate 0 is constant).
+# however many rows share a cell (all of them when coordinates 0 and -1 are constant).
 PAIR_BUDGET = 1 << 13
 
 
@@ -79,29 +79,44 @@ def neighborhoods(points: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nd
 
     Row i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, ascending: the
     rows j whose ``deltas = points[j] - points[i]`` give
-    ``einsum("ij,ij->i", deltas, deltas) <= epsilon**2``. A pair is tested only
-    when, in coordinate-0 order, the later row lies in a band above the
-    earlier one. The band drops no neighbor: ``dist2`` sums non-negative
-    terms, so a passing pair has ``dx * dx <= epsilon**2`` in floats and
+    ``einsum("ij,ij->i", deltas, deltas) <= epsilon**2``. Each row falls in a
+    cell of a grid on coordinate 0 and the last coordinate, and a pair is
+    tested only when both rows share a cell or lie in adjacent ones. The grid
+    drops no neighbor: ``dist2`` sums non-negative terms, so a passing pair has
+    ``dx * dx <= epsilon**2`` in floats and
     ``|dx| < sqrt(nextafter(epsilon**2, inf))``, even where ``epsilon**2``
-    underflows; the band pads that by a relative 1e-9, more than rounding
-    takes away. ``dist2`` is symmetric bit for bit, so each pair is tested once.
+    underflows, and a cell's side is at least that, padded by a relative 1e-9,
+    more than rounding takes away. At most 2**16 cells span each axis, so a
+    cell number neither overflows nor rounds by as much as that padding. A row
+    with a non-finite grid coordinate passes no test unless ``epsilon**2`` is
+    infinite, and is left out.
+    ``dist2`` is symmetric bit for bit, so each pair is tested once.
     """
     n, dims = points.shape
     eps2 = epsilon * epsilon
-    x = points[:, 0] if dims else np.zeros(n)
-    order = np.argsort(x, kind="stable")
-    x = x[order]
     half_width = np.sqrt(np.nextafter(eps2, np.inf)) * (1 + 1e-9)
-    # A NaN band edge (x is NaN, or -inf + inf) takes every later row.
-    widths = np.searchsorted(x, x + half_width, "right") - np.arange(n)
+    grid = points[:, [0, -1]] if dims else np.zeros((n, 2))
+    live = np.flatnonzero(np.isfinite(grid).all(axis=1) | np.isinf(half_width))
+    grid = grid[live]
+    low = grid.min(axis=0, initial=np.inf)
+    side = np.maximum(half_width, (grid.max(axis=0, initial=-np.inf) - low) * 2.0**-16)
+    # A NaN quotient (an infinite or NaN side or coordinate) puts the row in cell 0 with all the others.
+    cell = np.nan_to_num((grid - low) / side, nan=0.0).astype(np.intp)
+    stride = cell[:, 1].max(initial=0) + 2  # row-major with a spare column: no neighbor wraps
+    cell = cell[:, 0] * stride + cell[:, 1]
+    by_cell = np.argsort(cell, kind="stable")
+    order, cell, at = live[by_cell], cell[by_cell], np.arange(len(live))
+    # The row at position p is paired with the rest of its cell and the cell
+    # above it, then with the three cells of the next column: two runs of cells.
+    starts = np.concatenate([at, np.searchsorted(cell, cell + (stride - 1))])
+    widths = np.searchsorted(cell, np.concatenate([cell + 2, cell + (stride + 2)])) - starts
     ends = np.cumsum(widths)
-    shift = np.arange(n) - (ends - widths)  # pair number -> partner's position in x
+    shift = starts - (ends - widths)  # pair number -> partner's position in order
     keys = [np.empty(0, dtype=np.intp)]
     for first in range(0, int(widths.sum()), PAIR_BUDGET):
         pair = np.arange(first, min(first + PAIR_BUDGET, ends[-1]))
-        at = np.searchsorted(ends, pair, "right")
-        row, col = order[at], order[pair + shift[at]]
+        run = np.searchsorted(ends, pair, "right")
+        row, col = order[run % len(order)], order[pair + shift[run]]
         deltas = points[col]
         deltas -= points[row]
         kept = np.einsum("ij,ij->i", deltas, deltas) <= eps2

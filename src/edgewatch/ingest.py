@@ -121,17 +121,20 @@ def _concat(parts: Sequence[np.ndarray | Codes]) -> np.ndarray | Codes:
     """One column from its parts; Codes number the names as they first come in the parts' ``names``."""
     if not isinstance(parts[0], Codes):
         return np.concatenate(parts)
-    index: dict[str, int] = {}  # name -> code in the union
-    codes = np.concatenate([_number(index, c.names)[c.codes] for c in parts])
+    index = _Index()  # name -> code in the union
+    codes = np.concatenate([index.codes(c.names)[c.codes] for c in parts])
     return Codes(codes, np.array(list(index), dtype=object))
 
 
-def _number(index: dict[str, int], names: np.ndarray) -> np.ndarray:
-    """The codes of the names in ``index``, where each new name takes the next code as it first comes."""
-    names = names.tolist()
-    for name in dict.fromkeys(names):
-        index.setdefault(name, len(index))
-    return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+class _Index(dict):
+    """Name -> code, where a name not yet in it takes the next code as it first comes."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = code = len(self)
+        return code
+
+    def codes(self, names: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self.__getitem__, names.tolist()), np.int64, len(names))
 
 
 # Plain form: r<digits>---<3 letters><alnum>.<domain>. Names that do not match
@@ -236,10 +239,10 @@ def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -
     kinds = {"client_id": np.dtypes.StringDType(), "server_ip": np.int64, "hostname": np.int64}
     # Grown in place, doubling, and cut to size at the end; no view of them is held meanwhile.
     columns = [np.empty(0, kinds.get(name, _ROW[name])) for name in FLOW_LOG_COLUMNS]
-    indexes, rows, line_number = ({}, {}), 0, 2  # server_ip's and hostname's name -> code
+    indexes, rows, line_number = (_Index(), _Index()), 0, 2  # server_ip's and hostname's name -> code
     while chunk := source.readlines(CHUNK_BYTES):
         kept = _parse_chunk(line_number, chunk, errors)
-        kept[2:4] = map(_number, indexes, kept[2:4])
+        kept[2:4] = map(_Index.codes, indexes, kept[2:4])
         line_number, end = line_number + len(chunk), rows + len(kept[0])
         for column, values in zip(columns, kept):
             if end > len(column):

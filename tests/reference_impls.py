@@ -1,10 +1,12 @@
 """Independent reference implementations the tests check the package against.
 
 These deliberately take different routes from the library code: scipy's
-distance matrix and connected-components instead of the band-limited
+distance matrix and connected-components instead of the grid-limited
 neighborhood scan and label propagation, and a literal rank-interpolation
 percentile. ``region_query`` is the library's former all-rows scan, kept as
-the per-row oracle for its neighborhoods.
+the per-row oracle for its neighborhoods, and ``reference_band_neighborhoods``
+is its former band scan, which tested every pair within epsilon in coordinate 0
+where the library now tests the pairs of adjacent cells of a 2-D grid.
 The windowing and per-cache feature oracles are the per-record loops the
 library used before its columnar flow table, the astral-distance oracle is
 the per-star-pair norm loop it used before its distance matrix, the
@@ -56,6 +58,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from edgewatch.constellation import Constellation, constellation_distance
+from edgewatch.dbscan import PAIR_BUDGET
 from edgewatch.evaluation import GroundTruth, _ball_rows
 from edgewatch.ingest import (
     DAY_SECONDS,
@@ -177,6 +180,36 @@ def region_query(points: np.ndarray, index: int, epsilon: float) -> np.ndarray:
     deltas = points - points[index]
     dist2 = np.einsum("ij,ij->i", deltas, deltas)
     return np.flatnonzero(dist2 <= epsilon * epsilon)
+
+
+def reference_band_neighborhoods(points: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """``neighborhoods`` as the CSR of a band scan in coordinate-0 order.
+
+    A pair is tested when, in coordinate-0 order, the later row lies within
+    ``sqrt(nextafter(epsilon**2, inf))``, padded by a relative 1e-9, of the
+    earlier one; a NaN band edge takes every later row. Pairs are tested in
+    blocks of ``PAIR_BUDGET``, with the library's ``deltas`` and ``einsum``.
+    """
+    n, dims = points.shape
+    eps2 = epsilon * epsilon
+    x = points[:, 0] if dims else np.zeros(n)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    half_width = np.sqrt(np.nextafter(eps2, np.inf)) * (1 + 1e-9)
+    widths = np.searchsorted(x, x + half_width, "right") - np.arange(n)
+    ends = np.cumsum(widths)
+    shift = np.arange(n) - (ends - widths)  # pair number -> partner's position in x
+    keys = [np.empty(0, dtype=np.intp)]
+    for first in range(0, int(widths.sum()), PAIR_BUDGET):
+        pair = np.arange(first, min(first + PAIR_BUDGET, ends[-1]))
+        at = np.searchsorted(ends, pair, "right")
+        row, col = order[at], order[pair + shift[at]]
+        deltas = points[col]
+        deltas -= points[row]
+        kept = np.einsum("ij,ij->i", deltas, deltas) <= eps2
+        keys += [(row * n + col)[kept], (col * n + row)[kept & (row != col)]]
+    keys = np.sort(np.concatenate(keys))
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n
 
 
 def reference_dbscan(points: np.ndarray, epsilon: float, min_pts: int):

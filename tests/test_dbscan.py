@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from edgewatch.dbscan import (
     write_clustering_csv,
 )
 
-from reference_impls import reference_dbscan, region_query
+from reference_impls import reference_band_neighborhoods, reference_dbscan, region_query
 
 
 def dbscan_of(matrix, params):
@@ -43,6 +44,15 @@ def csr_rows(matrix, epsilon):
     """The rows of ``neighborhoods(matrix, epsilon)`` as a list of index arrays."""
     indptr, indices = neighborhoods(np.asarray(matrix, dtype=float), epsilon)
     return [indices[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def wide_matrix():
+    """The benchmark's wide shape: 300 edge nodes of 8 caches, 2,400 points in 10 dimensions."""
+    rng = np.random.default_rng(7)
+    centers = rng.uniform(0, 1, (300, 10))
+    matrix = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 10))
+    rng.shuffle(matrix)
+    return matrix
 
 
 def assert_matches_reference(matrix, params):
@@ -222,12 +232,20 @@ class TestDbscan:
             assert_matches_reference(matrix, params)
 
     def test_matches_reference_at_wide_scale(self):
-        # The benchmark's wide shape: 300 edge nodes of 8 caches, 2,400 points.
-        rng = np.random.default_rng(7)
-        centers = rng.uniform(0, 1, (300, 10))
-        matrix = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 10))
-        rng.shuffle(matrix)
-        assert_matches_reference(matrix, ClusterParams(epsilon=0.04, min_pts=5))
+        assert_matches_reference(wide_matrix(), ClusterParams(epsilon=0.04, min_pts=5))
+
+    def test_grid_tests_at_most_a_third_of_the_band_pairs_at_wide_scale(self):
+        # Every tested pair is one row of an einsum operand; the band scan
+        # tested 4.6x the grid's pairs on the benchmark's wide windows.
+        matrix = wide_matrix()
+
+        def pairs_tested(scan):
+            with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+                scan(matrix, 0.04)
+            return sum(call.args[1].shape[0] for call in einsum.call_args_list)
+
+        grid, band = pairs_tested(neighborhoods), pairs_tested(reference_band_neighborhoods)
+        assert 0 < 3 * grid <= band, (grid, band)
 
     def test_band_of_every_row_stays_bounded(self):
         # Coordinate 0 is constant (a metric that normalizes to 0 everywhere),
@@ -241,6 +259,23 @@ class TestDbscan:
         centers = rng.uniform(0, 1, (300, 3))
         spread = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 3))
         matrix = np.column_stack([np.zeros(2400), spread])
+        params = ClusterParams(epsilon=0.04, min_pts=5)
+        tracemalloc.start()
+        try:
+            dbscan_of(matrix, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PAIR_BUDGET * 8 * (2 * matrix.shape[1] + 8) + 2**20, peak
+        assert_matches_reference(matrix, params)
+
+    def test_one_cell_of_every_row_stays_bounded(self):
+        # Coordinates 0 and -1 are both constant, so every row falls in one
+        # grid cell and every pair is tested; the bound is the band's above.
+        rng = np.random.default_rng(11)
+        centers = rng.uniform(0, 1, (300, 3))
+        spread = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.01, (2400, 3))
+        matrix = np.column_stack([np.zeros(2400), spread, np.full(2400, 0.5)])
         params = ClusterParams(epsilon=0.04, min_pts=5)
         tracemalloc.start()
         try:
@@ -308,6 +343,40 @@ class TestRegionQuery:
         for i in range(len(matrix)):
             expected = region_query(matrix, i, eps)
             assert rows[i].dtype == expected.dtype and np.array_equal(rows[i], expected), i
+
+    @given(
+        eps=st.sampled_from([2.0**-5, 0.04, 1.0, 3.0, 1e-170, 1e-310, 1e200, np.inf]),
+        offset=st.sampled_from([0.0, -7.5, 1e15, 2.0**52, -1e15]),
+        unit_steps=st.booleans(),
+        cells=st.lists(st.tuples(*[st.integers(-2, 2)] * 4, st.integers(-1, 1)), max_size=40),
+        dims=st.integers(0, 4),
+        constant=st.sampled_from([(), (0,), (-1,), (0, -1)]),
+        specials=st.lists(
+            st.tuples(st.integers(0, 39), st.sampled_from([0, 1, -1]), st.sampled_from([np.nan, np.inf, -np.inf])),
+            max_size=4,
+        ),
+    )
+    def test_grid_equals_band_scan(self, eps, offset, unit_steps, cells, dims, constant, specials):
+        # Coordinates step by eps / 2 (or by 1, many cells of eps apart) from
+        # offset, some moved by an ulp, so that pairs lie on the boundary,
+        # repeat, or round together at a large offset; eps = 1e-170 and 1e-310
+        # make eps * eps underflow and 1e200 and inf make it overflow. Column 0,
+        # the last column or both may be constant, and NaN or +-inf may sit in
+        # column 0, in a middle one (column 1 of 3 or more) or in the last.
+        lattice = np.array(cells, dtype=float).reshape(-1, 5)
+        step = 1.0 if unit_steps or not np.isfinite(eps) else eps / 2
+        matrix = offset + lattice[:, :dims] * step
+        ulps = lattice[:, 4:]
+        matrix = np.where(ulps == 0, matrix, np.nextafter(matrix, np.copysign(np.inf, ulps)))
+        for column in constant if dims else ():
+            matrix[:, column] = offset
+        for row, column, value in specials:
+            if len(matrix) and dims and (dims > 2 or column != 1):
+                matrix[row % len(matrix), column] = value
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN dist2 passes no test
+            got, expected = neighborhoods(matrix, eps), reference_band_neighborhoods(matrix, eps)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_clustering_csv_dump():

@@ -368,7 +368,26 @@ class TestFlowTable:
         parts = [flow_table(self.RECORDS[:2]), flow_table(self.RECORDS[2:])]
         table = FlowTable.concat(parts)
         assert flow_rows(table) == self.RECORDS
-        assert sorted(table.server_ip.names.tolist()) == ["a", "b"]
+        assert table.server_ip.names.tolist() == ["b", "a"]
+
+    def test_names_are_numbered_as_they_first_come_in_the_kept_rows_across_chunks(self):
+        # Chunks of a line or two: names first come in later chunks, and one
+        # server and one hostname come only on a rejected line (ttl 300).
+        line = "5.0\tu1\t{}\t{}\t1.5\t{}\t1\t2\t3.0\n"
+        rows = [(f"s{i * 7 % 5}", f"h{i * 3 % 7}", 10) for i in range(40)]
+        rows[17] = ("s-rejected", "h-rejected", 300)
+        rows[31] = ("s-late", "h-late", 10)
+        text = FLOW_LOG_HEADER + "\n" + "".join(line.format(*row) for row in rows)
+        errors = []
+        with mock.patch.object(ingest, "CHUNK_BYTES", 64), \
+                mock.patch.object(ingest, "_parse_chunk", wraps=ingest._parse_chunk) as chunks:
+            table = parse_flow_log(io.StringIO(text), errors)
+        kept = [row for row in rows if row[2] == 10]
+        assert chunks.call_count > 10 and [e.line_number for e in errors] == [19] and len(table) == len(kept)
+        for column, values in ((table.server_ip, [r[0] for r in kept]), (table.hostname, [r[1] for r in kept])):
+            names = list(dict.fromkeys(values))  # first-come order
+            assert column.names.tolist() == names
+            assert column.codes.dtype == np.int64 and column.codes.tolist() == list(map(names.index, values))
 
     def test_time_order_is_stable(self):
         table = flow_table(self.RECORDS)
