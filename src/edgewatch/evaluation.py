@@ -15,6 +15,8 @@ from .errors import InputError
 from .features import CacheFeatures, normalize_snapshot
 from .ingest import text_output, write_csv
 
+TRIAL_BLOCK = 4096  # calibration trials seeded in one pass
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -176,18 +178,6 @@ def write_sweep_csv(target: IO[str] | str | Path, rows: Sequence[SweepRow]) -> N
     write_csv(target, "epsilon,tpr,fragmentation,pureness,noise_count".split(","), cells)
 
 
-def seeded_rng(*key: int) -> np.random.Generator:
-    """``np.random.default_rng(list(key))``'s generator, from the values' 32-bit words as SeedSequence splits them."""
-    words = []
-    for value in key:
-        if value < 0:  # -1 >> 32 is -1: the loop below would never end
-            raise ValueError(f"expected non-negative integer: {value}")
-        words.append(value & 0xFFFFFFFF)
-        while value := value >> 32:
-            words.append(value & 0xFFFFFFFF)
-    return np.random.default_rng(np.array(words, np.uint32))
-
-
 def _ball_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``n`` ball draws: unit directions, each a nonzero standard-normal draw over its length, and u ** (1/dim)."""
     units, upows = np.empty((n, dim)), np.empty(n)
@@ -208,26 +198,31 @@ def cd_calibration_curve(
 
     Each trial places ``n_stars`` uniform stars in the unit hypercube of dimension ``n_stars`` (override
     with ``dim``), displaces every star inside a random ball of radius ``e``, optionally adds ``extra_stars``
-    fresh uniform stars, and measures the CD. Per-trial generators derive from (seed, trial) so trials are
-    reproducible and independent. A radius only scales the ball draws, so one trial's draws serve every
-    radius; the extra stars of e = 0 are drawn where the ball draws would start.
+    fresh uniform stars, and measures the CD. Each trial draws from numpy's PCG64 stream seeded with the key
+    (seed, trial), so trials are reproducible and independent. A radius only scales the ball draws, so one
+    trial's draws serve every radius; the extra stars of e = 0 are drawn where the ball draws would start.
     """
     if n_stars < 1:
         raise ValueError("n_stars must be >= 1")
     if not len(e_grid) or min(e_grid) < 0 or trials < 1 or extra_stars < 0 or (dim is not None and dim < 1):
         raise ValueError("invalid calibration parameters")
+    from .streams import reseed, stream_seeds  # imported here, so that a run over a trace never loads it
+
     space_dim = n_stars if dim is None else dim
     totals = [0.0] * len(e_grid)
     order = sorted(enumerate(e_grid), key=lambda ke: bool(ke[1]))  # e = 0 before e > 0 overwrites its extra stars
+    rng = np.random.Generator(np.random.PCG64(0))
     for trial in range(trials):
-        rng = seeded_rng(seed, trial)
-        base, state = rng.uniform(size=(n_stars, space_dim)), rng.bit_generator.state
-        displaced, units = np.vstack([base, rng.uniform(size=(extra_stars, space_dim))]), None
+        if trial % TRIAL_BLOCK == 0:  # the next block's seeds, so that no more than a block's are held at once
+            seeds = stream_seeds(seed, np.arange(trial, min(trial + TRIAL_BLOCK, trials)))
+        trial_seed = seeds[trial % TRIAL_BLOCK]
+        base = reseed(rng, trial_seed).random((n_stars, space_dim))  # the doubles of uniform(0.0, 1.0)
+        displaced, units = np.vstack([base, rng.random((extra_stars, space_dim))]), None
         for k, e in order:
             if e and units is None:  # the first e > 0 draws the ball rows from where e = 0 drew its extras
-                rng.bit_generator.state = state
+                reseed(rng, trial_seed).random((n_stars, space_dim))  # back to the end of the base draws
                 units, upows = _ball_rows(rng, n_stars, space_dim)
-                displaced[n_stars:] = rng.uniform(size=(extra_stars, space_dim))
+                displaced[n_stars:] = rng.random((extra_stars, space_dim))
             if e:  # base + units * (e * upows)[:, None], written in place
                 np.add(base, np.multiply(units, (e * upows)[:, None], out=displaced[:n_stars]), out=displaced[:n_stars])
             (_, ab), (_, ba) = _nearest_stars(base, displaced)

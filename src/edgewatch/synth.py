@@ -24,8 +24,9 @@ import numpy as np
 
 from .dbscan import DEFAULT_MIN_PTS
 from .errors import ConfigError, require_finite
-from .evaluation import GroundTruth, seeded_rng
+from .evaluation import GroundTruth
 from .ingest import DAY_SECONDS, Codes, FlowTable, config_from, read_ini_section
+from .streams import reseed, stream_seeds
 
 EVENT_KINDS = ("node_birth", "node_death", "path_shift", "congestion")
 
@@ -192,11 +193,17 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         [cache_identity(i, spec, j) for j in range(spec.cache_count)]
         for i, spec in enumerate(config.nodes)
     ]
+    # Every stream is seeded from its key by stream_seeds, one pass per key kind and day, and drawn by rng.
+    rng, nodes = np.random.Generator(np.random.PCG64(0)), np.arange(len(config.nodes))
+    first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
+    sizes = np.diff(first_cache)
+    cache_keys = (np.repeat(nodes, sizes), np.arange(first_cache[-1]) - np.repeat(first_cache[:-1], sizes))  # (node, j)
+    node_streams = np.repeat([_STREAM_CACHE_ALLOC, _STREAM_DAY_WEIGHTS], len(nodes))
     base_weights = []
-    for i, spec in enumerate(config.nodes):
+    for spec, seed in zip(config.nodes, stream_seeds(config.seed, _STREAM_CACHE_BASE, nodes)):
         # Heavy-tailed but floored: the busiest caches dominate, yet no cache
         # starves to the point of never clearing a MinFlow cut.
-        w = seeded_rng(config.seed, _STREAM_CACHE_BASE, i).exponential(1.0, spec.cache_count) + 0.5
+        w = reseed(rng, seed).exponential(1.0, spec.cache_count) + 0.5
         base_weights.append(w / w.sum())
 
     # Rows [0, end) are filled.
@@ -205,7 +212,6 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
     start, cache, client, rtt, ttl, up, down, throughput = columns
     end = 0
     gt_labels: dict[str, str] = {}
-    first_cache = np.cumsum([0, *(spec.cache_count for spec in config.nodes)])
     for day in range(config.days):
         day_start = config.start_epoch + day * DAY_SECONDS
         states = [_node_day(spec.label, day, config.events) for spec in config.nodes]  # (active, shift, congestion)
@@ -213,23 +219,22 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         total = node_weights.sum()
         if total <= 0:
             continue
-        node_counts = seeded_rng(config.seed, _STREAM_NODE_ALLOC, day).multinomial(
+        node_counts = reseed(rng, stream_seeds(config.seed, _STREAM_NODE_ALLOC, day)[0]).multinomial(
             config.flows_per_day, node_weights / total
         )
+        # Rows: each node's cache allocation, then each node's churn; and each cache's flows.
+        node_seeds = stream_seeds(config.seed, node_streams, day, np.tile(nodes, 2))
+        flow_seeds = stream_seeds(config.seed, _STREAM_FLOWS, day, *cache_keys)
         day_begin = end
         for i, spec in enumerate(config.nodes):
             if node_counts[i] == 0:
                 continue
             weights = base_weights[i]
             if config.rank_churn > 0:
-                noise = seeded_rng(config.seed, _STREAM_DAY_WEIGHTS, day, i).standard_normal(
-                    spec.cache_count
-                )
+                noise = reseed(rng, node_seeds[len(nodes) + i]).standard_normal(spec.cache_count)
                 weights = weights * np.exp(CHURN_LOG_SIGMA * config.rank_churn * noise)
                 weights = weights / weights.sum()
-            cache_counts = seeded_rng(config.seed, _STREAM_CACHE_ALLOC, day, i).multinomial(
-                int(node_counts[i]), weights
-            )
+            cache_counts = reseed(rng, node_seeds[i]).multinomial(int(node_counts[i]), weights)
             _, shift, congestion = states[i]
             sigma = (spec.rtt_spread / spec.rtt_median) * congestion
             # Each bucket draws into its rows, its uniforms into the start column and its normals into the rtt
@@ -240,7 +245,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
                 lo, hi = bounds[j], bounds[j + 1]
                 bucket, count = slice(end + lo, end + hi), hi - lo
                 gt_labels[identities[i][j][0]] = spec.label
-                rng = seeded_rng(config.seed, _STREAM_FLOWS, day, i, j)
+                reseed(rng, flow_seeds[first_cache[i] + j])
                 rng.random(out=start[bucket])  # scaled below: the doubles of uniform(0.0, DAY_SECONDS, count)
                 rtt[bucket], throughput[bucket] = rng.standard_normal((2, count))  # C order: the first count go to rtt
                 duration[lo:hi] = rng.lognormal(math.log(45.0), 0.5, count)
@@ -259,6 +264,7 @@ def generate_trace(config: SynthConfig) -> tuple[FlowTable, GroundTruth]:
         order = day_begin + np.argsort(start[day_begin:end], kind="stable")
         for column in columns:
             column[day_begin:end] = column[order]
+    node_seeds = flow_seeds = cache_keys = None  # freed before the client ids are built
     start, cache, client, *numbers = (column[:end] for column in columns)
     seen = np.bincount(cache, minlength=first_cache[-1]) > 0  # names only the caches that have flows
     codes = np.take(np.cumsum(seen) - 1, cache, out=cache, mode="clip")  # in place: no whole-trace temporary

@@ -34,7 +34,8 @@ tables the parser rejects. The calibration oracle ``reference_cd_calibration``
 is the former per-radius calibration, which redrew every trial's stars and ball
 draws for each radius and summed each CD through its per-star couplings. It
 draws each star's offset through ``sample_in_ball``, so it shares no sampling
-code with the package.
+code with the package. ``seeded_rng`` is the package's former way to seed one stream: numpy's own
+``default_rng`` of the key's 32-bit words, where the package now hashes a whole batch of keys itself.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the public TSV parser and ``flow_rows`` turns a table back.
@@ -455,6 +456,18 @@ def _congestion_factor(label: str, day: int, events: Sequence[EventSpec]) -> flo
         if ev.kind == "congestion" and ev.target == label and ev.active(day):
             factor *= ev.magnitude
     return factor
+
+
+def seeded_rng(*key: int) -> np.random.Generator:
+    """``np.random.default_rng(list(key))``'s generator, from the values' 32-bit words as SeedSequence splits them."""
+    words = []
+    for value in key:
+        if value < 0:  # -1 >> 32 is -1: the loop below would never end
+            raise ValueError(f"expected non-negative integer: {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, np.uint32))
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

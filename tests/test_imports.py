@@ -125,12 +125,13 @@ def test_the_check_sees_an_unread_definition():
     ]
 
 
-# Runs the CLI with its arguments, then reports what it loaded and how the package's names resolve.
+# Runs the CLI with its arguments, then reports which of the modules a trace run never needs it loaded, and how
+# the package's names resolve.
 RUN_SCRIPT = """
 import sys
 from edgewatch import cli
 rc = cli.main(sys.argv[1:])
-print(rc, sorted({"numpy.ma", "edgewatch.synth"} & set(sys.modules)))
+print(rc, sorted({"numpy.ma", "edgewatch.synth", "edgewatch.streams"} & set(sys.modules)))
 import edgewatch
 print(type(edgewatch.dbscan).__name__, edgewatch.dbscan.__module__, edgewatch.rank_matrix.__module__)
 from edgewatch import generate_trace, SynthConfig

@@ -287,6 +287,17 @@ def test_generator_memory_does_not_grow_with_the_days():
     assert transient[1] - transient[0] < 2**20, transient
 
 
+def test_generator_peaks_little_above_its_result():
+    # The benchmark's wide-daily shape: 2,400 caches, 36,000 flows over 2 days. Beyond the result, the peak
+    # holds the client numbers (8 bytes a row), the client-id blocks and the cache names' temporaries, about
+    # 380 kB in all. A day's stream seeds take 32 bytes a cache and 64 a node, and the cache keys 16 bytes a
+    # cache: kept until the client ids are built, the last day's would add about 150 kB.
+    nodes = tuple(EdgeNodeSpec("MIL", 8, 10.0 + i, 1.5, 50, 1.0) for i in range(300))
+    config = SynthConfig(nodes=nodes, days=2, flows_per_day=18_000, rank_churn=0.0, seed=3)
+    (table, _), transient = transient_bytes(generate_trace, config)
+    assert transient - 8 * len(table) < 448_000, transient
+
+
 class TestRankMatrix:
     def test_single_cache_always_rank_one(self):
         records, _ = generate_trace(
