@@ -40,7 +40,6 @@ from .ingest import (
     FlowTable,
     Snapshot,
     parse_cache_hostname,
-    parse_flow_log,
     read_flow_log,
     window_flows,
     write_flow_log,

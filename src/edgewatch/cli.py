@@ -15,14 +15,22 @@ from .errors import ConfigError, InputError
 from .evaluation import GroundTruth, cd_calibration_curve, epsilon_sweep, write_sweep_csv
 from .features import extract_cache_features, extract_cache_features_mean_std, write_feature_dump
 from .dbscan import write_clustering_csv
-from .ingest import _PARSE_BY_TYPE, config_from, count_steps, float_list, read_ini_section, write_csv, write_flow_log
+from .ingest import (
+    _PARSE_BY_TYPE,
+    config_from,
+    count_steps,
+    float_list,
+    read_flow_log,
+    read_ini_section,
+    write_csv,
+    write_flow_log,
+)
 from .pipeline import (
     FLAG_NONE,
     PipelineConfig,
     config_windows,
     drilldown,
     rank_matrix,
-    read_flow_logs,
     run_timeline,
     timeline_entry,
     write_couplings_csv,
@@ -122,7 +130,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args)
-    records = read_flow_logs(args.input)
+    records = read_flow_log(*args.input)
     result = run_timeline(config, records)
     out_dir = Path(config.output_dir)
     write_timeline_csv(out_dir / "timeline.csv", result.entries)
@@ -155,7 +163,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
 
 def _cmd_drilldown(args: argparse.Namespace) -> int:
     config = build_pipeline_config(args)
-    records = read_flow_logs(args.input)
+    records = read_flow_log(*args.input)
     entry = timeline_entry(config, records, args.entry)
     report = drilldown(entry, records, config)
     out_path = Path(args.out) if args.out else Path(config.output_dir) / f"drilldown_{args.entry:04d}.csv"
@@ -177,7 +185,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     eps_grid = args.eps_grid
     if eps_grid[0] <= 0 or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise ConfigError(f"--eps-grid must be positive and ascending, got {','.join(map(repr, eps_grid))}")
-    snapshots = config_windows(config, read_flow_logs(args.input))
+    snapshots = config_windows(config, read_flow_log(*args.input))
     if not snapshots:
         raise InputError("no snapshots produced from input")
     if not 0 <= args.snapshot < len(snapshots):
@@ -232,7 +240,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     if not -24 <= args.utc_offset <= 24:
         raise ConfigError(f"--utc-offset must lie in [-24, 24], got {args.utc_offset}")
-    matrix = rank_matrix(read_flow_logs(args.input), args.utc_offset)
+    matrix = rank_matrix(read_flow_log(*args.input), args.utc_offset)
     write_rank_csv(args.out, matrix)
     print(f"wrote {len(matrix.cache_ids)}x{matrix.ranks.shape[1]} rank matrix to {args.out}")
     return 0

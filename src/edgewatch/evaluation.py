@@ -153,8 +153,6 @@ def epsilon_sweep(
         raise ValueError("epsilon grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("epsilon grid must be ascending")
-    if not len(features):
-        return [SweepRow(e, 0.0, None, 0.0, 0) for e in grid]
     points, _ = normalize_snapshot(features)
     rows = []
     for eps in grid:

@@ -153,11 +153,9 @@ def _summarize_caches(
 
 
 def snapshot_bounds(features: CacheFeatures) -> NormalizationBounds:
-    """Per-metric min/max over all caches and all columns of the metric's block jointly."""
-    if not len(features):
-        raise ValueError("cannot compute bounds of an empty feature set")
+    """Per-metric min/max over all caches and all columns of the metric's block jointly; (inf, -inf) without caches."""
     blocks = np.split(features.raw, len(METRICS), axis=1)
-    return NormalizationBounds(*((float(b.min()), float(b.max())) for b in blocks))
+    return NormalizationBounds(*((float(b.min(initial=np.inf)), float(b.max(initial=-np.inf))) for b in blocks))
 
 
 def normalize_snapshot(features: CacheFeatures) -> tuple[np.ndarray, NormalizationBounds]:

@@ -16,7 +16,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar,
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 
 FLOW_LOG_COLUMNS = (
     "start_time",
@@ -88,11 +88,6 @@ class FlowTable:
     bytes_down: np.ndarray
     avg_throughput: np.ndarray
 
-    @classmethod
-    def concat(cls, tables: Sequence[FlowTable]) -> FlowTable:
-        """The rows of the tables, in order, column by column: a log's parsed parts join into its parse."""
-        return tables[0] if len(tables) == 1 else cls(*map(_concat, zip(*map(_fields_of, tables))))
-
     def __len__(self) -> int:
         return len(self.start_time)
 
@@ -115,15 +110,6 @@ class FlowTable:
 
 # The columns of a FlowTable, as a tuple.
 _fields_of = attrgetter(*(f.name for f in fields(FlowTable)))
-
-
-def _concat(parts: Sequence[np.ndarray | Codes]) -> np.ndarray | Codes:
-    """One column from its parts; Codes number the names as they first come in the parts' ``names``."""
-    if not isinstance(parts[0], Codes):
-        return np.concatenate(parts)
-    index = _Index()  # name -> code in the union
-    codes = np.concatenate([index.codes(c.names)[c.codes] for c in parts])
-    return Codes(codes, np.array(list(index), dtype=object))
 
 
 class _Index(dict):
@@ -185,7 +171,7 @@ def _split_lines(chunk: list[str]) -> tuple[list[int], list[np.ndarray], list[tu
 
 
 def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] | None) -> list[np.ndarray]:
-    """The kept rows' columns of consecutive lines, the first numbered ``first_line``; see parse_flow_log."""
+    """The kept rows' columns of consecutive lines, the first numbered ``first_line``; see _Reader.read."""
     text, columns = "".join(chunk), None
     # np.loadtxt warns on a chunk without data, reads \x1c-\x1f around a number
     # as whitespace where float() and int() refuse them, and reads some
@@ -214,51 +200,71 @@ def _parse_chunk(first_line: int, chunk: list[str], errors: list[FlowLineError] 
     return [column[~rejected] for column in columns] if rejected.any() else columns
 
 
-def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
-    """Read a TSV flow log from a text stream into a FlowTable.
+class _Reader:
+    """The growing columns of the flow logs read so far: rows go straight in, names take codes as they first come."""
 
-    The first line must be exactly the fixed header, otherwise
-    FlowLogFormatError is raised. A malformed data line raises FlowLineError
-    naming its first fault, unless ``errors`` is a list, in which case each
-    bad line's error is appended there and the line skipped (skip-and-count
-    mode). Each chunk of about CHUNK_BYTES of text is converted by one
-    np.loadtxt call, or line by line where np.loadtxt refuses it; either way
-    the converted columns then pass the range checks of ``_faults``. Numbers
-    are read exactly as float() and int() read them, and the faults are
-    found and worded as the tests' per-line oracle,
-    ``reference_impls.reference_parse_line``, finds and words them. The kept
-    rows go straight into the table's columns, and server_ip and hostname
-    number their names as they first come in the log.
+    def __init__(self):
+        kinds = {"client_id": np.dtypes.StringDType(), "server_ip": np.int64, "hostname": np.int64}
+        # Grown in place, doubling, and cut to size once by table(); no view of them is held meanwhile.
+        self.columns = [np.empty(0, kinds.get(name, _ROW[name])) for name in FLOW_LOG_COLUMNS]
+        self.indexes, self.rows = (_Index(), _Index()), 0  # server_ip's and hostname's name -> code
+
+    def read(self, source: IO[str], errors: list[FlowLineError] | None = None) -> None:
+        """Append a TSV flow log from a text stream.
+
+        The first line must be exactly the fixed header, otherwise
+        FlowLogFormatError is raised. A malformed data line raises FlowLineError
+        naming its first fault, unless ``errors`` is a list, in which case each
+        bad line's error is appended there and the line skipped (skip-and-count
+        mode). Each chunk of about CHUNK_BYTES of text is converted by one
+        np.loadtxt call, or line by line where np.loadtxt refuses it; either way
+        the converted columns then pass the range checks of ``_faults``. Numbers
+        are read exactly as float() and int() read them, and the faults are
+        found and worded as the tests' per-line oracle,
+        ``reference_impls.reference_parse_line``, finds and words them.
+        """
+        header = source.readline()
+        if not header:
+            raise FlowLogFormatError("empty stream, missing header")
+        header = header.rstrip("\r\n")
+        if header != FLOW_LOG_HEADER:
+            raise FlowLogFormatError(f"bad header: {header!r}")
+        line_number = 2
+        while chunk := source.readlines(CHUNK_BYTES):
+            kept = _parse_chunk(line_number, chunk, errors)
+            kept[2:4] = map(_Index.codes, self.indexes, kept[2:4])
+            line_number, end = line_number + len(chunk), self.rows + len(kept[0])
+            for column, values in zip(self.columns, kept):
+                if end > len(column):
+                    column.resize(max(end, 2 * len(column)), refcheck=False)
+                column[self.rows : end] = values
+            self.rows = end
+
+    def table(self) -> FlowTable:
+        for column in self.columns:
+            column.resize(self.rows, refcheck=False)
+        start, client, server, hostname, *numbers = self.columns
+        names = (np.array(list(index), dtype=object) for index in self.indexes)
+        return FlowTable(start, client, *map(Codes, (server, hostname), names), *numbers)
+
+
+def read_flow_log(*paths: str | Path) -> FlowTable:
+    """All flows of the UTF-8 TSV flow logs at ``paths``, in order, read into one set of columns.
+
+    server_ip and hostname number their names as they first come across the logs. A log that does not
+    read (see _Reader.read), is a directory or holds no flow raises InputError naming its path.
     """
-    header = source.readline()
-    if not header:
-        raise FlowLogFormatError("empty stream, missing header")
-    header = header.rstrip("\r\n")
-    if header != FLOW_LOG_HEADER:
-        raise FlowLogFormatError(f"bad header: {header!r}")
-    kinds = {"client_id": np.dtypes.StringDType(), "server_ip": np.int64, "hostname": np.int64}
-    # Grown in place, doubling, and cut to size at the end; no view of them is held meanwhile.
-    columns = [np.empty(0, kinds.get(name, _ROW[name])) for name in FLOW_LOG_COLUMNS]
-    indexes, rows, line_number = (_Index(), _Index()), 0, 2  # server_ip's and hostname's name -> code
-    while chunk := source.readlines(CHUNK_BYTES):
-        kept = _parse_chunk(line_number, chunk, errors)
-        kept[2:4] = map(_Index.codes, indexes, kept[2:4])
-        line_number, end = line_number + len(chunk), rows + len(kept[0])
-        for column, values in zip(columns, kept):
-            if end > len(column):
-                column.resize(max(end, 2 * len(column)), refcheck=False)
-            column[rows:end] = values
-        rows = end
-    for column in columns:
-        column.resize(rows, refcheck=False)
-    start, client, server, hostname, *numbers = columns
-    names = (np.array(list(index), dtype=object) for index in indexes)
-    return FlowTable(start, client, *map(Codes, (server, hostname), names), *numbers)
-
-
-def read_flow_log(path: str | Path, errors: list[FlowLineError] | None = None) -> FlowTable:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        return parse_flow_log(fp, errors=errors)
+    reader = _Reader()
+    for path in paths:
+        rows = reader.rows
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fp:
+                reader.read(fp)
+        except (FlowLogFormatError, FlowLineError, UnicodeDecodeError, IsADirectoryError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
+        if reader.rows == rows:
+            raise InputError(f"{path}: no flow records")
+    return reader.table()
 
 
 @contextmanager

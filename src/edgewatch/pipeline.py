@@ -32,12 +32,9 @@ from .features import (
 )
 from .ingest import (
     DAY_SECONDS,
-    FlowLineError,
-    FlowLogFormatError,
     FlowTable,
     Snapshot,
     parse_cache_hostname,
-    read_flow_log,
     window_flows,
     write_csv,
 )
@@ -144,10 +141,8 @@ def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotStat
     with np.errstate(over="ignore"):  # features are >= 0, so a finite column sum bounds every star's sum
         if not np.isfinite(features.raw.sum(axis=0)).all():
             raise InputError(f"snapshot {snapshot.index}: the features of its caches sum beyond the float range")
-    if len(features):
-        points, bounds = normalize_snapshot(features)
-    else:
-        points, bounds = features.raw, NormalizationBounds((np.inf, -np.inf), (np.inf, -np.inf))
+    points, bounds = normalize_snapshot(features)
+    if not len(features):
         log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
     clustering = dbscan(points, features.cache_ids, ClusterParams(config.epsilon, config.min_pts))
     return SnapshotState(snapshot, features, bounds, clustering)
@@ -178,19 +173,6 @@ def config_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]
         config.step_days * DAY_SECONDS,
         utc_offset_hours=config.utc_offset_hours,
     )
-
-
-def read_flow_logs(paths: Iterable[str | Path]) -> FlowTable:
-    """All flows of the given flow logs, in order; an unreadable or empty log raises InputError."""
-    tables = []
-    for path in paths:
-        try:
-            tables.append(read_flow_log(path))
-        except (FlowLogFormatError, FlowLineError, UnicodeDecodeError, IsADirectoryError) as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        if not len(tables[-1]):
-            raise InputError(f"{path}: no flow records")
-    return FlowTable.concat(tables)
 
 
 def _timeline_windows(config: PipelineConfig, records: FlowTable) -> list[Snapshot]:

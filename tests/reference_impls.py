@@ -38,7 +38,10 @@ code with the package. ``seeded_rng`` is the package's former way to seed one st
 ``default_rng`` of the key's 32-bit words, where the package now hashes a whole batch of keys itself.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
-table through the public TSV parser and ``flow_rows`` turns a table back.
+table through the TSV parser and ``flow_rows`` turns a table back.
+``parse_flow_log`` is the package's former public stream parser: the reader
+``read_flow_log`` runs over each of its files, applied to one stream, with
+skip-and-count mode (``errors=[]``) as well as strict mode.
 ``table_columns`` gives a table's columns in a form that compares bit for bit,
 and ``transient_bytes`` measures a call's working memory with ``tracemalloc``.
 """
@@ -69,8 +72,8 @@ from edgewatch.ingest import (
     FlowLineError,
     FlowTable,
     _fields_of,
+    _Reader,
     parse_cache_hostname,
-    parse_flow_log,
     text_output,
 )
 from edgewatch.synth import (
@@ -94,10 +97,22 @@ Flow = namedtuple("Flow", [f.name for f in fields(FlowTable)])
 _TSV_LINE = "{!r}\t{}\t{}\t{}\t{!r}\t{}\t{}\t{}\t{!r}\n"
 
 
+def parse_flow_log(source: IO[str], errors: list[FlowLineError] | None = None) -> FlowTable:
+    """One flow log read from a text stream, as ``read_flow_log`` reads each of its files; see ``_Reader.read``."""
+    reader = _Reader()
+    reader.read(source, errors)
+    return reader.table()
+
+
+def flow_log_text(rows) -> str:
+    """The rows (Flow or plain tuples) as a TSV flow log, header first."""
+    lines = [_TSV_LINE.format(float(r[0]), *r[1:4], float(r[4]), *r[5:8], float(r[8])) for r in rows]
+    return FLOW_LOG_HEADER + "\n" + "".join(lines)
+
+
 def flow_table(rows) -> FlowTable:
     """The rows (Flow or plain tuples), written as TSV and read back by ``parse_flow_log``."""
-    lines = [_TSV_LINE.format(float(r[0]), *r[1:4], float(r[4]), *r[5:8], float(r[8])) for r in rows]
-    return parse_flow_log(io.StringIO(FLOW_LOG_HEADER + "\n" + "".join(lines)))
+    return parse_flow_log(io.StringIO(flow_log_text(rows)))
 
 
 def flow_rows(table: FlowTable) -> list[Flow]:

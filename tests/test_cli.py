@@ -7,6 +7,7 @@ import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -261,18 +262,30 @@ class TestTimelineCommand:
             path.write_bytes((FLOW_LOG_HEADER + "\n").encode() + b"\xff" + line.encode())
         else:
             path.mkdir()
-        assert main(["timeline", "--input", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {path}: ")
-        assert err.count("\n") == 1
-        assert "Traceback" not in err
-        if name == "malformed":
-            assert f"{path}: line 2: bad numeric field" in err
+        good = tmp_path / "good.tsv"
+        good.write_text(FLOW_LOG_HEADER + "\n" + line.replace("fast", "1.0"))
+        # The faulty log alone, first of two and second of two: the error names it, not the good log.
+        for inputs in ([path], [path, good], [good, path]):
+            assert main(["timeline", *(arg for p in inputs for arg in ("--input", str(p)))]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}: ")
+            assert err.count("\n") == 1
+            assert "Traceback" not in err
+            if name == "malformed":
+                assert f"{path}: line 2: bad numeric field" in err
 
     def test_header_only_input_exit_1(self, tmp_path, capsys):
         path = tmp_path / "empty.tsv"
         path.write_text(FLOW_LOG_HEADER + "\n")
-        assert main(["timeline", "--input", str(path)]) == 1
+        good = tmp_path / "good.tsv"
+        good.write_text(FLOW_LOG_HEADER + "\n" + "0.5\tu\tc1\th.example\t1.0\t10\t0\t0\t1.0\n")
+        for inputs in ([path], [path, good], [good, path]):
+            assert main(["timeline", *(arg for p in inputs for arg in ("--input", str(p)))]) == 1
+            assert capsys.readouterr().err == f"input error: {path}: no flow records\n"
+        # Every --input, in order, goes to one read.
+        with mock.patch.object(cli, "read_flow_log", wraps=cli.read_flow_log) as read:
+            assert main(["timeline", "--input", str(good), "--input", str(path), "--input", str(good)]) == 1
+        assert read.call_args_list == [mock.call(str(good), str(path), str(good))]
         assert capsys.readouterr().err == f"input error: {path}: no flow records\n"
 
     def test_tiny_step_exit_2_without_hanging(self, trace_files, tmp_path):

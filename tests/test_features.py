@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edgewatch.constellation import joint_bounds
 from edgewatch.features import (
     CacheFeatures,
     DEFAULT_PERCENTILES,
@@ -144,9 +147,15 @@ class TestNormalizeSnapshot:
         for v in points:
             assert np.array_equal(v[2:], np.zeros(2))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_snapshot(CacheFeatures((), np.zeros(0, dtype=int), np.zeros((0, 10))))
+    def test_empty_is_the_empty_range(self):
+        # No caches, built or extracted, give (inf, -inf) per metric: joint_bounds of it and any bounds gives those.
+        extracted = extract_cache_features(snapshot_of([flow(10.0, "a", 5.0)]), min_flow=2)
+        for features in (CacheFeatures((), np.zeros(0, dtype=int), np.zeros((0, 10))), extracted):
+            bounds = snapshot_bounds(features)
+            assert bounds == NormalizationBounds((math.inf, -math.inf), (math.inf, -math.inf))
+            assert joint_bounds(bounds, snapshot_bounds(features_of({"a": [1.0, 9.0]}))).rtt == (1.0, 9.0)
+            points, normalized_bounds = normalize_snapshot(features)
+            assert normalized_bounds == bounds and points.shape == features.raw.shape == (0, 10)
 
     def test_generated_snapshot_in_unit_range(self, six_node_trace):
         records, _ = six_node_trace

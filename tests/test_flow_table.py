@@ -29,7 +29,7 @@ from edgewatch.ingest import (
     FlowLineError,
     FlowTable,
     midnight_floor,
-    parse_flow_log,
+    read_flow_log,
     window_flows,
     write_flow_log,
 )
@@ -37,7 +37,9 @@ from edgewatch.ingest import (
 from reference_impls import (
     Flow,
     flow_rows,
+    flow_log_text,
     flow_table,
+    parse_flow_log,
     reference_cache_features,
     reference_parse_line,
     reference_percentile_vector,
@@ -90,14 +92,25 @@ def _bytes(features):
     return [(c, n, {m: v.tobytes() for m, v in summary.items()}) for c, n, summary in features]
 
 
+@contextlib.contextmanager
+def log_files(*texts):
+    """The paths of the texts, each written as a file of a temporary directory."""
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / f"{i}.tsv" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8", newline="")
+        yield paths
+
+
 @given(windowed_traces())
 def test_windows_and_features_match_per_record_code(trace):
     files, window, step, offset, min_flow = trace
     records = [r for f in files for r in f]
-    table = FlowTable.concat([flow_table(f) for f in files])
+    with log_files(*(flow_log_text(f) for f in files if f)) as paths:  # a log without flows is refused
+        table = read_flow_log(*paths)
     assert flow_rows(table) == records
     whole = table_columns(flow_table(records))  # one chunk
-    assert table_columns(table) == whole  # joining the parts gives the parse of the whole
+    assert table_columns(table) == whole  # reading the parts as one gives the parse of the whole
     with mock.patch.object(ingest, "CHUNK_BYTES", 64):  # a chunk of a line or two
         assert table_columns(flow_table(records)) == whole
     snaps = window_flows(table, window, step, utc_offset_hours=offset)
@@ -116,6 +129,35 @@ def test_windows_and_features_match_per_record_code(trace):
         assert _bytes(extract_cache_features_mean_std(snap, min_flow)) == _bytes(
             reference_cache_features(groups, min_flow, lambda v: np.array([v.mean(), v.std()]))
         )
+
+
+valid_flows = st.builds(
+    Flow,
+    st.floats(0, 2e9),
+    st.sampled_from(["u1", "u2", "ü3"]),  # a non-ASCII id sends its chunk line by line
+    st.sampled_from(["a", "b", "c", "d"]),
+    st.sampled_from(["ha", "hb", "r1---ams01.example"]),
+    st.floats(0, 500),
+    st.integers(0, 255),
+    st.integers(0, 2**63 - 1),
+    st.integers(0, 10),
+    st.floats(0, 1e6),
+)
+
+
+@given(st.data(), st.lists(valid_flows, min_size=1, max_size=30), st.sampled_from([64, ingest.CHUNK_BYTES]))
+def test_a_log_cut_into_files_reads_as_the_whole_log(data, records, chunk_bytes):
+    # Cut at 0 to 5 drawn line boundaries into 1 to 6 logs, each with the header and at least one flow.
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(records)), max_size=5)))
+    parts = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)]) if a < b]
+    with mock.patch.object(ingest, "CHUNK_BYTES", chunk_bytes), log_files(flow_log_text(records)) as (whole,), \
+            log_files(*map(flow_log_text, parts)) as paths:
+        expected = table_columns(read_flow_log(whole))
+        with mock.patch.object(ingest, "FlowTable", wraps=FlowTable) as built:
+            table = read_flow_log(*paths)
+    assert built.call_count == 1  # one table, cut to size once, however many logs
+    assert table_columns(table) == expected  # every column, dtype, code and name
+    assert flow_rows(table) == records
 
 
 VALID_LINES = [
@@ -341,7 +383,8 @@ class TestFlowTable:
             errors = []
             table, calls = parse([plain[0], bad, plain[2]], errors)
             assert calls == 1 and len(errors) == 1 and client_ids(table) == ["u0", "u2"]
-        both = FlowTable.concat([table, flow_table(self.RECORDS)])
+        with log_files(flow_log_text(flow_rows(table)), flow_log_text(self.RECORDS)) as paths:
+            both = read_flow_log(*paths)
         assert client_ids(both) == ["u0", "u2", "u1", "u2", "u1"]
         assert client_ids(both[np.array([False, True, True, False, True])]) == ["u2", "u1", "u1"]
         assert client_ids(both[1:1]) == []
@@ -350,10 +393,14 @@ class TestFlowTable:
         parsed = flow_table(self.RECORDS)
         built = flow_table([Flow(7.0, "u9", "c", "hc", 0.5, 40, 7, 8, 9.0)])
         built = dataclasses.replace(built, client_id=np.array(built.client_id.tolist(), dtype=object))
-        for table in (parsed, FlowTable.concat([parsed, built]), FlowTable.concat([built, parsed])):
+        logs = []
+        for table in (parsed, built):
             written = io.StringIO()
             write_flow_log(written, table)
             assert flow_rows(parse_flow_log(io.StringIO(written.getvalue()))) == flow_rows(table)
+            logs.append(written.getvalue())
+        with log_files(*logs) as paths:  # the two written logs read as one
+            assert flow_rows(read_flow_log(*paths)) == flow_rows(parsed) + flow_rows(built)
 
     def test_an_ascii_log_takes_one_loadtxt_call_per_chunk_and_never_the_per_line_path(self):
         text = "".join([FLOW_LOG_HEADER + "\n", *(line + "\n" for line in VALID_LINES * 4)])
@@ -365,8 +412,8 @@ class TestFlowTable:
         assert chunks.call_count > 1 and loadtxt.call_count == chunks.call_count and not split_lines.called
 
     def test_concat_merges_dictionaries(self):
-        parts = [flow_table(self.RECORDS[:2]), flow_table(self.RECORDS[2:])]
-        table = FlowTable.concat(parts)
+        with log_files(flow_log_text(self.RECORDS[:2]), flow_log_text(self.RECORDS[2:])) as paths:
+            table = read_flow_log(*paths)
         assert flow_rows(table) == self.RECORDS
         assert table.server_ip.names.tolist() == ["b", "a"]
 

@@ -29,10 +29,10 @@ def imported_names(tree):
 
 
 def used_names(tree):
-    """The names the module reads, including those inside string annotations."""
+    """The names the module reads, including those inside string annotations; a name only bound is not read."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.arg, ast.AnnAssign)):
@@ -57,9 +57,11 @@ def test_no_unused_imports():
 
 
 def test_the_check_sees_an_unused_import():
-    tree = ast.parse("import os\nfrom typing import IO, Sequence\ndef f(x: 'Sequence[int]') -> int: ...\n")
+    source = "import os\nfrom typing import IO, Sequence\ndef f(x: 'Sequence[int]') -> int: ...\n"
+    source += "from .ingest import read_flow_log\nfor read_flow_log in (): pass\n"  # bound again, never read
+    tree = ast.parse(source)
     used = used_names(tree)
-    assert [name for name, _ in imported_names(tree) if name not in used] == ["os", "IO"]
+    assert [name for name, _ in imported_names(tree) if name not in used] == ["os", "IO", "read_flow_log"]
 
 
 def is_dunder(name):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import edgewatch
+from edgewatch.errors import InputError
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
@@ -21,13 +22,13 @@ from edgewatch.ingest import (
     FlowTable,
     midnight_floor,
     parse_cache_hostname,
-    parse_flow_log,
+    read_flow_log,
     window_flows,
     write_csv,
     write_flow_log,
 )
 
-from reference_impls import Flow, flow_rows, flow_table, reference_write_flow_log, transient_bytes
+from reference_impls import Flow, flow_rows, flow_table, parse_flow_log, reference_write_flow_log, transient_bytes
 
 SAMPLE_LINE = (
     "1391212800.5\tC1\t10.0.0.1\tr7---fra07t16.c.vcdn.example\t15.2\t54\t1200\t8000000\t1350.0"
@@ -93,6 +94,16 @@ class TestParseFlowLog:
     def test_empty_stream_is_fatal(self):
         with pytest.raises(FlowLogFormatError):
             parse_flow_log(io.StringIO(""))
+
+    def test_a_log_that_does_not_read_is_an_input_error_naming_its_path(self, tmp_path):
+        good, bad, empty = tmp_path / "good.tsv", tmp_path / "bad.tsv", tmp_path / "empty.tsv"
+        good.write_text(make_log(SAMPLE_LINE).getvalue())
+        bad.write_text(make_log(SAMPLE_LINE, "not\ta\tflow").getvalue())
+        empty.write_text("")
+        for path, cause in ((bad, FlowLineError), (empty, FlowLogFormatError), (tmp_path, IsADirectoryError)):
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: ") as exc:
+                read_flow_log(good, path)
+            assert type(exc.value.__cause__) is cause
 
     @pytest.mark.parametrize(
         "field,value",

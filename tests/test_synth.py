@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from edgewatch.dbscan import DEFAULT_MIN_PTS
 from edgewatch.errors import ConfigError
 from edgewatch.features import percentile_vector
-from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, parse_flow_log, write_flow_log
+from edgewatch.ingest import DAY_SECONDS, parse_cache_hostname, write_flow_log
 from edgewatch.pipeline import rank_matrix, write_rank_csv
 from edgewatch.synth import (
     DEFAULT_START_EPOCH,
@@ -32,6 +32,7 @@ from reference_impls import (
     _rtt_shift,
     flow_rows,
     flow_table,
+    parse_flow_log,
     reference_generate_trace,
     table_columns,
     transient_bytes,
