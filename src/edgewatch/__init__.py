@@ -16,14 +16,6 @@ from .constellation import (
 )
 from .dbscan import Clustering, ClusterParams, dbscan
 from .errors import ConfigError, InputError
-from .evaluation import (
-    GroundTruth,
-    QualityIndices,
-    cd_calibration_curve,
-    clustering_indices,
-    epsilon_sweep,
-    majority_vote_labels,
-)
 from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
@@ -57,13 +49,20 @@ from .pipeline import (
 
 __version__ = "0.1.0"
 
-# The synthesizer's names, imported on first use, so that a run over a real trace never loads it.
-_SYNTH_NAMES = {"EdgeNodeSpec", "EventSpec", "SynthConfig", "generate_trace", "load_synth_config"}
+# Names imported on first use, so that a run over a real trace loads neither module.
+_LAZY = dict.fromkeys(("EdgeNodeSpec", "EventSpec", "SynthConfig", "generate_trace", "load_synth_config"), "synth")
+_LAZY.update(dict.fromkeys(("GroundTruth", "QualityIndices", "cd_calibration_curve", "clustering_indices",
+                            "epsilon_sweep", "majority_vote_labels"), "evaluation"))
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_LAZY)
 
 
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
-        from . import synth
+    if name in _LAZY:
+        from importlib import import_module
 
-        return getattr(synth, name)
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

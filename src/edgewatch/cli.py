@@ -12,7 +12,6 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .evaluation import GroundTruth, cd_calibration_curve, epsilon_sweep, write_sweep_csv
 from .features import extract_cache_features, extract_cache_features_mean_std, write_feature_dump
 from .dbscan import write_clustering_csv
 from .ingest import (
@@ -181,6 +180,8 @@ def _cmd_drilldown(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .evaluation import GroundTruth, epsilon_sweep, write_sweep_csv
+
     config = build_pipeline_config(args)
     eps_grid = args.eps_grid
     if eps_grid[0] <= 0 or any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
@@ -207,6 +208,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    from .evaluation import cd_calibration_curve
+
     e_grid, stars_list, extra_list = args.e_grid, args.stars, args.extra_stars
     if not stars_list or not extra_list:
         raise ConfigError("calibrate needs non-empty --stars and --extra-stars")

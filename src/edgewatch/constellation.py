@@ -54,8 +54,12 @@ def build_constellation(clustering: Clustering, features: CacheFeatures, bounds:
     """
     if clustering.cache_ids != features.cache_ids:
         raise ValueError("clustering and features are over different caches")
-    means = [features.raw[rows].mean(axis=0) for rows in clustering.cluster_rows]
-    positions = bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
+    # One pass adds each cluster's rows in row order onto +0.0, as .mean(axis=0) of its rows adds them.
+    clustered = np.flatnonzero(clustering.labels >= 0)
+    stars = clustering.labels[clustered]
+    sums = np.zeros((clustering.n_clusters, features.raw.shape[1]))
+    np.add.at(sums, stars, features.raw[clustered])
+    positions = bounds.normalize(sums / np.bincount(stars, minlength=len(sums))[:, None]) if len(sums) else sums
     return Constellation(positions, clustering.members, bounds)
 
 

@@ -1,4 +1,4 @@
-"""Ground-truth quality indices, the plurality vote, the epsilon sweep harness, and CD calibration."""
+"""Ground-truth quality indices, the epsilon sweep harness, and CD calibration."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from .dbscan import Clustering, ClusterParams, DEFAULT_MIN_PTS, dbscan
 from .errors import InputError
 from .features import CacheFeatures, normalize_snapshot
 from .ingest import text_output, write_csv
+from .pipeline import plurality
 
 TRIAL_BLOCK = 4096  # calibration trials seeded in one pass
 
@@ -75,22 +76,6 @@ class QualityIndices:
     n_fp: int
     n_clusters: int
     n_labels: int
-
-
-def plurality(groups: np.ndarray, choices: np.ndarray, n_groups: int, n_choices: int) -> np.ndarray:
-    """Each group's winning choice index, where vote i goes to ``choices[i]`` in group ``groups[i]``.
-
-    Most votes win, ties go to the smallest index, a choice of -1 casts no vote, and a group
-    with no votes gets -1.
-    """
-    voting = choices >= 0
-    pairs, counts = np.unique(groups[voting] * n_choices + choices[voting], return_counts=True)
-    group, choice = np.divmod(pairs, n_choices)
-    order = np.lexsort((-counts, group))  # stable: equal counts keep the smaller choice first
-    voted, first = np.unique(group[order], return_index=True)
-    winner = np.full(n_groups, -1, dtype=np.intp)
-    winner[voted] = choice[order[first]]
-    return winner
 
 
 def majority_vote_labels(

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import configparser
 import csv
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -33,6 +33,8 @@ FLOW_LOG_HEADER = "\t".join(FLOW_LOG_COLUMNS)
 
 DAY_SECONDS = 86_400.0
 CHUNK_BYTES = 256 * 1024  # flow-log text converted per column-wise pass
+MIN_LINE_BYTES = 16  # the shortest data line the parser keeps: 6 one-digit numbers, a 1-byte server_ip, 8 tabs, LF
+RANK_BLOCK = 65_536  # rows numbered per pass of FlowTable.value_rank
 MAX_WINDOWS = 100_000
 
 
@@ -102,9 +104,12 @@ class FlowTable:
     @cached_property
     def value_rank(self) -> np.ndarray:
         """Row i's rank in ``min_rtt`` order at [0, i] and in ``ttl`` order at [1, i]; equal values rank in any order."""
-        rank = np.empty((2, len(self)), np.intp)
+        rank = np.empty((2, len(self)), np.int32 if len(self) < 2**31 else np.int64)
         for metric_rank, column in zip(rank, (self.min_rtt, self.ttl)):
-            metric_rank[np.argsort(column)] = np.arange(len(self))
+            order = np.argsort(column)
+            for lo in range(0, len(self), RANK_BLOCK):  # block by block: no whole-trace arange
+                block = order[lo : lo + RANK_BLOCK]
+                metric_rank[block] = np.arange(lo, lo + len(block), dtype=rank.dtype)
         return rank
 
 
@@ -205,7 +210,7 @@ class _Reader:
 
     def __init__(self):
         kinds = {"client_id": np.dtypes.StringDType(), "server_ip": np.int64, "hostname": np.int64}
-        # Grown in place, doubling, and cut to size once by table(); no view of them is held meanwhile.
+        # Grown by _reserve and cut to size once by table(); no view of them is held meanwhile.
         self.columns = [np.empty(0, kinds.get(name, _ROW[name])) for name in FLOW_LOG_COLUMNS]
         self.indexes, self.rows = (_Index(), _Index()), 0  # server_ip's and hostname's name -> code
 
@@ -222,10 +227,16 @@ class _Reader:
         are read exactly as float() and int() read them, and the faults are
         found and worded as the tests' per-line oracle,
         ``reference_impls.reference_parse_line``, finds and words them.
+        A file's first chunk sizes the columns for the whole file from the
+        file's size; a stream without a size grows them by doubling.
         """
         header = source.readline()
         if not header:
             raise FlowLogFormatError("empty stream, missing header")
+        try:  # the file's bytes after the header; none for a pipe, whose size is 0
+            left = os.fstat(source.fileno()).st_size - len(header.encode())
+        except OSError:  # a stream without a file, such as a StringIO
+            left = 0
         header = header.rstrip("\r\n")
         if header != FLOW_LOG_HEADER:
             raise FlowLogFormatError(f"bad header: {header!r}")
@@ -234,11 +245,26 @@ class _Reader:
             kept = _parse_chunk(line_number, chunk, errors)
             kept[2:4] = map(_Index.codes, self.indexes, kept[2:4])
             line_number, end = line_number + len(chunk), self.rows + len(kept[0])
+            capacity = len(self.columns[0])
+            if left > 0:  # the first chunk of a file: room for its other lines too, at the chunk's bytes per line
+                chunk_bytes = len("".join(chunk).encode())
+                rest, left = max(left - chunk_bytes, 0), 0
+                lines = rest * len(chunk) // chunk_bytes
+                lines += lines // 32  # lines vary in length: a little room spares a doubling for a few rows
+                capacity = max(capacity, end + min(lines, rest // MIN_LINE_BYTES))
+            elif end > capacity:
+                capacity = max(end, 2 * capacity)
+            if capacity > len(self.columns[0]):
+                self._reserve(capacity)
             for column, values in zip(self.columns, kept):
-                if end > len(column):
-                    column.resize(max(end, 2 * len(column)), refcheck=False)
                 column[self.rows : end] = values
             self.rows = end
+
+    def _reserve(self, capacity: int) -> None:
+        """Columns of ``capacity`` rows, the rows read so far copied in once (``ndarray.resize`` would zero-fill)."""
+        for k, column in enumerate(self.columns):
+            self.columns[k] = np.empty(capacity, column.dtype)
+            self.columns[k][: self.rows] = column[: self.rows]
 
     def table(self) -> FlowTable:
         for column in self.columns:
@@ -292,6 +318,8 @@ def write_csv(target: IO[str] | str | Path, header: Sequence[str], rows: Iterabl
 
 def read_ini_section(path: str | Path, section: str) -> configparser.SectionProxy:
     """``[section]`` of UTF-8 INI file ``path`` with literal ``%``; any failure is a one-line ConfigError."""
+    import configparser  # here, so that a run without an INI file never loads it
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fp:

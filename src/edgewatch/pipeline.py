@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -19,7 +18,6 @@ from .constellation import (
 )
 from .dbscan import Clustering, ClusterParams, DEFAULT_EPSILON, DEFAULT_MIN_PTS, dbscan
 from .errors import ConfigError, InputError, require_finite
-from .evaluation import plurality
 from .features import (
     CacheFeatures,
     DEFAULT_MIN_FLOW,
@@ -38,8 +36,6 @@ from .ingest import (
     window_flows,
     write_csv,
 )
-
-log = logging.getLogger(__name__)
 
 FLAG_NONE = "none"
 FLAG_EVENT = "event"
@@ -143,9 +139,29 @@ def analyze_snapshot(snapshot: Snapshot, config: PipelineConfig) -> SnapshotStat
             raise InputError(f"snapshot {snapshot.index}: the features of its caches sum beyond the float range")
     points, bounds = normalize_snapshot(features)
     if not len(features):
-        log.warning("snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow)
+        import logging  # here, so that a run without an empty window never loads it
+
+        logging.getLogger(__name__).warning(
+            "snapshot %d has no caches above min_flow=%d", snapshot.index, config.min_flow
+        )
     clustering = dbscan(points, features.cache_ids, ClusterParams(config.epsilon, config.min_pts))
     return SnapshotState(snapshot, features, bounds, clustering)
+
+
+def plurality(groups: np.ndarray, choices: np.ndarray, n_groups: int, n_choices: int) -> np.ndarray:
+    """Each group's winning choice index, where vote i goes to ``choices[i]`` in group ``groups[i]``.
+
+    Most votes win, ties go to the smallest index, a choice of -1 casts no vote, and a group
+    with no votes gets -1.
+    """
+    voting = choices >= 0
+    pairs, counts = np.unique(groups[voting] * n_choices + choices[voting], return_counts=True)
+    group, choice = np.divmod(pairs, n_choices)
+    order = np.lexsort((-counts, group))  # stable: equal counts keep the smaller choice first
+    voted, first = np.unique(group[order], return_index=True)
+    winner = np.full(n_groups, -1, dtype=np.intp)
+    winner[voted] = choice[order[first]]
+    return winner
 
 
 def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> np.ndarray:

@@ -36,6 +36,9 @@ draws for each radius and summed each CD through its per-star couplings. It
 draws each star's offset through ``sample_in_ball``, so it shares no sampling
 code with the package. ``seeded_rng`` is the package's former way to seed one stream: numpy's own
 ``default_rng`` of the key's 32-bit words, where the package now hashes a whole batch of keys itself.
+The star-position oracle ``reference_star_positions`` is the former one ``.mean(axis=0)`` call per star, where
+the package now adds every clustered row onto its star in one ``np.add.at``, and ``reference_value_rank`` is the
+former int64 rank built from one whole-trace ``arange``, where the package now fills int32 ranks in blocks.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the TSV parser and ``flow_rows`` turns a table back.
@@ -597,3 +600,17 @@ def reference_write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> 
         for chunk in (table[lo : lo + 4096] for lo in range(0, len(table), 4096)):
             values = (c.decode() if isinstance(c, Codes) else c.tolist() for c in _fields_of(chunk))
             fp.write("".join(map(line.format, *values)))
+
+
+def reference_star_positions(clustering, features, bounds):
+    """Each cluster's star: its rows' ``.mean(axis=0)``, one call per star, normalized with ``bounds``."""
+    means = [features.raw[rows].mean(axis=0) for rows in clustering.cluster_rows]
+    return bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
+
+
+def reference_value_rank(table: FlowTable) -> np.ndarray:
+    """``FlowTable.value_rank`` as int64, each metric's ranks from one ``arange`` over the whole table."""
+    rank = np.empty((2, len(table)), np.int64)
+    for metric_rank, column in zip(rank, (table.min_rtt, table.ttl)):
+        metric_rank[np.argsort(column)] = np.arange(len(table))
+    return rank

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import edgewatch
-from edgewatch import cli, pipeline
+from edgewatch import cli, evaluation, pipeline
 from edgewatch.cli import _parse_grid, build_parser, build_pipeline_config, main
 from edgewatch.errors import ConfigError
 from edgewatch.ingest import DAY_SECONDS, FLOW_LOG_HEADER, write_flow_log
@@ -788,7 +788,7 @@ class TestCalibrateCommand:
     def test_out_opened_before_first_trial(self, tmp_path, monkeypatch):
         calls = []
         curve = lambda n, e_grid, *args, **kwargs: calls.append((n, e_grid, *args)) or [0.0] * len(e_grid)
-        monkeypatch.setattr(cli, "cd_calibration_curve", curve)
+        monkeypatch.setattr(evaluation, "cd_calibration_curve", curve)  # cli imports it when calibrate runs
         assert main(["calibrate", "--stars", "2", "--trials", "1", "--out", str(tmp_path)]) == 1
         assert len(calls) == 0
 

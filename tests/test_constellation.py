@@ -21,7 +21,12 @@ from edgewatch.dbscan import Clustering
 from edgewatch.features import CacheFeatures, NormalizationBounds, normalize_snapshot
 from edgewatch.ingest import write_csv
 
-from reference_impls import reference_astral_distance, reference_centroids, reference_normalize_snapshot
+from reference_impls import (
+    reference_astral_distance,
+    reference_centroids,
+    reference_normalize_snapshot,
+    reference_star_positions,
+)
 
 
 def astral_distance(position, constellation):
@@ -162,6 +167,32 @@ class TestBuildConstellation:
             positions = build_constellation(clustering_of(features, *clusters), features, b).positions
             expected = reference_centroids(clusters, per_cache, {"rtt": b.rtt, "ttl": b.ttl})
             assert [p.tobytes() for p in positions] == [e.tobytes() for e in expected]
+
+    # Signed zeros, subnormals, huge values of both signs and duplicates: the sums must add the same values in
+    # the same order as the oracle's means, or a last bit or a zero's sign would differ.
+    VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, -1e300, 0.1, 1.0, 255.0])
+
+    @given(
+        dim=st.integers(1, 6).map(lambda k: 2 * k),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=60),
+        noise=st.integers(0, 5),
+        big=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=10, sizes=[3], noise=2, big=True, seed=0)
+    def test_star_positions_equal_the_per_star_mean_oracle(self, dim, sizes, noise, big, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [*sizes, 10_000] if big else sizes
+        labels = rng.permutation(np.repeat(np.arange(-1, len(sizes)), [noise, *sizes]))  # stars' rows interleave
+        raw = rng.choice(self.VALUES, (len(labels), dim))
+        ids = tuple(f"c{i:05d}" for i in range(len(labels)))
+        features = CacheFeatures(ids, np.ones(len(ids), dtype=int), raw)
+        clustering = Clustering(ids, labels, labels >= 0)
+        for bounds in (bounds_of((0.0, 1.0), (0.0, 1.0)), bounds_of((0.5, 2.0), (-1.0, 3.0))):
+            positions = build_constellation(clustering, features, bounds).positions
+            expected = reference_star_positions(clustering, features, bounds)
+            assert np.array_equal(positions, expected)
+            assert np.array_equal(np.signbit(positions), np.signbit(expected))
 
 
 class TestAstralDistance:

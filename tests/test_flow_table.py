@@ -43,6 +43,7 @@ from reference_impls import (
     reference_cache_features,
     reference_parse_line,
     reference_percentile_vector,
+    reference_value_rank,
     reference_window_flows,
     table_columns,
 )
@@ -158,6 +159,79 @@ def test_a_log_cut_into_files_reads_as_the_whole_log(data, records, chunk_bytes)
     assert built.call_count == 1  # one table, cut to size once, however many logs
     assert table_columns(table) == expected  # every column, dtype, code and name
     assert flow_rows(table) == records
+
+
+def uniform_log(rows: int, client: str = "u") -> str:
+    """A flow log of ``rows`` lines of one length in bytes."""
+    lines = (f"{BASE + k!r}\t{client}{k:05d}\tc{k % 7}\tr1---ams0{k % 3}.example\t12.5\t50\t100\t200\t1000.0\n"
+             for k in range(rows))
+    return FLOW_LOG_HEADER + "\n" + "".join(lines)
+
+
+@contextlib.contextmanager
+def reserves():
+    """The capacities ``_Reader`` grows its columns to, as a list filled while the block runs."""
+    with mock.patch.object(ingest._Reader, "_reserve", autospec=True, side_effect=ingest._Reader._reserve) as reserve:
+        capacities = []
+        yield capacities
+    capacities += [call.args[1] for call in reserve.call_args_list]
+
+
+@pytest.mark.parametrize("client", ["u", "\u00fc"])  # a non-ASCII id takes two bytes a character
+def test_a_uniform_log_reserves_its_rows_once(client):
+    text = uniform_log(3000, client)
+    with mock.patch.object(ingest, "CHUNK_BYTES", 4096), log_files(text) as (path,):
+        with reserves() as capacities:
+            table = read_flow_log(path)
+        with reserves() as grown:  # a stream without a size doubles
+            expected = table_columns(parse_flow_log(io.StringIO(text, newline="")))
+    # The first chunk's bytes per line count every row; the 1/32 of room on top is cut off once, by table().
+    assert len(capacities) == 1 and 3000 <= capacities[0] <= 3000 + 3000 // 32
+    assert len(grown) > 1 and all(b == 2 * a for a, b in zip(grown[1:], grown[2:]))
+    assert table_columns(table) == expected
+
+
+def test_a_log_whose_first_lines_are_long_grows_by_doubling():
+    head, *lines = uniform_log(3000).splitlines(keepends=True)
+    lines[:2] = (line.replace("\tu", "\t" + "u" * 3000, 1) for line in lines[:2])  # a first chunk of two lines
+    text = head + "".join(lines)
+    with log_files(text) as (path,):
+        with mock.patch.object(ingest, "CHUNK_BYTES", 4096), reserves() as capacities:
+            table = read_flow_log(path)
+        with reserves() as whole:
+            expected = table_columns(read_flow_log(path))  # one chunk
+    assert len(capacities) > 2 and capacities[0] < 3000 <= capacities[-1]
+    assert all(b == 2 * a for a, b in zip(capacities[1:], capacities[2:]))
+    assert whole == [3000]  # a log read in one chunk reserves its rows exactly
+    assert table_columns(table) == expected
+
+
+def test_a_first_chunk_of_blank_lines_reserves_at_most_a_row_per_shortest_line():
+    text = FLOW_LOG_HEADER + "\n" + "\n" * 5000 + uniform_log(100).partition("\n")[2]
+    with mock.patch.object(ingest, "CHUNK_BYTES", 4096), log_files(text) as (path,), reserves() as capacities:
+        table = read_flow_log(path)
+    rest = len(text.encode()) - len(FLOW_LOG_HEADER) - 1 - 4096  # the bytes after the header and the first chunk
+    assert capacities[0] == rest // ingest.MIN_LINE_BYTES  # not a row per blank line
+    assert table_columns(table) == table_columns(parse_flow_log(io.StringIO(text, newline="")))
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from([0.0, 1.5, 7.0, 1e-300]), st.integers(0, 3)), min_size=1, max_size=40),
+    st.sampled_from(["", "rtt", "ttl"]),
+    st.integers(1, 5),
+)
+def test_int32_ranks_order_rows_as_int64_ranks_do(values, constant, block):
+    flows = [Flow(BASE + k, "u", f"c{k % 3}", "h", 2.0 if constant == "rtt" else rtt, 9 if constant == "ttl" else ttl,
+                  1, 1, 1.0) for k, (rtt, ttl) in enumerate(values)]
+    table = flow_table(flows)
+    with mock.patch.object(ingest, "RANK_BLOCK", block):
+        rank = table.value_rank
+    expected = reference_value_rank(table)
+    assert rank.dtype == np.int32 and np.array_equal(rank, expected)
+    key = table.server_ip.codes * len(table)  # features' key: int64, whatever the rank's width
+    for metric in (0, 1):
+        assert (key + rank[metric]).dtype == np.int64
+        assert np.array_equal(np.argsort(key + rank[metric]), np.argsort(key + expected[metric]))
 
 
 VALID_LINES = [

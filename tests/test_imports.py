@@ -127,50 +127,84 @@ def test_the_check_sees_an_unread_definition():
     ]
 
 
-# Runs the CLI with its arguments, then reports which of the modules a trace run never needs it loaded, and how
-# the package's names resolve.
-RUN_SCRIPT = """
+# Modules that a run loads only for the commands that use them.
+OPTIONAL_MODULES = ["numpy.ma", "edgewatch.synth", "edgewatch.streams", "edgewatch.evaluation", "logging",
+                    "configparser"]
+
+# Runs the CLI with its arguments, then reports which of OPTIONAL_MODULES it loaded, and how the package's names
+# resolve.
+RUN_SCRIPT = f"""
 import sys
 from edgewatch import cli
 rc = cli.main(sys.argv[1:])
-print(rc, sorted({"numpy.ma", "edgewatch.synth", "edgewatch.streams"} & set(sys.modules)))
+print(rc, [name for name in {OPTIONAL_MODULES!r} if name in sys.modules])
 import edgewatch
 print(type(edgewatch.dbscan).__name__, edgewatch.dbscan.__module__, edgewatch.rank_matrix.__module__)
-from edgewatch import generate_trace, SynthConfig
-print(generate_trace.__module__, SynthConfig.__module__)
+from edgewatch import generate_trace, SynthConfig, GroundTruth
+print(generate_trace.__module__, SynthConfig.__module__, GroundTruth.__module__)
 try:
     edgewatch.nope
 except AttributeError as exc:
     print(exc)
 """
 
-# Each command that reads a trace, with its arguments after --input: {gt} is the trace's ground truth, {out}
-# an output directory.
+# Each command that reads a trace, with its arguments after --input ({gt} is the trace's ground truth, {out} an
+# output directory), and the optional modules it loads.
 TRACE_COMMANDS = {
-    "timeline": ["--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"],
-    "drilldown": ["--entry", "1", "--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"],
-    "sweep": ["--ground-truth", "{gt}", "--window-days", "1", "--min-flow", "10", "--out", "{out}/sweep.csv"],
-    "rank": ["--out", "{out}/rank.csv"],
+    "timeline": (["--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"], []),
+    "drilldown": (["--entry", "1", "--window-days", "1", "--min-flow", "10", "--out-dir", "{out}"], []),
+    "sweep": (["--ground-truth", "{gt}", "--window-days", "1", "--min-flow", "10", "--out", "{out}/sweep.csv"],
+              ["edgewatch.evaluation"]),
+    "rank": (["--out", "{out}/rank.csv"], []),
 }
 
 
-@pytest.mark.parametrize("command", TRACE_COMMANDS)
-def test_a_trace_run_loads_neither_numpy_ma_nor_synth(tmp_path, command):
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
+    """A small synthetic trace and its ground truth, written once for the module."""
+    root = tmp_path_factory.mktemp("trace")
     nodes = (EdgeNodeSpec("AMS", 6, 15.0, 1.5, 52, 1.0), EdgeNodeSpec("FRA", 6, 95.0, 2.0, 64, 1.0))
-    trace, gt, out = tmp_path / "trace.tsv", tmp_path / "gt.tsv", tmp_path / "out"
     records, ground_truth = generate_trace(SynthConfig(nodes=nodes, days=3, flows_per_day=1200, seed=1))
-    write_flow_log(trace, records)
-    ground_truth.save(gt)
-    argv = [command, "--input", str(trace), *(a.format(gt=gt, out=out) for a in TRACE_COMMANDS[command])]
+    write_flow_log(root / "trace.tsv", records)
+    ground_truth.save(root / "gt.tsv")
+    return root / "trace.tsv", root / "gt.tsv"
+
+
+def run_cli(*argv):
+    """RUN_SCRIPT's output lines for the CLI arguments, in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *argv],
+    done = subprocess.run([sys.executable, "-c", RUN_SCRIPT, *map(str, argv)],
                           capture_output=True, text=True, timeout=120, env=env)
     assert done.stderr == ""
-    assert done.stdout.splitlines()[-4:] == [
-        "0 []",
+    return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", TRACE_COMMANDS)
+def test_a_trace_run_loads_neither_numpy_ma_nor_synth(tmp_path, trace, command):
+    (path, gt), out = trace, tmp_path / "out"
+    args, loaded = TRACE_COMMANDS[command]
+    assert run_cli(command, "--input", path, *(a.format(gt=gt, out=out) for a in args))[-4:] == [
+        f"0 {loaded}",
         "function edgewatch.dbscan edgewatch.pipeline",
-        "edgewatch.synth edgewatch.synth",
+        "edgewatch.synth edgewatch.synth edgewatch.evaluation",
         "module 'edgewatch' has no attribute 'nope'",
     ]
     if command == "timeline":
         assert ":AMS:" in (out / "timeline.csv").read_text()  # the run labelled its stars
+
+
+def test_only_a_config_file_loads_configparser(tmp_path, trace):
+    path, _ = trace
+    ini = tmp_path / "run.ini"
+    ini.write_text("[pipeline]\nwindow_days = 1\nmin_flow = 10\n", encoding="utf-8")
+    flags = run_cli("timeline", "--input", path, "--window-days", "1", "--min-flow", "10", "--out-dir", tmp_path / "a")
+    config = run_cli("timeline", "--input", path, "--config", ini, "--out-dir", tmp_path / "b")
+    assert (flags[-4], config[-4]) == ("0 []", "0 ['configparser']")
+    assert (tmp_path / "a" / "timeline.csv").read_bytes() == (tmp_path / "b" / "timeline.csv").read_bytes()
+
+
+def test_a_bare_import_loads_neither_synth_nor_evaluation():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = "import sys, edgewatch; print(sorted({'edgewatch.synth', 'edgewatch.evaluation'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env)
+    assert (done.stdout, done.stderr) == ("[]\n", "")

@@ -1,8 +1,10 @@
 """README's examples run as written, so its names and INI syntax cannot drift from the code."""
 
+import ast
 import re
 from pathlib import Path
 
+import edgewatch
 from edgewatch.cli import main
 from edgewatch.synth import load_synth_config
 
@@ -25,6 +27,14 @@ def test_synth_config_example_runs(tmp_path):
 
 def test_library_example_imports():
     exec(readme_block("python"), {})
+
+
+def test_a_star_import_binds_every_library_name():
+    (statement,) = ast.parse(readme_block("python")).body
+    names = {alias.name for alias in statement.names}
+    namespace = {}
+    exec("from edgewatch import *", namespace)
+    assert names <= namespace.keys() and names <= set(dir(edgewatch))
 
 
 CSV_TRACE_INI = """
