@@ -43,30 +43,19 @@ class Clustering:
     is_core: np.ndarray  # bool
 
     @cached_property
-    def _groups(self) -> list[np.ndarray]:
-        """The noise rows, then each cluster's rows, each ascending: one stable sort of ``labels``."""
-        by_label = np.argsort(self.labels, kind="stable")
-        starts = np.searchsorted(self.labels[by_label], np.arange(self.labels.max(initial=-1) + 1))
-        return np.split(by_label, starts)
-
-    @property
-    def cluster_rows(self) -> list[np.ndarray]:
-        """Cluster k's rows, ascending, at index k."""
-        return self._groups[1:]
-
-    @cached_property
     def members(self) -> tuple[tuple[str, ...], ...]:
-        """Cluster k's cache ids, in row order, at index k."""
-        ids = np.array(self.cache_ids, dtype=object)
-        return tuple(tuple(ids[rows]) for rows in self.cluster_rows)
+        """Cluster k's cache ids, in row order, at index k: one stable sort of ``labels``."""
+        by_label = np.argsort(self.labels, kind="stable")
+        starts = np.searchsorted(self.labels[by_label], np.arange(self.n_clusters))
+        return tuple(map(tuple, np.split(np.array(self.cache_ids, dtype=object)[by_label], starts)[1:]))
 
     @property
     def noise(self) -> tuple[str, ...]:
-        return tuple(self.cache_ids[i] for i in self._groups[0].tolist())
+        return tuple(self.cache_ids[i] for i in np.flatnonzero(self.labels < 0).tolist())
 
     @property
     def n_clusters(self) -> int:
-        return len(self._groups) - 1
+        return int(self.labels.max(initial=-1)) + 1
 
 
 # Candidate pairs tested per block: bounds the neighborhood scan's working set

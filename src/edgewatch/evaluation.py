@@ -56,6 +56,9 @@ class GroundTruth:
             raise InputError(f"{path}: {exc}") from None
 
     def save(self, target: IO[str] | str | Path) -> None:
+        bad = [text for item in self.labels.items() for text in item if any(map(text.__contains__, "\t\n\r"))]
+        if bad:
+            raise ValueError(f"ground-truth field not serializable to TSV: {bad[0]!r}")
         with text_output(target) as fp:
             for cache_id in sorted(self.labels):
                 fp.write(f"{cache_id}\t{self.labels[cache_id]}\n")
@@ -174,6 +177,12 @@ def _ball_rows(rng: np.random.Generator, n: int, dim: int) -> tuple[np.ndarray, 
     return units, upows
 
 
+def _cd(a: np.ndarray, b: np.ndarray) -> float:
+    """The CD between two constellations' ``positions``, summed as ``constellation_distance`` sums it."""
+    (_, ab), (_, ba) = _nearest_stars(a, b)
+    return sum(ab.tolist()) + sum(ba.tolist())
+
+
 def cd_calibration_curve(
     n_stars: int, e_grid: Sequence[float], trials: int, extra_stars: int = 0, *, seed: int = 0, dim: int | None = None
 ) -> list[float]:
@@ -193,21 +202,20 @@ def cd_calibration_curve(
 
     space_dim = n_stars if dim is None else dim
     totals = [0.0] * len(e_grid)
-    order = sorted(enumerate(e_grid), key=lambda ke: bool(ke[1]))  # e = 0 before e > 0 overwrites its extra stars
     rng = np.random.Generator(np.random.PCG64(0))
-    for trial in range(trials):
-        if trial % TRIAL_BLOCK == 0:  # the next block's seeds, so that no more than a block's are held at once
-            seeds = stream_seeds(seed, np.arange(trial, min(trial + TRIAL_BLOCK, trials)))
-        trial_seed = seeds[trial % TRIAL_BLOCK]
-        base = reseed(rng, trial_seed).random((n_stars, space_dim))  # the doubles of uniform(0.0, 1.0)
-        displaced, units = np.vstack([base, rng.random((extra_stars, space_dim))]), None
-        for k, e in order:
-            if e and units is None:  # the first e > 0 draws the ball rows from where e = 0 drew its extras
-                reseed(rng, trial_seed).random((n_stars, space_dim))  # back to the end of the base draws
+    for first in range(0, trials, TRIAL_BLOCK):  # a block's seeds at a time, so that no more are held at once
+        for trial_seed in stream_seeds(seed, np.arange(first, min(first + TRIAL_BLOCK, trials))):
+            base = reseed(rng, trial_seed).random((n_stars, space_dim))  # the doubles of uniform(0.0, 1.0)
+            displaced = np.vstack([base, rng.random((extra_stars, space_dim))])  # e = 0's extras follow the base
+            for k in [k for k, e in enumerate(e_grid) if not e]:
+                totals[k] += _cd(base, displaced)
+            if any(e_grid):  # e > 0 draws the ball rows, then its extras, from the end of the base draws
+                reseed(rng, trial_seed).random((n_stars, space_dim))
                 units, upows = _ball_rows(rng, n_stars, space_dim)
                 displaced[n_stars:] = rng.random((extra_stars, space_dim))
-            if e:  # base + units * (e * upows)[:, None], written in place
-                np.add(base, np.multiply(units, (e * upows)[:, None], out=displaced[:n_stars]), out=displaced[:n_stars])
-            (_, ab), (_, ba) = _nearest_stars(base, displaced)
-            totals[k] += sum(ab.tolist()) + sum(ba.tolist())
+                for k, e in enumerate(e_grid):
+                    if e:  # base + units * (e * upows)[:, None], written in place
+                        np.multiply(units, (e * upows)[:, None], out=displaced[:n_stars])
+                        displaced[:n_stars] += base
+                        totals[k] += _cd(base, displaced)
     return [total / trials for total in totals]

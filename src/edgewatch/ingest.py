@@ -33,7 +33,7 @@ FLOW_LOG_HEADER = "\t".join(FLOW_LOG_COLUMNS)
 
 DAY_SECONDS = 86_400.0
 CHUNK_BYTES = 256 * 1024  # flow-log text converted per column-wise pass
-MIN_LINE_BYTES = 16  # the shortest data line the parser keeps: 6 one-digit numbers, a 1-byte server_ip, 8 tabs, LF
+MIN_LINE_BYTES = 16  # shortest kept data line: 6 one-digit numbers, a 1-byte server_ip, 8 tabs, LF unless last
 RANK_BLOCK = 65_536  # rows numbered per pass of FlowTable.value_rank
 MAX_WINDOWS = 100_000
 
@@ -108,8 +108,9 @@ class FlowTable:
         for metric_rank, column in zip(rank, (self.min_rtt, self.ttl)):
             order = np.argsort(column)
             for lo in range(0, len(self), RANK_BLOCK):  # block by block: no whole-trace arange
-                block = order[lo : lo + RANK_BLOCK]
-                metric_rank[block] = np.arange(lo, lo + len(block), dtype=rank.dtype)
+                stop = min(lo + RANK_BLOCK, len(self))
+                metric_rank[order[lo:stop]] = np.arange(lo, stop, dtype=rank.dtype)
+            del order  # freed before the next metric's argsort allocates its own
         return rank
 
 
@@ -251,7 +252,7 @@ class _Reader:
                 rest, left = max(left - chunk_bytes, 0), 0
                 lines = rest * len(chunk) // chunk_bytes
                 lines += lines // 32  # lines vary in length: a little room spares a doubling for a few rows
-                capacity = max(capacity, end + min(lines, rest // MIN_LINE_BYTES))
+                capacity = max(capacity, end + min(lines, (rest + 1) // MIN_LINE_BYTES))
             elif end > capacity:
                 capacity = max(end, 2 * capacity)
             if capacity > len(self.columns[0]):

@@ -36,8 +36,9 @@ draws for each radius and summed each CD through its per-star couplings. It
 draws each star's offset through ``sample_in_ball``, so it shares no sampling
 code with the package. ``seeded_rng`` is the package's former way to seed one stream: numpy's own
 ``default_rng`` of the key's 32-bit words, where the package now hashes a whole batch of keys itself.
-The star-position oracle ``reference_star_positions`` is the former one ``.mean(axis=0)`` call per star, where
-the package now adds every clustered row onto its star in one ``np.add.at``, and ``reference_value_rank`` is the
+The star-position oracle ``reference_star_positions`` is the former one ``.mean(axis=0)`` call per star, over the
+rows with ``labels == k`` so that it shares no grouping with ``Clustering``, where the package now adds every
+clustered row onto its star in one ``np.add.at``, and ``reference_value_rank`` is the
 former int64 rank built from one whole-trace ``arange``, where the package now fills int32 ranks in blocks.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
@@ -603,8 +604,8 @@ def reference_write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> 
 
 
 def reference_star_positions(clustering, features, bounds):
-    """Each cluster's star: its rows' ``.mean(axis=0)``, one call per star, normalized with ``bounds``."""
-    means = [features.raw[rows].mean(axis=0) for rows in clustering.cluster_rows]
+    """Star k: the ``.mean(axis=0)`` of the rows with ``labels == k``, one call per star, normalized with ``bounds``."""
+    means = [features.raw[clustering.labels == k].mean(axis=0) for k in range(clustering.n_clusters)]
     return bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
 
 

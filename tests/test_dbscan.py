@@ -103,6 +103,20 @@ class TestDbscan:
         assert clustering.members == (clustering.cache_ids,)
         assert clustering.is_core.tolist() == [True] * 6
 
+    @given(st.lists(st.integers(-1, 6), max_size=40) | st.lists(st.just(-1), max_size=5))
+    def test_views_equal_the_per_label_oracle(self, drawn):
+        # Drawn labels leave gaps (an unused k below the largest label is still a cluster, with no members),
+        # and include all noise and no rows.
+        labels = np.array(drawn, dtype=np.intp)
+        ids = tuple(f"c{i}" for i in range(len(labels)))
+        clustering = Clustering(ids, labels, labels >= 0)
+        n_clusters = max(drawn, default=-1) + 1
+        assert clustering.n_clusters == n_clusters
+        assert clustering.members == tuple(
+            tuple(c for c, lab in zip(ids, drawn) if lab == k) for k in range(n_clusters)
+        )
+        assert clustering.noise == tuple(c for c, lab in zip(ids, drawn) if lab < 0)
+
     def test_empty_input(self):
         clustering = dbscan(np.empty((0, 3)), (), ClusterParams())
         assert (clustering.members, clustering.noise, clustering.n_clusters) == ((), (), 0)

@@ -1,11 +1,13 @@
 import io
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from edgewatch import evaluation
 from edgewatch.dbscan import Clustering
 from edgewatch.evaluation import (
     GroundTruth,
@@ -45,6 +47,22 @@ class TestGroundTruth:
         gt.save(path)
         assert path.read_text() == "a\tE1\nb\tE2\n"
         assert GroundTruth.load(path) == gt
+
+    # load splits lines on LF and fields on tabs, and reads text with universal newlines, which turn a CR into
+    # an LF: each of these would be saved as a file that load refuses, or reads back changed ("AMS\r" as "AMS").
+    @pytest.mark.parametrize(
+        "labels", [{"a\tb": "AMS"}, {"a": "AMS\nFRA"}, {"a": "AMS\tX"}, {"a\rb": "AMS"}, {"a": "AMS\r"}]
+    )
+    def test_save_refuses_a_field_load_would_not_read_back(self, tmp_path, labels):
+        path = tmp_path / "gt.tsv"
+        with pytest.raises(ValueError, match="not serializable to TSV"):
+            GroundTruth({"z": "FRA", **labels}).save(path)
+        assert not path.exists()
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "gt.tsv"
+        path.write_bytes(b"a\tE1\r\nb\tE2\r\n")
+        assert GroundTruth.load(path) == GroundTruth({"a": "E1", "b": "E2"})
 
 
 class TestMajorityVote:
@@ -382,6 +400,16 @@ class TestCdCalibration:
         # One trial's draws serve every radius, yet each mean CD is the per-radius oracle's, bit for bit.
         curve = cd_calibration_curve(n, grid, trials, extra, seed=seed, dim=dim)
         expected = [reference_impls.reference_cd_calibration(n, e, trials, extra, seed=seed, dim=dim) for e in grid]
+        assert list(map(float.hex, curve)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 6, 7])
+    def test_curve_equals_per_radius_oracle_across_seed_blocks(self, block, trials):
+        # Trials are seeded TRIAL_BLOCK at a time: each block boundary, a full last block and a partial one.
+        grid = [0.3, 0.0, 0.05, 0.0]
+        with mock.patch.object(evaluation, "TRIAL_BLOCK", block):
+            curve = cd_calibration_curve(3, grid, trials, 2, seed=5)
+        expected = [reference_impls.reference_cd_calibration(3, e, trials, 2, seed=5) for e in grid]
         assert list(map(float.hex, curve)) == list(map(float.hex, expected))
 
     def test_parameter_validation(self):

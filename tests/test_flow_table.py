@@ -46,6 +46,7 @@ from reference_impls import (
     reference_value_rank,
     reference_window_flows,
     table_columns,
+    transient_bytes,
 )
 
 BASE = 1_388_534_400.0  # a UTC midnight
@@ -211,8 +212,33 @@ def test_a_first_chunk_of_blank_lines_reserves_at_most_a_row_per_shortest_line()
     with mock.patch.object(ingest, "CHUNK_BYTES", 4096), log_files(text) as (path,), reserves() as capacities:
         table = read_flow_log(path)
     rest = len(text.encode()) - len(FLOW_LOG_HEADER) - 1 - 4096  # the bytes after the header and the first chunk
-    assert capacities[0] == rest // ingest.MIN_LINE_BYTES  # not a row per blank line
+    assert capacities[0] == (rest + 1) // ingest.MIN_LINE_BYTES == 462  # not a row per blank line
     assert table_columns(table) == table_columns(parse_flow_log(io.StringIO(text, newline="")))
+
+
+def test_a_last_line_without_lf_is_reserved_with_the_others():
+    # The shortest kept line is 16 bytes with its LF and 15 without: the last one must still count as a row.
+    text = FLOW_LOG_HEADER + "\n" + "\n".join(["0\t\tx\t\t0\t0\t0\t0\t0"] * 1000)
+    with mock.patch.object(ingest, "CHUNK_BYTES", 4096), log_files(text, text + "\n") as paths:
+        tables, reserved = [], []
+        for path in paths:
+            with reserves() as capacities:
+                tables.append(read_flow_log(path))
+            reserved.append(capacities)
+    assert reserved == [[1000], [1000]]  # reserved once, with no doubling
+    assert table_columns(tables[0]) == table_columns(tables[1])
+
+
+def test_value_rank_frees_a_metric_order_before_sorting_the_next():
+    # Only one metric's int64 argsort (8 B a row) is alive at a time, beside the int32 ranks the call returns and
+    # one block's arange. Holding the RTT order while the TTL argsort allocates would take 16 B a row.
+    n = 4 * ingest.RANK_BLOCK
+    rng = np.random.default_rng(0)
+    rows = [Flow(BASE + k, "u", f"c{k % 3}", "h", 1.0 + k, k, 1, 1, 1.0) for k in range(64)]
+    table = dataclasses.replace(flow_table(rows)[np.arange(n) % 64], min_rtt=rng.random(n), ttl=rng.integers(0, 255, n))
+    rank, transient = transient_bytes(FlowTable.value_rank.func, table)
+    assert np.array_equal(rank, reference_value_rank(table))
+    assert transient < 12 * n, transient / n
 
 
 @given(
