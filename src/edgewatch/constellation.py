@@ -50,16 +50,20 @@ def build_constellation(clustering: Clustering, features: CacheFeatures, bounds:
     The renormalization is affine, so the mean of renormalized raw rows is
     computed as renorm(mean of raw rows); the equivalence is asserted by a
     property test rather than assumed. Noise caches contribute nothing. The
-    clustering must be over ``features``' caches, row for row.
+    clustering must be over ``features``' caches, row for row, and every
+    cluster 0..k-1 must have a member.
     """
     if clustering.cache_ids != features.cache_ids:
         raise ValueError("clustering and features are over different caches")
     # One pass adds each cluster's rows in row order onto +0.0, as .mean(axis=0) of its rows adds them.
     clustered = np.flatnonzero(clustering.labels >= 0)
     stars = clustering.labels[clustered]
-    sums = np.zeros((clustering.n_clusters, features.raw.shape[1]))
+    counts = np.bincount(stars, minlength=clustering.n_clusters)
+    if not counts.all():
+        raise ValueError(f"cluster {int(np.argmin(counts))} has no member caches")
+    sums = np.zeros((len(counts), features.raw.shape[1]))
     np.add.at(sums, stars, features.raw[clustered])
-    positions = bounds.normalize(sums / np.bincount(stars, minlength=len(sums))[:, None]) if len(sums) else sums
+    positions = bounds.normalize(sums / counts[:, None]) if len(sums) else sums
     return Constellation(positions, clustering.members, bounds)
 
 

@@ -140,13 +140,14 @@ def _summarize_caches(
     min_flow = max(min_flow, 1)
     kept = np.flatnonzero(sizes >= min_flow)  # codes of the kept caches, ascending
     in_kept = sizes[caches] >= min_flow
-    rows, caches = snapshot.rows[in_kept], caches[in_kept]
+    rows = snapshot.rows[in_kept]
+    caches = caches[in_kept].astype(np.min_scalar_type(len(sizes) - 1))  # 8- or 16-bit codes stable-sort by radix
     blocks = []
-    for metric, column in enumerate((table.min_rtt, table.ttl)):  # the order of METRICS
+    for column in (table.min_rtt, table.ttl):  # the order of METRICS
         values = column[rows].astype(float)
-        rank = table.value_rank[metric, rows] if by_value else rows  # a row's rank in the trace, or its position
-        # One argsort of the unique key sorts like lexsort((rank, caches)), several times faster.
-        blocks.append(summarize(values[np.argsort(caches * len(table) + rank)], sizes[kept]))
+        order = np.argsort(values if by_value else rows)  # ascending values, or input order
+        order = order[np.argsort(caches[order], kind="stable")]
+        blocks.append(summarize(values[order], sizes[kept]))
     names = table.server_ip.names[kept]
     order = np.argsort(names, kind="stable")
     return CacheFeatures(tuple(names[order].tolist()), sizes[kept][order], np.hstack(blocks)[order])

@@ -34,7 +34,6 @@ FLOW_LOG_HEADER = "\t".join(FLOW_LOG_COLUMNS)
 DAY_SECONDS = 86_400.0
 CHUNK_BYTES = 256 * 1024  # flow-log text converted per column-wise pass
 MIN_LINE_BYTES = 16  # shortest kept data line: 6 one-digit numbers, a 1-byte server_ip, 8 tabs, LF unless last
-RANK_BLOCK = 65_536  # rows numbered per pass of FlowTable.value_rank
 MAX_WINDOWS = 100_000
 
 
@@ -100,18 +99,6 @@ class FlowTable:
     def time_order(self) -> np.ndarray:
         """Row indices in start-time order; equal times keep input order."""
         return np.argsort(self.start_time, kind="stable")
-
-    @cached_property
-    def value_rank(self) -> np.ndarray:
-        """Row i's rank in ``min_rtt`` order at [0, i] and in ``ttl`` order at [1, i]; equal values rank in any order."""
-        rank = np.empty((2, len(self)), np.int32 if len(self) < 2**31 else np.int64)
-        for metric_rank, column in zip(rank, (self.min_rtt, self.ttl)):
-            order = np.argsort(column)
-            for lo in range(0, len(self), RANK_BLOCK):  # block by block: no whole-trace arange
-                stop = min(lo + RANK_BLOCK, len(self))
-                metric_rank[order[lo:stop]] = np.arange(lo, stop, dtype=rank.dtype)
-            del order  # freed before the next metric's argsort allocates its own
-        return rank
 
 
 # The columns of a FlowTable, as a tuple.

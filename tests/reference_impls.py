@@ -38,8 +38,7 @@ code with the package. ``seeded_rng`` is the package's former way to seed one st
 ``default_rng`` of the key's 32-bit words, where the package now hashes a whole batch of keys itself.
 The star-position oracle ``reference_star_positions`` is the former one ``.mean(axis=0)`` call per star, over the
 rows with ``labels == k`` so that it shares no grouping with ``Clustering``, where the package now adds every
-clustered row onto its star in one ``np.add.at``, and ``reference_value_rank`` is the
-former int64 rank built from one whole-trace ``arange``, where the package now fills int32 ranks in blocks.
+clustered row onto its star in one ``np.add.at``.
 
 Flows for the oracles are ``Flow`` rows; ``flow_table`` turns rows into a
 table through the TSV parser and ``flow_rows`` turns a table back.
@@ -607,11 +606,3 @@ def reference_star_positions(clustering, features, bounds):
     """Star k: the ``.mean(axis=0)`` of the rows with ``labels == k``, one call per star, normalized with ``bounds``."""
     means = [features.raw[clustering.labels == k].mean(axis=0) for k in range(clustering.n_clusters)]
     return bounds.normalize(np.array(means)) if means else np.empty((0, features.raw.shape[1]))
-
-
-def reference_value_rank(table: FlowTable) -> np.ndarray:
-    """``FlowTable.value_rank`` as int64, each metric's ranks from one ``arange`` over the whole table."""
-    rank = np.empty((2, len(table)), np.int64)
-    for metric_rank, column in zip(rank, (table.min_rtt, table.ttl)):
-        metric_rank[np.argsort(column)] = np.arange(len(table))
-    return rank

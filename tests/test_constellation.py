@@ -120,6 +120,13 @@ class TestBuildConstellation:
             with pytest.raises(ValueError, match="different caches"):
                 build_constellation(clustering, features, bounds_of((0, 2)))
 
+    def test_a_gap_in_the_labels_is_refused(self):
+        # Cluster 1 has no member: its star would be 0/0, a NaN row.
+        features = cache_features({"a": ([1.0], [1.0]), "b": ([2.0], [2.0])})
+        clustering = Clustering(features.cache_ids, np.array([0, 2], dtype=np.intp), np.ones(2, dtype=bool))
+        with pytest.raises(ValueError, match="cluster 1 has no member"):
+            build_constellation(clustering, features, bounds_of((0.0, 2.0)))
+
     def test_affine_commutation(self):
         # mean-then-renorm equals renorm-then-mean because renorm is affine.
         rng = np.random.default_rng(8)

@@ -12,6 +12,7 @@ import io
 import math
 import struct
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -26,8 +27,10 @@ from edgewatch.features import CacheFeatures, extract_cache_features, extract_ca
 from edgewatch.ingest import (
     DAY_SECONDS,
     FLOW_LOG_HEADER,
+    Codes,
     FlowLineError,
     FlowTable,
+    Snapshot,
     midnight_floor,
     read_flow_log,
     window_flows,
@@ -43,10 +46,8 @@ from reference_impls import (
     reference_cache_features,
     reference_parse_line,
     reference_percentile_vector,
-    reference_value_rank,
     reference_window_flows,
     table_columns,
-    transient_bytes,
 )
 
 BASE = 1_388_534_400.0  # a UTC midnight
@@ -75,7 +76,8 @@ def windowed_traces(draw):
         lambda t, cache, rtts, ttl: [Flow(t, "u", cache, "h", rtt, ttl, 1, 2, 3.0) for rtt in rtts],
         time,
         st.sampled_from(["a", "b", "c", "d"]),
-        st.lists(st.sampled_from([1.0, 2.5, 1e16]) | st.floats(0, 500), min_size=1, max_size=6),
+        # ±0.0 ties sort in any order, yet between two zeros a rank in (0, 100) always adds a +0.0 term.
+        st.lists(st.sampled_from([1.0, 2.5, 1e16, -0.0]) | st.floats(0, 500), min_size=1, max_size=6),
         st.integers(0, 255),
     )
     records = [Flow(first, "u", "a", "h", 1.0, 64, 1, 2, 3.0)]
@@ -229,35 +231,38 @@ def test_a_last_line_without_lf_is_reserved_with_the_others():
     assert table_columns(tables[0]) == table_columns(tables[1])
 
 
-def test_value_rank_frees_a_metric_order_before_sorting_the_next():
-    # Only one metric's int64 argsort (8 B a row) is alive at a time, beside the int32 ranks the call returns and
-    # one block's arange. Holding the RTT order while the TTL argsort allocates would take 16 B a row.
-    n = 4 * ingest.RANK_BLOCK
+def test_caches_coded_above_2_16_match_per_record_code():
+    # 70,000 cache names: the window's codes narrow to uint32, and rows use codes on both sides of 2**16.
+    rng = np.random.default_rng(0)
+    flows = [Flow(BASE + k, "u", "c", "h", float(k % 7), k % 5, 1, 1, 1.0) for k in range(80)]
+    names = np.array([f"c{i}" for i in range(70_000)], dtype=object)
+    codes = rng.choice([0, 1, 65_535, 65_536, 69_999], len(flows))
+    table = dataclasses.replace(flow_table(flows), server_ip=Codes(codes, names))
+    (snap,) = window_flows(table, DAY_SECONDS, DAY_SECONDS)
+    groups = {c: flow_rows(f) for c, f in snap.records.items()}
+    assert _bytes(extract_cache_features(snap, 14, PERCENTILES)) == _bytes(
+        reference_cache_features(groups, 14, lambda v: reference_percentile_vector(v, PERCENTILES))
+    )
+    assert _bytes(extract_cache_features_mean_std(snap, 14)) == _bytes(
+        reference_cache_features(groups, 14, lambda v: np.array([v.mean(), v.std()]))
+    )
+
+
+def test_feature_memory_is_bounded_by_the_window_not_the_table():
+    # A 1,000-row window spread over a 2**18-row table: any whole-table rank or sort would take 1 MB or more.
+    n = 2**18
     rng = np.random.default_rng(0)
     rows = [Flow(BASE + k, "u", f"c{k % 3}", "h", 1.0 + k, k, 1, 1, 1.0) for k in range(64)]
     table = dataclasses.replace(flow_table(rows)[np.arange(n) % 64], min_rtt=rng.random(n), ttl=rng.integers(0, 255, n))
-    rank, transient = transient_bytes(FlowTable.value_rank.func, table)
-    assert np.array_equal(rank, reference_value_rank(table))
-    assert transient < 12 * n, transient / n
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from([0.0, 1.5, 7.0, 1e-300]), st.integers(0, 3)), min_size=1, max_size=40),
-    st.sampled_from(["", "rtt", "ttl"]),
-    st.integers(1, 5),
-)
-def test_int32_ranks_order_rows_as_int64_ranks_do(values, constant, block):
-    flows = [Flow(BASE + k, "u", f"c{k % 3}", "h", 2.0 if constant == "rtt" else rtt, 9 if constant == "ttl" else ttl,
-                  1, 1, 1.0) for k, (rtt, ttl) in enumerate(values)]
-    table = flow_table(flows)
-    with mock.patch.object(ingest, "RANK_BLOCK", block):
-        rank = table.value_rank
-    expected = reference_value_rank(table)
-    assert rank.dtype == np.int32 and np.array_equal(rank, expected)
-    key = table.server_ip.codes * len(table)  # features' key: int64, whatever the rank's width
-    for metric in (0, 1):
-        assert (key + rank[metric]).dtype == np.int64
-        assert np.array_equal(np.argsort(key + rank[metric]), np.argsort(key + expected[metric]))
+    snap = Snapshot(0, BASE, BASE + DAY_SECONDS, table, np.sort(rng.choice(n, 1000, replace=False)))
+    tracemalloc.start()
+    try:
+        features = extract_cache_features(snap, 10, PERCENTILES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert features.flow_counts.sum() == 1000
+    assert peak < 1_000_000, peak
 
 
 VALID_LINES = [
