@@ -131,24 +131,23 @@ def _summarize_caches(
     """``summarize(samples, sizes)`` of the RTT and TTL samples of each cache with >= min_flow flows.
 
     ``samples`` holds one metric's samples grouped by cache, each group
-    ascending if ``by_value``, else in input order; the result has one row
-    per group.
+    ascending if ``by_value``, else in start-time order; the result has one
+    row per group.
     """
-    table = snapshot.table
-    caches = table.server_ip.codes[snapshot.rows]
-    sizes = np.bincount(caches, minlength=len(table.server_ip.names))
+    flows = snapshot.flows
+    caches = flows.server_ip.codes
+    sizes = np.bincount(caches, minlength=len(flows.server_ip.names))
     min_flow = max(min_flow, 1)
     kept = np.flatnonzero(sizes >= min_flow)  # codes of the kept caches, ascending
     in_kept = sizes[caches] >= min_flow
-    rows = snapshot.rows[in_kept]
     caches = caches[in_kept].astype(np.min_scalar_type(len(sizes) - 1))  # 8- or 16-bit codes stable-sort by radix
     blocks = []
-    for column in (table.min_rtt, table.ttl):  # the order of METRICS
-        values = column[rows].astype(float)
-        order = np.argsort(values if by_value else rows)  # ascending values, or input order
+    for column in (flows.min_rtt, flows.ttl):  # the order of METRICS
+        values = column[in_kept].astype(float)
+        order = np.argsort(values) if by_value else np.arange(len(values))  # ascending values, or start-time order
         order = order[np.argsort(caches[order], kind="stable")]
         blocks.append(summarize(values[order], sizes[kept]))
-    names = table.server_ip.names[kept]
+    names = flows.server_ip.names[kept]
     order = np.argsort(names, kind="stable")
     return CacheFeatures(tuple(names[order].tolist()), sizes[kept][order], np.hstack(blocks)[order])
 

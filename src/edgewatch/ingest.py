@@ -70,7 +70,7 @@ class Codes:
 
 @dataclass(frozen=True, eq=False)
 class FlowTable:
-    """Flows as columns, one row per flow in input order.
+    """Flows as columns, one row per flow; a parsed table's rows are in stable start-time order.
 
     The fields are the flow-log columns in order: int64 (``ttl``, byte counts) and float64 numpy arrays,
     ``server_ip`` (the cache's identity downstream) and ``hostname`` as Codes, and ``client_id``, which
@@ -94,11 +94,6 @@ class FlowTable:
 
     def __getitem__(self, rows) -> FlowTable:
         return FlowTable(*(column[rows] for column in _fields_of(self)))
-
-    @cached_property
-    def time_order(self) -> np.ndarray:
-        """Row indices in start-time order; equal times keep input order."""
-        return np.argsort(self.start_time, kind="stable")
 
 
 # The columns of a FlowTable, as a tuple.
@@ -255,18 +250,23 @@ class _Reader:
             self.columns[k][: self.rows] = column[: self.rows]
 
     def table(self) -> FlowTable:
+        """The rows read, stably sorted by start_time one column at a time, if any row is out of order."""
         for column in self.columns:
             column.resize(self.rows, refcheck=False)
+        if (self.columns[0][1:] < self.columns[0][:-1]).any():
+            order = np.argsort(self.columns[0], kind="stable")
+            for k, column in enumerate(self.columns):
+                self.columns[k] = column[order]
         start, client, server, hostname, *numbers = self.columns
         names = (np.array(list(index), dtype=object) for index in self.indexes)
         return FlowTable(start, client, *map(Codes, (server, hostname), names), *numbers)
 
 
 def read_flow_log(*paths: str | Path) -> FlowTable:
-    """All flows of the UTF-8 TSV flow logs at ``paths``, in order, read into one set of columns.
+    """All flows of the UTF-8 TSV flow logs at ``paths``, read into one set of columns in stable start-time order.
 
-    server_ip and hostname number their names as they first come across the logs. A log that does not
-    read (see _Reader.read), is a directory or holds no flow raises InputError naming its path.
+    Equal times keep their order across the logs; server_ip and hostname number their names as they first come
+    across the logs. A log that does not read (see _Reader.read), is a directory or holds no flow raises InputError.
     """
     reader = _Reader()
     for path in paths:
@@ -357,8 +357,9 @@ def config_from(
 
 
 def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
-    """Write a table in the TSV format, floats by repr, so that it reads back as it is. A string field with a tab or
-    line break, or a row that fails ``_faults``, raises ValueError (naming the row's first fault) before any write."""
+    """Write a table in the TSV format, floats by repr, so that a time-ordered table reads back as it is. A string
+    field with a tab or line break, or a row that fails ``_faults``, raises ValueError (naming the row's first fault)
+    before any write."""
     client_ids = (table.client_id[lo : lo + 1024].tolist() for lo in range(0, len(table), 1024))
     names = (c.names[np.bincount(c.codes, minlength=len(c.names)) > 0].tolist()
              for c in (table.server_ip, table.hostname))
@@ -385,26 +386,24 @@ def write_flow_log(target: IO[str] | str | Path, table: FlowTable) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """All flows of one time window: the rows ``rows`` of ``table``, in start-time order."""
+    """All flows of one time window: ``flows``, a slice of a time-ordered table, so in start-time order."""
 
     index: int
     window_start: float
     window_end: float
-    table: FlowTable
-    rows: np.ndarray
+    flows: FlowTable
 
     @property
     def n_records(self) -> int:
-        return len(self.rows)
+        return len(self.flows)
 
     @cached_property
     def records(self) -> dict[str, FlowTable]:
-        """The window's flows grouped by cache (server_ip), each group in input order."""
-        codes = self.table.server_ip.codes[self.rows]
-        order = np.argsort(codes * len(self.table) + self.rows)  # by cache, then input position
-        caches, firsts = np.unique(codes[order], return_index=True)
-        groups = np.split(self.rows[order], firsts[1:])
-        return {self.table.server_ip.names[c]: self.table[g] for c, g in zip(caches.tolist(), groups)}
+        """The window's flows grouped by cache (server_ip), each group in start-time order."""
+        flows = self.flows
+        order = np.argsort(flows.server_ip.codes, kind="stable")
+        caches, firsts = np.unique(flows.server_ip.codes[order], return_index=True)
+        return {flows.server_ip.names[c]: flows[g] for c, g in zip(caches.tolist(), np.split(order, firsts[1:]))}
 
 
 def midnight_floor(t: float, utc_offset_hours: float = 0.0) -> float:
@@ -440,16 +439,21 @@ def window_flows(
     midnight (in the given UTC offset) at or before the earliest record;
     windows are generated while they fit inside coverage, which ends
     at the first midnight boundary strictly after the latest record. Each
-    snapshot is a range of the table's time order, so a record in several
+    snapshot's flows are a slice of the table, so a record in several
     overlapping snapshots is not copied. More than MAX_WINDOWS windows raise
-    ConfigError.
+    ConfigError; start times that are not finite or do not ascend, as
+    ``read_flow_log`` orders them, raise ValueError.
     """
     if window_seconds <= 0 or step_seconds <= 0:
         raise ValueError("window and step must be positive")
     if not len(table):
         return []
-    order = table.time_order
-    times = table.start_time[order]
+    times = table.start_time
+    if not (finite := np.isfinite(times)).all():
+        row = int(finite.argmin())
+        raise ValueError(f"row {row}: non-finite start_time: {times[row].item()!r}")
+    if (times[1:] < times[:-1]).any():
+        raise ValueError("start_time must ascend: take table[np.argsort(table.start_time, kind='stable')]")
     t0 = midnight_floor(times[0], utc_offset_hours)
     t_end = midnight_floor(times[-1], utc_offset_hours) + DAY_SECONDS
     n_windows = count_steps(lambda n: t0 + n * step_seconds + window_seconds <= t_end,
@@ -457,5 +461,5 @@ def window_flows(
     starts = t0 + np.arange(n_windows) * step_seconds
     ends = starts + window_seconds
     bounds = zip(np.searchsorted(times, starts).tolist(), np.searchsorted(times, ends).tolist())
-    return [Snapshot(n, start, end, table, order[lo:hi])
+    return [Snapshot(n, start, end, table[lo:hi])
             for n, (start, end, (lo, hi)) in enumerate(zip(starts.tolist(), ends.tolist(), bounds))]

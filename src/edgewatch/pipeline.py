@@ -164,19 +164,18 @@ def plurality(groups: np.ndarray, choices: np.ndarray, n_groups: int, n_choices:
     return winner
 
 
-def _member_rows(table: FlowTable, rows: np.ndarray, members: Iterable[str]) -> np.ndarray:
-    """Those of ``rows`` whose cache (server_ip) is one of ``members``, in order."""
-    is_member = np.isin(table.server_ip.names, members)
-    return rows[is_member[table.server_ip.codes[rows]]]
+def _member_rows(flows: FlowTable, members: Iterable[str]) -> np.ndarray:
+    """The mask of the flows whose cache (server_ip) is one of ``members``."""
+    return np.isin(flows.server_ip.names, members)[flows.server_ip.codes]
 
 
 def _star_label(snapshot: Snapshot, members: Iterable[str], airports: Airports) -> str | None:
     """The plurality of the members' labels, each the plurality of its flows' airport codes (see _airport_codes)."""
     codes, code_of = airports
-    table = snapshot.table
-    rows = _member_rows(table, snapshot.rows, members)
-    caches = len(table.server_ip.names)  # a cache without member rows gets -1, which casts no vote
-    votes = plurality(table.server_ip.codes[rows], code_of[table.hostname.codes[rows]], caches, len(codes))
+    flows = snapshot.flows
+    rows = _member_rows(flows, members)
+    caches = len(flows.server_ip.names)  # a cache without member rows gets -1, which casts no vote
+    votes = plurality(flows.server_ip.codes[rows], code_of[flows.hostname.codes[rows]], caches, len(codes))
     star = plurality(np.zeros(caches, dtype=np.intp), votes, 1, len(codes))[0]
     return None if star < 0 else codes[star]
 
@@ -297,10 +296,11 @@ def drilldown(entry: TimelineEntry, records: FlowTable, config: PipelineConfig) 
     if entry.flagged != FLAG_NONE:
         if entry.index < 1:
             raise ValueError(f"flagged entry {entry.index} has no previous window")
-        windows = config_windows(config, records)[entry.index - 1 : entry.index + 1]
-        thr, rtt = records.avg_throughput, records.min_rtt
+        windows = [w.flows for w in config_windows(config, records)[entry.index - 1 : entry.index + 1]]
         for contrib in entry.contributors:
-            before, after = (_member_rows(records, window.rows, contrib.members) for window in windows)
+            (thr_before, rtt_before), (thr_after, rtt_after) = (
+                (flows.avg_throughput[is_member], flows.min_rtt[is_member])
+                for flows in windows for is_member in [_member_rows(flows, contrib.members)])
             stars.append(
                 StarDrilldown(
                     side=contrib.side,
@@ -308,10 +308,10 @@ def drilldown(entry: TimelineEntry, records: FlowTable, config: PipelineConfig) 
                     label=contrib.label,
                     distance=contrib.distance,
                     member_count=len(contrib.members),
-                    throughput_deciles_before=tuple(percentile_vector(thr[before], THROUGHPUT_DECILES).tolist()),
-                    throughput_deciles_after=tuple(percentile_vector(thr[after], THROUGHPUT_DECILES).tolist()),
-                    rtt_percentiles_before=tuple(percentile_vector(rtt[before], config.percentiles).tolist()),
-                    rtt_percentiles_after=tuple(percentile_vector(rtt[after], config.percentiles).tolist()),
+                    throughput_deciles_before=tuple(percentile_vector(thr_before, THROUGHPUT_DECILES).tolist()),
+                    throughput_deciles_after=tuple(percentile_vector(thr_after, THROUGHPUT_DECILES).tolist()),
+                    rtt_percentiles_before=tuple(percentile_vector(rtt_before, config.percentiles).tolist()),
+                    rtt_percentiles_after=tuple(percentile_vector(rtt_after, config.percentiles).tolist()),
                 )
             )
     return DrilldownReport(
@@ -395,7 +395,7 @@ def rank_matrix(records: FlowTable, utc_offset_hours: float = 0.0) -> RankMatrix
     if not days:
         raise ValueError("rank_matrix needs at least one record")
     names = records.server_ip.names
-    counts = np.array([np.bincount(records.server_ip.codes[d.rows], minlength=len(names)) for d in days]).T
+    counts = np.array([np.bincount(d.flows.server_ip.codes, minlength=len(names)) for d in days]).T
     seen = sorted(np.flatnonzero(counts.sum(axis=1)).tolist(), key=names.__getitem__)
     counts, cache_ids = counts[seen], tuple(names[seen].tolist())
     # A stable sort keeps equal counts in cache_id order; the argsort of that order is each cache's place.

@@ -45,6 +45,8 @@ table through the TSV parser and ``flow_rows`` turns a table back.
 ``parse_flow_log`` is the package's former public stream parser: the reader
 ``read_flow_log`` runs over each of its files, applied to one stream, with
 skip-and-count mode (``errors=[]``) as well as strict mode.
+``time_ordered`` is the order the reader gives a table's rows: Python's stable
+``sorted`` by start time, so that equal times keep their input order.
 ``table_columns`` gives a table's columns in a form that compares bit for bit,
 and ``transient_bytes`` measures a call's working memory with ``tracemalloc``.
 """
@@ -116,6 +118,11 @@ def flow_log_text(rows) -> str:
 def flow_table(rows) -> FlowTable:
     """The rows (Flow or plain tuples), written as TSV and read back by ``parse_flow_log``."""
     return parse_flow_log(io.StringIO(flow_log_text(rows)))
+
+
+def time_ordered(rows) -> list:
+    """The rows (Flow or plain tuples) by start time, the first field; equal times keep their order."""
+    return sorted(rows, key=lambda row: row[0])
 
 
 def flow_rows(table: FlowTable) -> list[Flow]:
@@ -273,12 +280,12 @@ def reference_dbscan(points: np.ndarray, epsilon: float, min_pts: int):
 def reference_window_flows(records, window_seconds, step_seconds, utc_offset_hours=0.0):
     """The per-record bucket loop that windowed flow lists before the columnar table.
 
-    Returns (window_start, window_end, {cache_id: [records in input order]})
-    per window.
+    Returns (window_start, window_end, {cache_id: [records in start-time order]})
+    per window, equal times in input order.
     """
     day = 86_400.0
     shift = utc_offset_hours * 3600.0
-    records = list(records)
+    records = time_ordered(records)
     if not records:
         return []
     t_min = min(r.start_time for r in records)
@@ -317,7 +324,7 @@ def reference_percentile_vector(samples, qs):
 def reference_cache_features(groups, min_flow, summarize):
     """The per-cache extractor loop: (cache_id, flow_count, {metric: summary}) per
     cache with >= min_flow flows, sorted by cache_id; ``summarize`` maps one
-    cache's samples, in input order, to its summary vector."""
+    cache's samples, in the order ``groups`` holds them, to its summary vector."""
     out = []
     for cache_id in sorted(groups):
         flows = groups[cache_id]
@@ -442,11 +449,11 @@ def majority_label(labels: Iterable[str | None]) -> str | None:
 
 def reference_star_label(snapshot, members):
     """Each member cache votes its flows' majority airport code; the star takes the majority of those votes."""
-    table = snapshot.table
-    is_member = np.isin(table.server_ip.names, list(members))
-    rows = snapshot.rows[is_member[table.server_ip.codes[snapshot.rows]]]
-    caches = table.server_ip.codes[rows]
-    labels = np.array([parse_cache_hostname(h) for h in table.hostname[rows].decode()], dtype=object)
+    flows = snapshot.flows
+    is_member = np.isin(flows.server_ip.names, list(members))
+    rows = np.flatnonzero(is_member[flows.server_ip.codes])
+    caches = flows.server_ip.codes[rows]
+    labels = np.array([parse_cache_hostname(h) for h in flows.hostname[rows].decode()], dtype=object)
     return majority_label(majority_label(labels[caches == c].tolist()) for c in np.unique(caches))
 
 

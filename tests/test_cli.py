@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -887,3 +888,49 @@ def test_parser_exposes_all_subcommands():
     text = parser.format_help()
     for name in ("synth", "timeline", "drilldown", "sweep", "calibrate", "rank"):
         assert name in text
+
+
+ORDER_INI = SYNTH_INI.replace("days = 5", "days = 4") + """
+[node AMS]
+caches = 6
+rtt_median_ms = 50
+ttl = 200
+weight = 1.0
+
+[event death]
+kind = node_death
+target = AMS
+start_day = 2
+end_day = 3
+"""
+
+
+def test_outputs_do_not_depend_on_input_order(tmp_path):
+    # One trace written in order, with its data lines shuffled, and as daily logs given in reverse day order:
+    # every command writes the same bytes from each.
+    ini, trace, gt = tmp_path / "synth.ini", tmp_path / "trace.tsv", tmp_path / "gt.tsv"
+    ini.write_text(ORDER_INI)
+    assert main(["synth", "--config", str(ini), "--out-trace", str(trace), "--out-ground-truth", str(gt)]) == 0
+    head, *lines = trace.read_text().splitlines(keepends=True)
+    (tmp_path / "shuffled.tsv").write_text(head + "".join(random.Random(0).sample(lines, len(lines))))
+    days = {}
+    for line in lines:
+        days.setdefault(float(line.partition("\t")[0]) // DAY_SECONDS, []).append(line)
+    for day, day_lines in days.items():
+        (tmp_path / f"day_{day:.0f}.tsv").write_text(head + "".join(day_lines))
+    daily = [str(tmp_path / f"day_{day:.0f}.tsv") for day in sorted(days, reverse=True)]
+    assert len(daily) == 4
+    window = ["--window-days", "1", "--step-days", "1", "--event-threshold", "4"]  # small caches make a noisy CD
+    outputs = []
+    for inputs in ([str(trace)], [str(tmp_path / "shuffled.tsv")], daily):
+        out = tmp_path / f"out_{len(outputs)}"
+        given = [arg for path in inputs for arg in ("--input", path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["timeline", *given, *window, "--dump-clusters", "--dump-features", "--out-dir", str(out)]) == 0
+            assert (out / "timeline.csv").read_text().splitlines()[3].split(",")[5] == "event"  # AMS dies on day 2
+            assert main(["drilldown", *given, *window, "--entry", "2", "--out", str(out / "drilldown.csv")]) == 0
+            assert main(["rank", *given, "--out", str(out / "rank.csv")]) == 0
+            assert main(["sweep", *given, "--window-days", "1", "--snapshot", "2", "--ground-truth", str(gt),
+                         "--eps-grid", "0.02:0.2:0.02", "--out", str(out / "sweep.csv")]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) > 8 and outputs[1] == outputs[0] and outputs[2] == outputs[0]

@@ -26,8 +26,7 @@ def flow(t, ip, rtt, ttl=54):
 
 
 def snapshot_of(flows):
-    table = flow_table(flows)
-    return Snapshot(0, 0.0, DAY_SECONDS, table, table.time_order)
+    return Snapshot(0, 0.0, DAY_SECONDS, flow_table(flows))
 
 
 class TestPercentile:

@@ -10,6 +10,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import random
 import struct
 import tempfile
 import tracemalloc
@@ -48,6 +49,7 @@ from reference_impls import (
     reference_percentile_vector,
     reference_window_flows,
     table_columns,
+    time_ordered,
 )
 
 BASE = 1_388_534_400.0  # a UTC midnight
@@ -112,7 +114,7 @@ def test_windows_and_features_match_per_record_code(trace):
     records = [r for f in files for r in f]
     with log_files(*(flow_log_text(f) for f in files if f)) as paths:  # a log without flows is refused
         table = read_flow_log(*paths)
-    assert flow_rows(table) == records
+    assert flow_rows(table) == time_ordered(records)
     whole = table_columns(flow_table(records))  # one chunk
     assert table_columns(table) == whole  # reading the parts as one gives the parse of the whole
     with mock.patch.object(ingest, "CHUNK_BYTES", 64):  # a chunk of a line or two
@@ -126,7 +128,7 @@ def test_windows_and_features_match_per_record_code(trace):
         assert {c: flow_rows(flows) for c, flows in snap.records.items()} == groups
         assert snap.n_records == sum(map(len, groups.values()))
         # Bit-identical features; the mean/std oracle sees each cache's samples
-        # in input order, as np.mean's pairwise sum is order-sensitive.
+        # in start-time order, as np.mean's pairwise sum is order-sensitive.
         assert _bytes(extract_cache_features(snap, min_flow, PERCENTILES)) == _bytes(
             reference_cache_features(groups, min_flow, lambda v: reference_percentile_vector(v, PERCENTILES))
         )
@@ -161,7 +163,7 @@ def test_a_log_cut_into_files_reads_as_the_whole_log(data, records, chunk_bytes)
             table = read_flow_log(*paths)
     assert built.call_count == 1  # one table, cut to size once, however many logs
     assert table_columns(table) == expected  # every column, dtype, code and name
-    assert flow_rows(table) == records
+    assert flow_rows(table) == time_ordered(records)
 
 
 def uniform_log(rows: int, client: str = "u") -> str:
@@ -231,6 +233,25 @@ def test_a_last_line_without_lf_is_reserved_with_the_others():
     assert table_columns(tables[0]) == table_columns(tables[1])
 
 
+def test_an_out_of_order_read_holds_one_table():
+    # Reordering one column at a time holds the order (8 B a row) and one column's copy (at most 16 B a row) on top of
+    # the table, within the parse's own peak at this size; a copy of the whole table would add about 80 B a row.
+    rows = 90_000
+    head, *lines = uniform_log(rows).splitlines(keepends=True)
+    shuffled = random.Random(0).sample(lines, rows)
+    tables, peaks = [], []
+    with log_files(head + "".join(lines), head + "".join(shuffled)) as paths:
+        for path in paths:
+            tracemalloc.start()
+            try:
+                tables.append(read_flow_log(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert flow_rows(tables[1]) == flow_rows(tables[0])
+    assert peaks[1] <= peaks[0] + 24 * rows, peaks
+
+
 def test_caches_coded_above_2_16_match_per_record_code():
     # 70,000 cache names: the window's codes narrow to uint32, and rows use codes on both sides of 2**16.
     rng = np.random.default_rng(0)
@@ -249,12 +270,13 @@ def test_caches_coded_above_2_16_match_per_record_code():
 
 
 def test_feature_memory_is_bounded_by_the_window_not_the_table():
-    # A 1,000-row window spread over a 2**18-row table: any whole-table rank or sort would take 1 MB or more.
+    # A 1,000-row window sliced from a 2**18-row table: any whole-table rank or sort would take 1 MB or more.
     n = 2**18
     rng = np.random.default_rng(0)
     rows = [Flow(BASE + k, "u", f"c{k % 3}", "h", 1.0 + k, k, 1, 1, 1.0) for k in range(64)]
     table = dataclasses.replace(flow_table(rows)[np.arange(n) % 64], min_rtt=rng.random(n), ttl=rng.integers(0, 255, n))
-    snap = Snapshot(0, BASE, BASE + DAY_SECONDS, table, np.sort(rng.choice(n, 1000, replace=False)))
+    lo = int(rng.integers(0, n - 1000))
+    snap = Snapshot(0, BASE, BASE + DAY_SECONDS, table[lo : lo + 1000])
     tracemalloc.start()
     try:
         features = extract_cache_features(snap, 10, PERCENTILES)
@@ -335,7 +357,7 @@ def _check_against_line_parser(text, newline=""):
     expected_records, expected_errors = _line_by_line(text, newline)
     errors: list[FlowLineError] = []
     table = parse_flow_log(io.StringIO(text, newline=newline), errors=errors)
-    assert _bits(flow_rows(table)) == _bits(expected_records)
+    assert _bits(flow_rows(table)) == _bits(time_ordered(expected_records))
     assert [(e.line_number, e.reason) for e in errors] == expected_errors
     if expected_errors:
         with pytest.raises(FlowLineError) as exc:
@@ -444,17 +466,17 @@ class TestFlowTable:
     ]
 
     def test_rows_round_trip(self):
-        table = flow_table(self.RECORDS)
+        table, rows = flow_table(self.RECORDS), time_ordered(self.RECORDS)
         assert len(table) == 3
-        assert flow_rows(table) == self.RECORDS
-        assert flow_rows(table[1:]) == self.RECORDS[1:]
-        assert flow_rows(table[np.array([True, False, True])]) == [self.RECORDS[0], self.RECORDS[2]]
-        assert flow_rows(table[np.array([2, 0])]) == [self.RECORDS[2], self.RECORDS[0]]
+        assert flow_rows(table) == rows
+        assert flow_rows(table[1:]) == rows[1:]
+        assert flow_rows(table[np.array([True, False, True])]) == [rows[0], rows[2]]
+        assert flow_rows(table[np.array([2, 0])]) == [rows[2], rows[0]]
 
     def test_string_columns_are_dictionary_encoded(self):
         table = flow_table(self.RECORDS)
         assert table.server_ip.names.tolist() == ["b", "a"]
-        assert table.server_ip.codes.tolist() == [0, 1, 1]
+        assert table.server_ip.codes.tolist() == [["b", "a"].index(r.server_ip) for r in time_ordered(self.RECORDS)]
         assert table.ttl.dtype == np.int64 and table.min_rtt.dtype == np.float64
 
     def test_client_id_is_a_str_column_on_every_parse_path(self):
@@ -490,8 +512,9 @@ class TestFlowTable:
             assert calls == 1 and len(errors) == 1 and client_ids(table) == ["u0", "u2"]
         with log_files(flow_log_text(flow_rows(table)), flow_log_text(self.RECORDS)) as paths:
             both = read_flow_log(*paths)
-        assert client_ids(both) == ["u0", "u2", "u1", "u2", "u1"]
-        assert client_ids(both[np.array([False, True, True, False, True])]) == ["u2", "u1", "u1"]
+        ids = [r.client_id for r in time_ordered(flow_rows(table) + self.RECORDS)]
+        assert client_ids(both) == ids
+        assert client_ids(both[np.array([False, True, True, False, True])]) == [ids[1], ids[2], ids[4]]
         assert client_ids(both[1:1]) == []
 
     def test_a_parsed_table_joined_with_a_built_one_writes_back_every_client_id(self):
@@ -519,7 +542,7 @@ class TestFlowTable:
     def test_concat_merges_dictionaries(self):
         with log_files(flow_log_text(self.RECORDS[:2]), flow_log_text(self.RECORDS[2:])) as paths:
             table = read_flow_log(*paths)
-        assert flow_rows(table) == self.RECORDS
+        assert flow_rows(table) == time_ordered(self.RECORDS)
         assert table.server_ip.names.tolist() == ["b", "a"]
 
     def test_names_are_numbered_as_they_first_come_in_the_kept_rows_across_chunks(self):
@@ -541,9 +564,15 @@ class TestFlowTable:
             assert column.names.tolist() == names
             assert column.codes.dtype == np.int64 and column.codes.tolist() == list(map(names.index, values))
 
-    def test_time_order_is_stable(self):
-        table = flow_table(self.RECORDS)
-        assert table.time_order.tolist() == [1, 0, 2]
+    def test_a_read_table_is_in_stable_start_time_order(self):
+        # Equal times keep their input order, within a log and across logs; names keep their first-come codes.
+        second = [Flow(5.0, "u3", "a", "hd", 1.0, 1, 1, 1, 1.0), Flow(0.5, "u4", "d", "hb", 1.0, 1, 1, 1, 1.0),
+                  Flow(1.0, "u5", "b", "ha", 1.0, 1, 1, 1, 1.0)]
+        with log_files(flow_log_text(self.RECORDS), flow_log_text(second)) as paths:
+            table = read_flow_log(*paths)
+        assert flow_rows(table) == time_ordered(self.RECORDS + second)
+        assert table.client_id.tolist() == ["u4", "u2", "u5", "u1", "u1", "u3"]
+        assert table.server_ip.names.tolist() == ["b", "a", "d"] and table.hostname.names.tolist() == ["hb", "ha", "hd"]
 
     def test_empty(self):
         table = flow_table([])

@@ -28,7 +28,15 @@ from edgewatch.ingest import (
     write_flow_log,
 )
 
-from reference_impls import Flow, flow_rows, flow_table, parse_flow_log, reference_write_flow_log, transient_bytes
+from reference_impls import (
+    Flow,
+    flow_rows,
+    flow_table,
+    parse_flow_log,
+    reference_write_flow_log,
+    time_ordered,
+    transient_bytes,
+)
 
 SAMPLE_LINE = (
     "1391212800.5\tC1\t10.0.0.1\tr7---fra07t16.c.vcdn.example\t15.2\t54\t1200\t8000000\t1350.0"
@@ -141,7 +149,7 @@ def test_tsv_round_trip(records):
     buf = io.StringIO()
     write_flow_log(buf, flow_table(records))
     buf.seek(0)
-    assert flow_rows(parse_flow_log(buf)) == records
+    assert flow_rows(parse_flow_log(buf)) == time_ordered(records)
 
 
 def test_format_rejects_embedded_tabs():
@@ -206,7 +214,7 @@ def test_writer_equals_the_format_oracle(table):
 @given(drawn_tables(faulty=True))
 def test_written_table_reads_back_or_is_refused(table):
     # The writer refuses exactly the tables whose text the former writer wrote but the parser rejects, and
-    # names the parser's first bad line as a row; any other table reads back as it was, bit for bit.
+    # names the parser's first bad line as a row; any other table reads back bit for bit, in start-time order.
     buf = io.StringIO()
     try:
         write_flow_log(buf, table)
@@ -222,7 +230,8 @@ def test_written_table_reads_back_or_is_refused(table):
             parse_flow_log(io.StringIO(text.getvalue(), newline=""))
         assert str(exc) == f"row {parse_error.value.line_number - 2}: {parse_error.value.reason}"
     else:
-        assert _values(parse_flow_log(io.StringIO(buf.getvalue(), newline=""))) == _values(table)
+        order = [i for _, i in time_ordered(zip(table.start_time.tolist(), range(len(table))))]
+        assert _values(parse_flow_log(io.StringIO(buf.getvalue(), newline=""))) == _values(table[np.array(order, int)])
 
 
 @pytest.mark.parametrize(
@@ -349,6 +358,24 @@ class TestWindowFlows:
         b = windows(shuffled, 2 * DAY_SECONDS, DAY_SECONDS)
         assert [set(s.records) for s in a] == [set(s.records) for s in b]
         assert [s.n_records for s in a] == [s.n_records for s in b]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_start_time_is_named_before_the_order(self, value):
+        # The table is out of order as well: the first non-finite row is named, as the parser words it.
+        table = flow_table([flow(2.0), flow(3.0), flow(4.0)])
+        table = dataclasses.replace(table, start_time=np.array([2.0, value, 1.0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'row 1: non-finite start_time: {value!r}')}$"):
+            window_flows(table, DAY_SECONDS, DAY_SECONDS)
+
+    def test_out_of_order_table_is_refused_with_how_to_order_it(self):
+        table = flow_table([flow(1.0, ip="a"), flow(2.0, ip="b"), flow(2.0, ip="c")])
+        table = table[np.array([1, 0, 2])]
+        how = "table[np.argsort(table.start_time, kind='stable')]"
+        with pytest.raises(ValueError, match=f"^start_time must ascend: take {re.escape(how)}$"):
+            window_flows(table, DAY_SECONDS, DAY_SECONDS)
+        ordered = table[np.argsort(table.start_time, kind="stable")]
+        (snap,) = window_flows(ordered, DAY_SECONDS, DAY_SECONDS)
+        assert ordered.server_ip.decode() == ["a", "b", "c"] and snap.n_records == 3
 
     def test_midnight_alignment_with_offset(self):
         t = 5 * DAY_SECONDS + 3600.0
